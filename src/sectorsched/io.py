@@ -107,16 +107,28 @@ def write_partition(partition: SchedulePartition, path: str | Path) -> None:
 
 
 def read_partition(path: str | Path) -> SchedulePartition:
+    """Parse a partition file; malformed content raises :class:`ScenarioFormatError`."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ScenarioFormatError(f"{path}: top level must be an object")
     assignments = _require(payload, "assignments", list, "partition")
     provenance = _require(payload, "provenance", dict, "partition")
+    for i, ids in enumerate(assignments):
+        if not isinstance(ids, list) or not all(
+                isinstance(t, int) and not isinstance(t, bool) for t in ids):
+            raise ScenarioFormatError(
+                f"partition.assignments[{i}]: expected a list of integer task ids")
+    for key in provenance:
+        if not (key.isascii() and key.isdigit()):
+            raise ScenarioFormatError(
+                f"partition.provenance: task id {key!r} is not an integer")
     return SchedulePartition(
-        assignments=tuple(tuple(int(t) for t in ids) for ids in assignments),
-        provenance={int(tid): tag for tid, tag in provenance.items()},
+        assignments=tuple(tuple(ids) for ids in assignments),
+        provenance={int(key): tag for key, tag in provenance.items()},
     )
 
 

@@ -85,10 +85,11 @@ class Scenario:
     """A full problem instance.
 
     Structural problems (bad sector count, bad dt, resource vector of the
-    wrong length) raise at construction.  Data-level problems (non-positive
-    durations, inconsistent home sectors, duplicate ids, zero total
-    resources) are reported by :func:`validate_scenario` so that malformed
-    instances can be inspected rather than being unrepresentable.
+    wrong length) raise at construction.  Data-level problems (non-finite or
+    non-positive durations, non-finite or negative resources, inconsistent
+    home sectors, duplicate ids, zero total resources) are reported by
+    :func:`validate_scenario` so that malformed instances can be inspected
+    rather than being unrepresentable.
 
     A field of view wider than half the circle adds nothing under mod-N
     arithmetic, so ``fov_half_width`` is clamped to ``n_sectors // 2``.
@@ -105,8 +106,8 @@ class Scenario:
             raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
         if not isinstance(self.fov_half_width, int) or self.fov_half_width < 0:
             raise InvalidInputError(f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if not self.dt > 0:
-            raise InvalidInputError(f"dt={self.dt!r} must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise InvalidInputError(f"dt={self.dt!r} must be positive and finite")
         object.__setattr__(self, "resources", tuple(float(r) for r in self.resources))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if len(self.resources) != self.n_sectors:
@@ -183,7 +184,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; returns violations (empty list = ok)."""
     violations: list[str] = []
     for i, r in enumerate(scenario.resources):
-        if r < 0:
+        if not math.isfinite(r):
+            violations.append(f"non-finite resources {r!r} in sector {i}")
+        elif r < 0:
             violations.append(f"negative resources {r!r} in sector {i}")
     seen_ids: set[int] = set()
     for task in scenario.tasks:
@@ -193,13 +196,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             violations.append(f"duplicate task id {task.id}")
         else:
             seen_ids.add(task.id)
-        if not task.duration > 0:
+        if not math.isfinite(task.duration):
+            violations.append(f"non-finite duration {task.duration!r}, task id {task.id}")
+        elif not task.duration > 0:
             violations.append(f"non-positive duration, task id {task.id}")
         expected = sector_of_direction(task.phi, scenario.n_sectors)
         if task.home_sector != expected:
             violations.append(
                 f"inconsistent home sector, task id {task.id}: "
                 f"stored {task.home_sector}, phi implies {expected}")
-    if scenario.tasks and not math.fsum(scenario.resources) > 0:
+    if (scenario.tasks and all(map(math.isfinite, scenario.resources))
+            and not math.fsum(scenario.resources) > 0):
         violations.append("all sector resources are zero but the task set is non-empty")
     return violations

@@ -20,10 +20,22 @@ Policies:
 A task larger than every pass it is eligible for would deadlock the cycle;
 instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation in ``SimulationTrace.warnings``.
+
+Mechanism: tasks sit in buckets, a sector's assigned tasks for partition
+and broadside, the tasks homed in a sector for edf.  A pass reaches its own
+bucket, or for edf the buckets of every sector in its field of view.  A
+task's priority ``(last illumination, id)`` changes only when it runs, and
+it runs once per cycle, so each bucket is sorted once at the start of a
+cycle and a pass runs a prefix of the merge of its reachable buckets: a
+heap of bucket heads is popped until the first task that does not fit.  A
+pass costs O(k + r log k) for k reachable buckets and r tasks run, a cycle
+adds O(T log T) for T tasks, and "larger than every pass" is one comparison
+against the bucket's largest reachable resources.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,7 +44,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, angular_sector_distance
+from .model import CAP_SLACK, Scenario, active_sectors, angular_sector_distance
 
 POLICY_PARTITION = "partition"
 POLICY_BROADSIDE = "broadside"
@@ -117,27 +129,22 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
                                warnings=tuple(warnings))
 
     if policy.needs_partition:
-        eligible_by_sector = [list(ids) for ids in partition.assignments]
-        fits_elsewhere = {
-            tid: by_id[tid].duration <= scenario.resources[sector] + CAP_SLACK
-            for tid, sector in partition.sector_index().items()
-        }
+        members = [list(ids) for ids in partition.assignments]
+        reach = [(j,) for j in range(n)]
+        reach_max = list(scenario.resources)
     else:
-        eligible_by_sector = [
-            [t.id for t in scenario.tasks
-             if angular_sector_distance(j, t.home_sector, n) <= scenario.fov_half_width]
-            for j in range(n)
-        ]
-        fits_elsewhere = {
-            t.id: any(
-                t.duration <= scenario.resources[j] + CAP_SLACK
-                for j in range(n)
-                if angular_sector_distance(j, t.home_sector, n) <= scenario.fov_half_width)
-            for t in scenario.tasks
-        }
+        members = [[] for _ in range(n)]
+        for tid, task in by_id.items():
+            if not 0 <= task.home_sector < n:
+                raise InvalidInputError(
+                    f"task {tid}: home sector {task.home_sector!r} outside [0, {n})")
+            members[task.home_sector].append(tid)
+        # The field of view is symmetric: pass j reaches home h exactly
+        # when a pass over h would reach j.
+        reach = [active_sectors(j, scenario.fov_half_width, n) for j in range(n)]
+        reach_max = [max(scenario.resources[j] for j in reach[h]) for h in range(n)]
 
     last_time: dict[int, float] = {tid: -math.inf for tid in by_id}
-    executed: set[int] = set()
     records: list[ExecutionRecord] = []
     illumination: dict[int, list[float]] = {tid: [] for tid in by_id}
     overfilled: set[int] = set()
@@ -146,45 +153,56 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
     n_tasks = len(by_id)
     pass_cap = cycles * n * (n_tasks + 2)  # progress guard, never reached in practice
 
+    remaining = 0
     pass_index = 0
     while cycles_done < cycles:
         if pass_index > pass_cap:
             raise RuntimeError("simulation failed to make progress")
+        if not remaining:
+            # New cycle: priorities hold until each task runs once more, so
+            # every bucket is sorted once, head (oldest) at the end.
+            buckets = [sorted(((last_time[tid], tid) for tid in ids), reverse=True)
+                       for ids in members]
+            remaining = n_tasks
         sector = pass_index % n
         budget = scenario.resources[sector]
-        queue = sorted(
-            (tid for tid in eligible_by_sector[sector] if tid not in executed),
-            key=lambda tid: (last_time[tid], tid),
-        )
+        heads = [(bucket[-1], h) for h in reach[sector] if (bucket := buckets[h])]
+        heapq.heapify(heads)
         used = 0.0
-        for position, tid in enumerate(queue):
+        ran = 0
+        while heads:
+            (_, tid), h = heads[0]
             duration = by_id[tid].duration
-            if used + duration > budget + CAP_SLACK:
-                if position == 0 and not fits_elsewhere[tid]:
-                    # Oversized task: run it alone rather than deadlocking.
-                    overfilled.add(pass_index)
-                    warnings.append(
-                        f"task {tid} (duration {duration}) overfills sector "
-                        f"{sector} (resources {budget}) in pass {pass_index}")
-                else:
-                    break
+            oversized = used + duration > budget + CAP_SLACK
+            if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
+                break
+            bucket = buckets[h]
+            bucket.pop()
+            if bucket:
+                heapq.heapreplace(heads, (bucket[-1], h))
+            else:
+                heapq.heappop(heads)
             timestamp = pass_index * dt + used
             records.append(ExecutionRecord(
                 task_id=tid, sector=sector, pass_index=pass_index,
                 rotation=pass_index // n, start_offset=used, timestamp=timestamp))
             illumination[tid].append(timestamp)
             last_time[tid] = timestamp
-            executed.add(tid)
             used += duration
-            if len(executed) == n_tasks:
+            ran += 1
+            remaining -= 1
+            if oversized:
+                # Larger than every pass that reaches it: run it alone
+                # rather than deadlocking the cycle.
+                overfilled.add(pass_index)
+                warnings.append(
+                    f"task {tid} (duration {duration}) overfills sector "
+                    f"{sector} (resources {budget}) in pass {pass_index}")
                 break
-            if pass_index in overfilled:
-                break
-        if len(executed) == n_tasks:
+        if not remaining:
             if completion_pass < 0:
                 completion_pass = pass_index
             cycles_done += 1
-            executed.clear()
         pass_index += 1
 
     trace = SimulationTrace(
@@ -329,14 +347,20 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
 
     Needs at least two completed cycles, since an interval takes two
     illuminations of the same direction.  The rotation-denominated metric is
-    interval over ``n_sectors * dt``.
+    interval over ``n_sectors * dt``.  A scenario without tasks has nothing
+    to revisit: its stats are empty and every interval figure is 0.
     """
+    by_id = scenario.task_by_id()
+    if not by_id:
+        return RevisitStats(
+            per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
+            mean_interval_s=0.0, mean_interval_rot=0.0,
+            per_sector_max_rot=np.zeros(scenario.n_sectors))
     if trace.cycles_completed < 2:
         raise InsufficientDataError(
             f"revisit intervals need >= 2 completed cycles, trace has "
             f"{trace.cycles_completed}")
     rotation = scenario.rotation_time
-    by_id = scenario.task_by_id()
     last_sector = {rec.task_id: rec.sector for rec in trace.records}
 
     per_task = []

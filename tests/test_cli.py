@@ -106,6 +106,32 @@ class TestReport:
         assert {(r["fov"], r["policy"]) for r in summary} == \
             {(f, p) for f in ("1", "5") for p in ("greedy", "broadside", "edf")}
 
+    def test_empty_workload(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        assert run("report", "--tasks", "0", "0", "--runs", "1", "--fov", "5", "1",
+                   "--out", str(out)) == 0
+        for path in (out, tmp_path / "empty.summary.csv"):
+            rows = read_csv(path)
+            assert len(rows) == 6  # fovs x policies
+            for row in rows:
+                completion = row.get("completion_pass") or row["mean_completion_pass"]
+                assert float(completion) == -1.0
+                for key, value in row.items():
+                    if "load" in key or "revisit" in key:
+                        assert float(value) == 0.0
+
+
+class TestEmptyScenario:
+    @pytest.mark.parametrize("policy", ["greedy", "broadside", "edf"])
+    def test_simulate(self, tmp_path, policy):
+        scenario = tmp_path / "s.json"
+        assert run("gen", "--tasks", "0", "0", "--out", str(scenario)) == 0
+        trace = tmp_path / "t.csv"
+        assert run("simulate", "--scenario", str(scenario), "--policy", policy,
+                   "--cycles", "3", "--out", str(trace)) == 0
+        assert read_csv(trace) == []
+        assert read_csv(tmp_path / "t.revisit.csv") == []
+
 
 class TestExitCodes:
     def test_missing_scenario_file(self, tmp_path):

@@ -153,6 +153,38 @@ class TestScenarioRoundTrip:
         with pytest.raises(ScenarioFormatError, match="dt"):
             sio.read_scenario(path)
 
+    def test_infinity_token_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"n_sectors": 2, "fov_half_width": 1, "dt": 1.0, '
+            '"resources": [Infinity, 1.0], '
+            '"tasks": [{"id": 0, "phi": 0.1, "theta": 0.0, "duration": NaN}]}',
+            encoding="utf-8")
+        with pytest.raises(ScenarioValidationError) as info:
+            sio.read_scenario(path)
+        assert info.value.violations == [
+            "non-finite resources inf in sector 0",
+            "non-finite duration nan, task id 0",
+        ]
+
+
+class TestReadPartitionFormat:
+    @pytest.mark.parametrize("payload, field", [
+        ({"assignments": [["a"]], "provenance": {}}, r"assignments\[0\]"),
+        ({"assignments": [[1.5]], "provenance": {}}, r"assignments\[0\]"),
+        ({"assignments": [[], [True]], "provenance": {}}, r"assignments\[1\]"),
+        ({"assignments": [3], "provenance": {}}, r"assignments\[0\]"),
+        ({"assignments": [[0]], "provenance": {"x": "own-sector"}}, "provenance"),
+        ({"assignments": [[0]], "provenance": {"-1": "own-sector"}}, "provenance"),
+        ([[0]], "top level"),
+    ], ids=["string-id", "float-id", "bool-id", "row-not-list",
+            "provenance-key", "negative-key", "not-an-object"])
+    def test_malformed(self, tmp_path, payload, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ScenarioFormatError, match=field):
+            sio.read_partition(path)
+
 
 class TestArtifactRoundTrips:
     def test_partition(self, tmp_path):

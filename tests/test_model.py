@@ -5,6 +5,7 @@ import pytest
 from sectorsched import (
     Direction,
     InvalidInputError,
+    ScenarioValidationError,
     Scenario,
     SurveillanceTask,
     TWO_PI,
@@ -12,6 +13,7 @@ from sectorsched import (
     active_sectors,
     angular_sector_distance,
     main_sector,
+    equalize,
     make_task,
     sector_of_direction,
     validate_scenario,
@@ -163,6 +165,9 @@ class TestScenario:
             Scenario(n_sectors=2, fov_half_width=0, dt=0.0, resources=(1.0, 1.0))
         with pytest.raises(InvalidInputError):
             Scenario(n_sectors=2, fov_half_width=0, dt=1.0, resources=(1.0,))
+        for dt in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError):
+                Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
 
     def test_rotation_time(self):
         s = Scenario(n_sectors=4, fov_half_width=1, dt=0.5, resources=(1.0,) * 4)
@@ -199,3 +204,29 @@ class TestValidateScenario:
     def test_negative_resource(self):
         s = Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(-1.0, 2.0))
         assert any("negative resources" in v for v in validate_scenario(s))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteInputs:
+    """Non-finite numbers are their own violation, before any arithmetic."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_resources(self, bad):
+        s = scenario_from(3, 1, 1.0, (2.0, bad, 2.0), [(0, 1.0), (1, 1.0)])
+        violations = validate_scenario(s)
+        assert violations == [f"non-finite resources {bad!r} in sector 1"]
+        with pytest.raises(ScenarioValidationError):
+            equalize(s)
+
+    def test_nan_resources_are_not_reported_as_zero(self):
+        s = scenario_from(2, 1, 1.0, (math.nan, math.nan), [(0, 1.0)])
+        violations = validate_scenario(s)
+        assert not any("resources are zero" in v for v in violations)
+        assert len(violations) == 2
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_durations(self, bad):
+        s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (2, bad)])
+        assert validate_scenario(s) == [f"non-finite duration {bad!r}, task id 1"]
+        with pytest.raises(ScenarioValidationError):
+            equalize(s)

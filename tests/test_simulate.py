@@ -1,15 +1,25 @@
+import math
+import random
+import re
+
 import pytest
 
 from sectorsched import (
+    CAP_SLACK,
+    GenParams,
     InsufficientDataError,
     InvalidInputError,
     POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
+    Scenario,
     SimPolicy,
+    angular_sector_distance,
     broadside_baseline,
+    build_partition,
     check_trace,
     equalize,
+    generate,
     measure_resources,
     revisit_stats,
     simulate,
@@ -44,6 +54,10 @@ class TestSimulatePartitionDriven:
         assert trace.records == ()
         assert trace.completion_pass == -1
         assert trace.cycles_completed == 0
+        stats = revisit_stats(trace, s)
+        assert stats.per_task == ()
+        assert (stats.max_interval_rot, stats.mean_interval_rot) == (0.0, 0.0)
+        assert list(stats.per_sector_max_rot) == [0.0, 0.0, 0.0]
 
     def test_single_task_single_sector_period(self):
         s = scenario_from(1, 0, 2.5, (2.0,), [(0, 1.0)])
@@ -216,3 +230,125 @@ def test_trace_timestamp_consistency(tri_scenario):
         assert rec.rotation == rec.pass_index // tri_scenario.n_sectors
         assert rec.timestamp == pytest.approx(
             rec.pass_index * tri_scenario.dt + rec.start_offset)
+
+
+def reference_simulate(scenario, variant, partition, cycles):
+    """Brute force of the README semantics, one full scan per pass.
+
+    Each pass filters the eligible tasks not yet run this cycle, sorts them
+    oldest first with id as the tie-break, and runs them until the first one
+    that does not fit; a head task larger than every pass it is eligible for
+    runs alone instead.  Returns (records, overfilled passes, completion
+    pass, passes, cycles).
+    """
+    n = scenario.n_sectors
+    by_id = scenario.task_by_id()
+    if variant == POLICY_EDF:
+        def eligible(sector, tid):
+            return angular_sector_distance(
+                sector, by_id[tid].home_sector, n) <= scenario.fov_half_width
+    else:
+        sector_of = partition.sector_index()
+
+        def eligible(sector, tid):
+            return sector_of[tid] == sector
+    last = {tid: -math.inf for tid in by_id}
+    done = set()
+    records, overfilled = [], []
+    completion, cycles_done, pass_index = -1, 0, 0
+    while by_id and cycles_done < cycles:
+        sector = pass_index % n
+        budget = scenario.resources[sector]
+        queue = sorted((tid for tid in by_id if tid not in done and eligible(sector, tid)),
+                       key=lambda tid: (last[tid], tid))
+        used = 0.0
+        for position, tid in enumerate(queue):
+            duration = by_id[tid].duration
+            oversized = False
+            if used + duration > budget + CAP_SLACK:
+                oversized = position == 0 and all(
+                    duration > scenario.resources[j] + CAP_SLACK
+                    for j in range(n) if eligible(j, tid))
+                if not oversized:
+                    break
+            timestamp = pass_index * scenario.dt + used
+            records.append((tid, sector, pass_index, used, timestamp))
+            last[tid] = timestamp
+            done.add(tid)
+            used += duration
+            if oversized:
+                overfilled.append(pass_index)
+                break
+        if by_id and len(done) == len(by_id):
+            completion = pass_index if completion < 0 else completion
+            cycles_done += 1
+            done = set()
+        pass_index += 1
+    return records, overfilled, completion, pass_index, cycles_done
+
+
+def _equivalence_scenario(n, fov, seed, resources, dead, dt):
+    s = generate(GenParams(n_sectors=n, fov_half_width=fov, dt=dt,
+                           tasks_per_sector=(0, 4), duration=(0.5, 3.0),
+                           resources=resources, seed=seed))
+    rng = random.Random(seed)
+    res = list(s.resources)
+    for j in rng.sample(range(n), dead):
+        res[j] = 0.0
+    return Scenario(n_sectors=n, fov_half_width=fov, dt=dt,
+                    resources=tuple(res), tasks=s.tasks)
+
+
+# (n, fov, resources range, dead sectors, dt): fov 0, fov >= N/2, N=1,
+# zero-resource sectors, resources beyond dt, tasks too big for any pass.
+EQUIVALENCE_CASES = [
+    (1, 0, (2.0, 6.0), 0, 25.0),
+    (1, 3, (0.2, 1.0), 0, 25.0),
+    (2, 1, (1.0, 4.0), 1, 25.0),
+    (7, 0, (2.0, 8.0), 2, 25.0),
+    (7, 3, (1.0, 6.0), 3, 25.0),
+    (8, 9, (1.0, 5.0), 0, 25.0),
+    (12, 2, (0.1, 2.5), 4, 25.0),
+    (12, 1, (5.0, 20.0), 0, 2.0),
+    (30, 5, (5.0, 20.0), 1, 25.0),
+    (30, 1, (0.2, 2.0), 6, 1.0),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES,
+                         ids=[f"n{c[0]}-fov{c[1]}-dead{c[3]}" for c in EQUIVALENCE_CASES])
+def test_bucket_drain_matches_brute_force(case, seed):
+    s = _equivalence_scenario(*case[:2], seed, *case[2:])
+    rng = random.Random(seed)
+    anywhere = build_partition(s.n_sectors, {
+        t.id: rng.choice([j for j in range(s.n_sectors) if angular_sector_distance(
+            j, t.home_sector, s.n_sectors) <= s.fov_half_width])
+        for t in s.tasks}, {t.id: "fov-equalized" for t in s.tasks})
+    runs = [(POLICY_EDF, None), (POLICY_BROADSIDE, broadside_baseline(s)),
+            (POLICY_PARTITION, anywhere)]
+    for variant, partition in runs:
+        cycles = 1 + seed
+        trace = simulate(s, variant, partition, cycles=cycles)
+        records, overfilled, completion, passes, done = reference_simulate(
+            s, variant, partition, cycles)
+        assert [(r.task_id, r.sector, r.pass_index, r.start_offset, r.timestamp)
+                for r in trace.records] == records
+        assert [int(re.search(r"in pass (\d+)$", w).group(1))
+                for w in trace.warnings if "overfills" in w] == overfilled
+        assert (trace.completion_pass, trace.n_passes, trace.cycles_completed) == \
+            (completion, passes, done)
+        assert trace.illumination == {
+            tid: tuple(r[4] for r in records if r[0] == tid) for tid in s.task_by_id()}
+
+
+def test_equivalence_cases_reach_every_branch():
+    # The cases above must keep exercising overfills and empty scenarios.
+    overfills = empty = 0
+    for case in EQUIVALENCE_CASES:
+        for seed in (0, 1, 2):
+            s = _equivalence_scenario(*case[:2], seed, *case[2:])
+            empty += not s.tasks
+            overfills += any("overfills" in w for w in simulate(s, POLICY_EDF).warnings)
+    assert overfills >= 5
+    assert empty >= 1
