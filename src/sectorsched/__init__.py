@@ -10,7 +10,7 @@ Everything is deterministic: scheduling and simulation are pure functions of
 their inputs, and generation is a pure function of its seed.
 """
 
-from .equalize import DEFAULT_POLICY, GreedyPolicy, equalize, maximal_subset
+from .equalize import equalize, maximal_subset
 from .errors import (
     InfeasibleScenarioError,
     InsufficientDataError,
@@ -69,12 +69,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CAP_SLACK",
-    "DEFAULT_POLICY",
     "Direction",
     "ExactSolution",
     "ExecutionRecord",
     "GenParams",
-    "GreedyPolicy",
     "InfeasibleScenarioError",
     "InsufficientDataError",
     "InvalidInputError",

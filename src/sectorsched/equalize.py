@@ -3,20 +3,35 @@
 The scheduler sweeps the sectors once.  For each sector it first packs the
 sector's own unassigned tasks up to the sector's continuous target, then
 extends the pick with unassigned tasks from anywhere in the sector's field
-of view, under the same target.  Both picks are maximal: no remaining
+of view, under the same target.  Both picks are first-fit in one fixed order
+(longest first, then nearer home, then lower id) and maximal: no remaining
 candidate fits under the cap.  Whatever is left after the sweep is handed
-out one task at a time to the field-of-view sector whose relative load grows
-least by taking it.
+out, longest first, to the field-of-view sector whose relative load grows
+least; ties go to the nearer sector, then the lower index.
 
 The result is a partition in which every sector's load hugs its fair share
 as closely as the task granularity allows, so all sectors need a similar
 number of rotations to drain.
+
+Mechanism and cost.  The tasks are sorted once, by (-duration, id), into one
+list per home sector.  A task is deleted from its list when it is assigned,
+so the lists always hold exactly the unassigned tasks, in fill order.  The
+own phase is :func:`maximal_subset` over the sector's own list.  The
+field-of-view phase merges the lists of the homes in reach with a heap of
+their heads keyed (-duration, distance, id), which is the order a sort of
+every candidate would give.  A head that does not fit moves its home forward to the first
+entry that does: the room left only shrinks, so first-fit would reject every
+skipped entry too.  The skip applies the very comparison first-fit makes,
+``used + duration <= cap``, because a rearranged form can round differently.
+With T tasks and half-width w, the sweep costs one O(T log T) sort plus, per
+sector, O(w log w) heap work and one step per task taken or skipped, where a
+home none of whose tasks fits costs one comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from heapq import heapify, heappop, heapreplace
+from typing import Sequence
 
 from .errors import InfeasibleScenarioError, ScenarioValidationError
 from .loads import (
@@ -27,83 +42,28 @@ from .loads import (
     build_partition,
     sector_targets,
 )
-from .model import (
-    CAP_SLACK,
-    Scenario,
-    SurveillanceTask,
-    active_sectors,
-    angular_sector_distance,
-    validate_scenario,
-)
-
-
-def default_fill_order(task: SurveillanceTask, sector: int | None,
-                       n_sectors: int | None) -> tuple:
-    """Longest first; nearer home sectors first when filling across the FOV.
-
-    With own-sector candidates the distance term is constant zero, so this
-    reduces to descending duration with ascending id as tie-break.
-    """
-    if sector is None or n_sectors is None:
-        dist = 0
-    else:
-        dist = angular_sector_distance(sector, task.home_sector, n_sectors)
-    return (-task.duration, dist, task.id)
-
-
-def default_leftover_order(task: SurveillanceTask) -> tuple:
-    return (-task.duration, task.id)
-
-
-def default_tie_break(sector: int, task: SurveillanceTask, n_sectors: int) -> tuple:
-    return (angular_sector_distance(sector, task.home_sector, n_sectors), sector)
-
-
-@dataclass(frozen=True)
-class GreedyPolicy:
-    """Deterministic ordering rules for the greedy scheduler.
-
-    ``ordering`` ranks candidates during the capped fill phases (called with
-    the sector being filled so distance-aware defaults are possible),
-    ``leftover_ordering`` ranks the tasks left over after the sweep, and
-    ``tie_break`` settles ties between sectors whose relative-load increase
-    is equal.  Every rule must be a total order for reproducible output.
-    """
-
-    ordering: Callable[[SurveillanceTask, int | None, int | None], tuple] = \
-        field(default=default_fill_order)
-    leftover_ordering: Callable[[SurveillanceTask], tuple] = \
-        field(default=default_leftover_order)
-    tie_break: Callable[[int, SurveillanceTask, int], tuple] = \
-        field(default=default_tie_break)
-
-
-DEFAULT_POLICY = GreedyPolicy()
+from .model import CAP_SLACK, Scenario, SurveillanceTask, fov_offsets, validate_scenario
 
 
 def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
-                   already_used: float = 0.0,
-                   policy: GreedyPolicy = DEFAULT_POLICY,
-                   sector: int | None = None,
-                   n_sectors: int | None = None) -> list[int]:
-    """First-fit selection in policy order, capped at ``budget``.
+                   already_used: float = 0.0) -> list[int]:
+    """First-fit selection, longest first (ties by id), capped at ``budget``.
 
     Returns ids whose durations, on top of ``already_used``, stay within the
     budget, and such that no rejected candidate would still fit: the pick is
     maximal.  An empty pick is valid (and maximal) whenever the budget is
     already exhausted, since durations are strictly positive.
     """
-    ordered = sorted(candidates, key=lambda t: policy.ordering(t, sector, n_sectors))
     chosen: list[int] = []
     used = already_used
-    for task in ordered:
+    for task in sorted(candidates, key=lambda t: (-t.duration, t.id)):
         if used + task.duration <= budget + CAP_SLACK:
             chosen.append(task.id)
             used += task.duration
     return chosen
 
 
-def equalize(scenario: Scenario, policy: GreedyPolicy = DEFAULT_POLICY) -> SchedulePartition:
+def equalize(scenario: Scenario) -> SchedulePartition:
     """Partition all tasks over the sectors, flattening relative loads.
 
     Raises :class:`ScenarioValidationError` for invalid scenarios and
@@ -116,46 +76,76 @@ def equalize(scenario: Scenario, policy: GreedyPolicy = DEFAULT_POLICY) -> Sched
         raise ScenarioValidationError(problems)
 
     n = scenario.n_sectors
-    targets = sector_targets(scenario).targets
+    targets = sector_targets(scenario).targets.tolist()
+    offsets = fov_offsets(scenario.fov_half_width, n)
     by_id = scenario.task_by_id()
-    by_home: list[list[SurveillanceTask]] = [[] for _ in range(n)]
-    for task in scenario.tasks:
-        by_home[task.home_sector].append(task)
+    by_home: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    for task in sorted(scenario.tasks, key=lambda t: (-t.duration, t.id)):
+        by_home[task.home_sector].append((task.duration, task.id))
 
-    unassigned = set(by_id)
     sector_of_task: dict[int, int] = {}
     provenance: dict[int, str] = {}
     loads = [0.0] * n
 
-    def assign(task_id: int, sector: int, tag: str) -> None:
-        unassigned.discard(task_id)
-        sector_of_task[task_id] = sector
-        provenance[task_id] = tag
-        loads[sector] += by_id[task_id].duration
-
     for i in range(n):
-        budget = float(targets[i])
-        own = [t for t in by_home[i] if t.id in unassigned]
-        for tid in maximal_subset(own, budget, 0.0, policy, sector=i, n_sectors=n):
-            assign(tid, i, PROVENANCE_OWN)
-        fov = active_sectors(i, scenario.fov_half_width, n)
-        reachable = [t for j in fov for t in by_home[j] if t.id in unassigned]
-        for tid in maximal_subset(reachable, budget, loads[i], policy,
-                                  sector=i, n_sectors=n):
-            assign(tid, i, PROVENANCE_FOV)
+        cap = targets[i] + CAP_SLACK
+        own = maximal_subset([by_id[tid] for _, tid in by_home[i]], targets[i])
+        used = 0.0
+        for tid in own:
+            used += by_id[tid].duration
+            sector_of_task[tid] = i
+            provenance[tid] = PROVENANCE_OWN
+        if own:
+            taken = set(own)
+            by_home[i] = [e for e in by_home[i] if e[1] not in taken]
 
-    leftovers = sorted((by_id[tid] for tid in unassigned), key=policy.leftover_ordering)
-    for task in leftovers:
-        fov = active_sectors(task.home_sector, scenario.fov_half_width, n)
-        eligible = [j for j in fov if targets[j] > 0.0]
-        if not eligible:
+        heads = []
+        for c in offsets:
+            home = (i + c) % n
+            entries = by_home[home]
+            if entries and used + entries[-1][0] <= cap:
+                d, tid = entries[0]
+                heads.append((-d, abs(c), tid, home, 0))
+        heapify(heads)
+        while heads:
+            neg_d, dist, tid, home, k = heads[0]
+            d = -neg_d
+            entries = by_home[home]
+            if used + d <= cap:
+                used += d
+                sector_of_task[tid] = i
+                provenance[tid] = PROVENANCE_FOV
+                del entries[k]
+            elif used + entries[-1][0] > cap:
+                k = len(entries)
+            else:
+                k += 1
+                while used + entries[k][0] > cap:
+                    k += 1
+            if k < len(entries):
+                d, tid = entries[k]
+                heapreplace(heads, (-d, dist, tid, home, k))
+            else:
+                heappop(heads)
+        loads[i] = used
+
+    leftovers = sorted((-d, tid, home)
+                       for home, entries in enumerate(by_home) for d, tid in entries)
+    for neg_d, tid, home in leftovers:
+        d = -neg_d
+        best = None
+        for c in offsets:
+            j = (home + c) % n
+            if targets[j] > 0.0:
+                key = ((loads[j] + d) / targets[j], abs(c), j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
             raise InfeasibleScenarioError(
-                f"task {task.id}: every sector in its field of view has zero target")
-        best = min(
-            eligible,
-            key=lambda j: ((task.duration + loads[j]) / targets[j],
-                           policy.tie_break(j, task, n)),
-        )
-        assign(task.id, best, PROVENANCE_LEFTOVER)
+                f"task {tid}: every sector in its field of view has zero target")
+        j = best[2]
+        sector_of_task[tid] = j
+        provenance[tid] = PROVENANCE_LEFTOVER
+        loads[j] += d
 
     return build_partition(n, sector_of_task, provenance)

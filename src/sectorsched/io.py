@@ -38,13 +38,16 @@ def write_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _typed(value, kinds, where: str):
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ScenarioFormatError(f"{where}: unexpected type {type(value).__name__}")
+    return value
+
+
 def _require(mapping: dict, key: str, kinds, where: str):
     if key not in mapping:
         raise ScenarioFormatError(f"{where}: missing field {key!r}")
-    value = mapping[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ScenarioFormatError(f"{where}.{key}: unexpected type {type(value).__name__}")
-    return value
+    return _typed(mapping[key], kinds, f"{where}.{key}")
 
 
 def read_scenario(path: str | Path) -> Scenario:
@@ -65,7 +68,8 @@ def read_scenario(path: str | Path) -> Scenario:
     n_sectors = _require(payload, "n_sectors", int, "scenario")
     fov = _require(payload, "fov_half_width", int, "scenario")
     dt = float(_require(payload, "dt", (int, float), "scenario"))
-    resources = _require(payload, "resources", list, "scenario")
+    resources = [float(_typed(r, (int, float), f"scenario.resources[{i}]"))
+                 for i, r in enumerate(_require(payload, "resources", list, "scenario"))]
     raw_tasks = _require(payload, "tasks", list, "scenario")
 
     tasks = []
@@ -88,7 +92,7 @@ def read_scenario(path: str | Path) -> Scenario:
     try:
         scenario = Scenario(
             n_sectors=n_sectors, fov_half_width=fov, dt=dt,
-            resources=tuple(float(r) for r in resources), tasks=tuple(tasks))
+            resources=tuple(resources), tasks=tuple(tasks))
     except (ValueError, TypeError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
     violations = validate_scenario(scenario)

@@ -146,12 +146,24 @@ def main_sector(t: float, n_sectors: int, dt: float) -> int:
     return _floor_ratio(t / dt) % n_sectors
 
 
+def fov_offsets(fov_half_width: int, n_sectors: int) -> range:
+    """Offsets c from a sector to the sectors in its field of view.
+
+    Runs from -w to +w, where w is the half-width clamped to n_sectors // 2;
+    when 2w == n_sectors, +w names the same sector as -w and is left out.
+    So (m + c) mod n_sectors lists every reachable sector once, and |c| is
+    its cyclic distance from m.
+    """
+    w = min(fov_half_width, n_sectors // 2)
+    return range(-w, w + 1 - (2 * w == n_sectors))
+
+
 def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ...]:
     """Sectors reachable while the main sector is ``m``.
 
-    Returns (m + c) mod n_sectors for c from -n to +n, duplicates dropped,
-    so the result has min(2n + 1, n_sectors) entries and always contains m.
-    A half-width beyond n_sectors // 2 is clamped.
+    Returns (m + c) mod n_sectors for c in :func:`fov_offsets`, so the
+    result has min(2w + 1, n_sectors) distinct entries, w being the clamped
+    half-width, and always contains m.
     """
     if n_sectors < 1:
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
@@ -159,15 +171,7 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
         raise InvalidInputError(f"main sector {m!r} outside [0, {n_sectors})")
     if fov_half_width < 0:
         raise InvalidInputError(f"fov_half_width={fov_half_width!r} must be >= 0")
-    n = min(fov_half_width, n_sectors // 2)
-    out: list[int] = []
-    seen: set[int] = set()
-    for c in range(-n, n + 1):
-        j = (m + c) % n_sectors
-        if j not in seen:
-            seen.add(j)
-            out.append(j)
-    return tuple(out)
+    return tuple((m + c) % n_sectors for c in fov_offsets(fov_half_width, n_sectors))
 
 
 def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:

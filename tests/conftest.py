@@ -28,6 +28,18 @@ def scenario_from(n_sectors, fov, dt, resources, homed_durations):
                     resources=tuple(resources), tasks=tuple(tasks))
 
 
+def dedup_active_sectors(m, fov, n_sectors):
+    """Reachable sectors by their first definition: (m + c) mod N for c in
+    -w..w with w = min(fov, N // 2), repeats dropped in first-seen order."""
+    w = min(fov, n_sectors // 2)
+    out = []
+    for c in range(-w, w + 1):
+        j = (m + c) % n_sectors
+        if j not in out:
+            out.append(j)
+    return tuple(out)
+
+
 @pytest.fixture
 def tri_scenario():
     """Three sectors, unit FOV, two tasks home 0 and one home 1, all 2 s."""

@@ -153,6 +153,17 @@ class TestScenarioRoundTrip:
         with pytest.raises(ScenarioFormatError, match="dt"):
             sio.read_scenario(path)
 
+    @pytest.mark.parametrize("resource, kind", [
+        (True, "bool"), ("5", "str"), (None, "NoneType")])
+    def test_resource_must_be_a_number(self, tmp_path, resource, kind):
+        payload = {"n_sectors": 3, "fov_half_width": 1, "dt": 1.0,
+                   "resources": [1.0, resource, 1.0], "tasks": []}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ScenarioFormatError,
+                           match=rf"resources\[1\]: unexpected type {kind}"):
+            sio.read_scenario(path)
+
     def test_infinity_token_is_a_validation_error(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text(

@@ -18,7 +18,7 @@ from sectorsched import (
     sector_of_direction,
     validate_scenario,
 )
-from conftest import scenario_from
+from conftest import dedup_active_sectors, scenario_from
 
 
 class TestSectorOfDirection:
@@ -111,6 +111,13 @@ class TestActiveSectors:
     def test_main_sector_out_of_range(self):
         with pytest.raises(InvalidInputError):
             active_sectors(5, 1, 5)
+
+    def test_matches_dedup_definition(self):
+        for n_sectors in range(1, 13):
+            for m in range(n_sectors):
+                for fov in range(n_sectors + 2):
+                    assert active_sectors(m, fov, n_sectors) == \
+                        dedup_active_sectors(m, fov, n_sectors)
 
     def test_matches_distance_when_fov_fits(self):
         rng = Xorshift64Star(13)
