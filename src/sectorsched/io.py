@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +45,14 @@ def _typed(value, kinds, where: str):
     return value
 
 
+def _number(value: int | float, where: str) -> float:
+    """A JSON number as a float; an integer beyond float range is malformed."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
+
+
 def _require(mapping: dict, key: str, kinds, where: str):
     if key not in mapping:
         raise ScenarioFormatError(f"{where}: missing field {key!r}")
@@ -60,17 +69,26 @@ def read_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
 
     n_sectors = _require(payload, "n_sectors", int, "scenario")
     fov = _require(payload, "fov_half_width", int, "scenario")
-    dt = float(_require(payload, "dt", (int, float), "scenario"))
-    resources = [float(_typed(r, (int, float), f"scenario.resources[{i}]"))
-                 for i, r in enumerate(_require(payload, "resources", list, "scenario"))]
+    dt = _number(_require(payload, "dt", (int, float), "scenario"), "scenario.dt")
+    resources = []
+    for i, r in enumerate(_require(payload, "resources", list, "scenario")):
+        where = f"scenario.resources[{i}]"
+        resources.append(_number(_typed(r, (int, float), where), where))
     raw_tasks = _require(payload, "tasks", list, "scenario")
+    # Structure first, so that home sectors are derived from a sector count
+    # known to match the resources.
+    try:
+        scenario = Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
+                            resources=tuple(resources))
+    except (ValueError, TypeError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
     tasks = []
     for k, entry in enumerate(raw_tasks):
@@ -78,9 +96,9 @@ def read_scenario(path: str | Path) -> Scenario:
         if not isinstance(entry, dict):
             raise ScenarioFormatError(f"{where}: expected an object")
         tid = _require(entry, "id", int, where)
-        phi = float(_require(entry, "phi", (int, float), where))
-        theta = float(_require(entry, "theta", (int, float), where))
-        duration = float(_require(entry, "duration", (int, float), where))
+        phi, theta, duration = (
+            _number(_require(entry, key, (int, float), where), f"{where}.{key}")
+            for key in ("phi", "theta", "duration"))
         try:
             direction = Direction(phi, theta)
         except ValueError as exc:
@@ -88,13 +106,7 @@ def read_scenario(path: str | Path) -> Scenario:
         tasks.append(SurveillanceTask(
             id=tid, direction=direction, duration=duration,
             home_sector=sector_of_direction(phi, n_sectors)))
-
-    try:
-        scenario = Scenario(
-            n_sectors=n_sectors, fov_half_width=fov, dt=dt,
-            resources=tuple(resources), tasks=tuple(tasks))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+    scenario = replace(scenario, tasks=tuple(tasks))
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioValidationError(violations)
@@ -115,7 +127,7 @@ def read_partition(path: str | Path) -> SchedulePartition:
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")

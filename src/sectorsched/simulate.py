@@ -22,29 +22,35 @@ instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation in ``SimulationTrace.warnings``.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition
-and broadside, the tasks homed in a sector for edf.  A pass reaches its own
-bucket, or for edf the buckets of every sector in its field of view.  A
-task's priority ``(last illumination, id)`` changes only when it runs, and
-it runs once per cycle, so each bucket is sorted once at the start of a
-cycle and a pass runs a prefix of the merge of its reachable buckets: a
-heap of bucket heads is popped until the first task that does not fit.  A
-pass costs O(k + r log k) for k reachable buckets and r tasks run, a cycle
-adds O(T log T) for T tasks, and "larger than every pass" is one comparison
-against the bucket's largest reachable resources.
+and broadside, the tasks homed in a sector for edf.  A pass over sector j
+reaches the buckets (j + c) mod N for c in a window of offsets: ``0..0``
+for partition and broadside, ``model.fov_offsets`` for edf.  A task's
+priority ``(last illumination, id)`` changes only when it runs, and it runs
+once per cycle, so each bucket is sorted once at the start of a cycle and a
+pass runs a prefix of the merge of its reachable buckets, popping a heap of
+bucket heads until the first task that does not fit.  That heap lasts the
+whole cycle.  Moving from sector j to j + 1 retires bucket (j + lo) mod N
+by bumping its generation stamp, so its entry is dropped when it reaches
+the top, and pushes the head of bucket (j + 1 + hi) mod N; a window that
+covers all N sectors never rolls.  A pass costs O(log k + r log k) for k
+reachable buckets and r tasks run, a cycle adds O(T log T) for T tasks and
+the heap rebuild, and "larger than every pass" is one comparison against
+the bucket's largest reachable resources.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import sub
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, active_sectors, angular_sector_distance
+from .model import CAP_SLACK, Scenario, fov_offsets
 
 POLICY_PARTITION = "partition"
 POLICY_BROADSIDE = "broadside"
@@ -68,8 +74,7 @@ class SimPolicy:
         return self.variant in (POLICY_PARTITION, POLICY_BROADSIDE)
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     """One task execution: where, when, and at what offset within its pass."""
 
     task_id: int
@@ -130,8 +135,7 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
 
     if policy.needs_partition:
         members = [list(ids) for ids in partition.assignments]
-        reach = [(j,) for j in range(n)]
-        reach_max = list(scenario.resources)
+        window = range(0, 1)
     else:
         members = [[] for _ in range(n)]
         for tid, task in by_id.items():
@@ -139,10 +143,15 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
                 raise InvalidInputError(
                     f"task {tid}: home sector {task.home_sector!r} outside [0, {n})")
             members[task.home_sector].append(tid)
-        # The field of view is symmetric: pass j reaches home h exactly
-        # when a pass over h would reach j.
-        reach = [active_sectors(j, scenario.fov_half_width, n) for j in range(n)]
-        reach_max = [max(scenario.resources[j] for j in reach[h]) for h in range(n)]
+        window = fov_offsets(scenario.fov_half_width, n)
+    lo, hi = window[0], window[-1]
+    # A pass over j reaches buckets j + lo .. j + hi.  The window is
+    # symmetric, so bucket h is reached from sectors h + lo .. h + hi: its
+    # largest reachable resources are a slice of the ring laid out thrice.
+    ring = scenario.resources * 3
+    reach_max = [max(ring[n + h + lo:n + h + hi + 1]) for h in range(n)]
+    rolls = len(window) < n
+    duration_of = {tid: task.duration for tid, task in by_id.items()}
 
     last_time: dict[int, float] = {tid: -math.inf for tid in by_id}
     records: list[ExecutionRecord] = []
@@ -158,34 +167,49 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
     while cycles_done < cycles:
         if pass_index > pass_cap:
             raise RuntimeError("simulation failed to make progress")
+        sector = pass_index % n
         if not remaining:
             # New cycle: priorities hold until each task runs once more, so
-            # every bucket is sorted once, head (oldest) at the end.
+            # every bucket is sorted once, head (oldest) at the end, and the
+            # heap of the window's heads is built once.  Entries are
+            # (head, bucket, generation).
             buckets = [sorted(((last_time[tid], tid) for tid in ids), reverse=True)
                        for ids in members]
+            generation = [0] * n
+            heads = [(buckets[h][-1], h, 0)
+                     for h in ((sector + c) % n for c in window) if buckets[h]]
+            heapify(heads)
             remaining = n_tasks
-        sector = pass_index % n
+        elif rolls:
+            # One sector on: bucket (sector - 1 + lo) leaves the window and
+            # its entry goes stale; bucket (sector + hi) enters it.
+            generation[(sector - 1 + lo) % n] += 1
+            h = (sector + hi) % n
+            if bucket := buckets[h]:
+                heappush(heads, (bucket[-1], h, generation[h]))
         budget = scenario.resources[sector]
-        heads = [(bucket[-1], h) for h in reach[sector] if (bucket := buckets[h])]
-        heapq.heapify(heads)
+        rotation = pass_index // n
+        start = pass_index * dt
         used = 0.0
         ran = 0
         while heads:
-            (_, tid), h = heads[0]
-            duration = by_id[tid].duration
+            (_, tid), h, stamp = heads[0]
+            if stamp != generation[h]:
+                heappop(heads)
+                continue
+            duration = duration_of[tid]
             oversized = used + duration > budget + CAP_SLACK
             if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
                 break
             bucket = buckets[h]
             bucket.pop()
             if bucket:
-                heapq.heapreplace(heads, (bucket[-1], h))
+                heapreplace(heads, (bucket[-1], h, stamp))
             else:
-                heapq.heappop(heads)
-            timestamp = pass_index * dt + used
+                heappop(heads)
+            timestamp = start + used
             records.append(ExecutionRecord(
-                task_id=tid, sector=sector, pass_index=pass_index,
-                rotation=pass_index // n, start_offset=used, timestamp=timestamp))
+                tid, sector, pass_index, rotation, used, timestamp))
             illumination[tid].append(timestamp)
             last_time[tid] = timestamp
             used += duration
@@ -273,29 +297,30 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[str]:
     problems: list[str] = []
     by_id = scenario.task_by_id()
     n = scenario.n_sectors
+    w = scenario.fov_half_width
 
     load_by_pass: dict[int, float] = {}
     previous = (-1, -math.inf)
-    for rec in trace.records:
+    for tid, sector, p, _, offset, _ in trace.records:
         # Execution order is (pass, offset); raw timestamps may interleave
         # when a sector's resources exceed the kinematic pass duration.
-        if (rec.pass_index, rec.start_offset) < previous:
-            problems.append(f"records out of execution order at pass {rec.pass_index}")
-        previous = (rec.pass_index, rec.start_offset)
-        task = by_id.get(rec.task_id)
+        if (p, offset) < previous:
+            problems.append(f"records out of execution order at pass {p}")
+        previous = (p, offset)
+        task = by_id.get(tid)
         if task is None:
-            problems.append(f"record references unknown task {rec.task_id}")
+            problems.append(f"record references unknown task {tid}")
             continue
-        if rec.sector != rec.pass_index % n:
+        if sector != p % n:
             problems.append(
-                f"record for task {rec.task_id}: sector {rec.sector} "
-                f"does not match pass {rec.pass_index}")
-        dist = angular_sector_distance(rec.sector, task.home_sector, n)
-        if dist > scenario.fov_half_width:
+                f"record for task {tid}: sector {sector} does not match pass {p}")
+        # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
+        d = (sector - task.home_sector) % n
+        if w < d < n - w:
             problems.append(
-                f"task {rec.task_id} executed {dist} sectors from home in pass "
-                f"{rec.pass_index} (fov half-width {scenario.fov_half_width})")
-        load_by_pass[rec.pass_index] = load_by_pass.get(rec.pass_index, 0.0) + task.duration
+                f"task {tid} executed {min(d, n - d)} sectors from home in pass "
+                f"{p} (fov half-width {w})")
+        load_by_pass[p] = load_by_pass.get(p, 0.0) + task.duration
     for p, used in sorted(load_by_pass.items()):
         cap = scenario.resources[p % n]
         if used > cap + CAP_SLACK:
@@ -305,13 +330,12 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[str]:
     if by_id:
         all_ids = set(by_id)
         current: set[int] = set()
-        for rec in trace.records:
-            if rec.task_id in current:
+        for tid, _, p, _, _, _ in trace.records:
+            if tid in current:
                 problems.append(
-                    f"task {rec.task_id} executed twice within one cycle "
-                    f"(pass {rec.pass_index})")
+                    f"task {tid} executed twice within one cycle (pass {p})")
                 continue
-            current.add(rec.task_id)
+            current.add(tid)
             if current == all_ids:
                 current = set()
     return problems
@@ -361,35 +385,33 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             f"revisit intervals need >= 2 completed cycles, trace has "
             f"{trace.cycles_completed}")
     rotation = scenario.rotation_time
-    last_sector = {rec.task_id: rec.sector for rec in trace.records}
+    last_sector = {tid: sector for tid, sector, _, _, _, _ in trace.records}
 
     per_task = []
     all_intervals: list[float] = []
-    per_sector = np.zeros(scenario.n_sectors)
+    per_sector = [0.0] * scenario.n_sectors
     for tid in sorted(by_id):
         times = trace.illumination.get(tid, ())
-        intervals = tuple(b - a for a, b in zip(times, times[1:]))
+        intervals = tuple(map(sub, times[1:], times))
         if not intervals:
             raise InsufficientDataError(f"task {tid} was illuminated fewer than twice")
         worst = max(intervals)
-        per_task.append(TaskRevisit(
-            task_id=tid,
-            home_sector=by_id[tid].home_sector,
-            exec_sector=last_sector[tid],
-            intervals_s=intervals,
-            max_interval_s=worst,
-            max_interval_rot=worst / rotation,
-        ))
-        all_intervals.extend(intervals)
+        worst_rot = worst / rotation
         home = by_id[tid].home_sector
-        per_sector[home] = max(per_sector[home], worst / rotation)
+        per_task.append(TaskRevisit(
+            tid, home, last_sector[tid], intervals, worst, worst_rot))
+        all_intervals.extend(intervals)
+        if worst_rot > per_sector[home]:
+            per_sector[home] = worst_rot
+    worst = max(all_intervals)
+    mean = float(np.mean(all_intervals))
     return RevisitStats(
         per_task=tuple(per_task),
-        max_interval_s=max(all_intervals),
-        max_interval_rot=max(all_intervals) / rotation,
-        mean_interval_s=float(np.mean(all_intervals)),
-        mean_interval_rot=float(np.mean(all_intervals)) / rotation,
-        per_sector_max_rot=per_sector,
+        max_interval_s=worst,
+        max_interval_rot=worst / rotation,
+        mean_interval_s=mean,
+        mean_interval_rot=mean / rotation,
+        per_sector_max_rot=np.array(per_sector),
     )
 
 

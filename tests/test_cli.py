@@ -144,6 +144,18 @@ class TestExitCodes:
         assert run("schedule", "--scenario", str(bad),
                    "--out", str(tmp_path / "p.json")) == 1
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({
+            "n_sectors": 1, "fov_half_width": 0, "dt": 1.0, "resources": [1.0],
+            "tasks": [{"id": 0, "phi": 0.1, "theta": 0.0, "duration": 10 ** 400}]}),
+            encoding="utf-8")
+        assert run("schedule", "--scenario", str(huge),
+                   "--out", str(tmp_path / "p.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tasks[0].duration" in err
+        assert "Traceback" not in err
+
     def test_infeasible_scenario(self, tmp_path):
         s = scenario_from(3, 0, 1.0, (0.0, 5.0, 5.0), [(0, 1.0)])
         path = tmp_path / "dead.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -162,6 +163,36 @@ class TestScenarioRoundTrip:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ScenarioFormatError,
                            match=rf"resources\[1\]: unexpected type {kind}"):
+            sio.read_scenario(path)
+
+    @pytest.mark.parametrize("field", [
+        "scenario.resources[1]", "scenario.dt", "tasks[0].phi", "tasks[0].theta",
+        "tasks[0].duration"])
+    def test_integer_beyond_float_range_reports_field(self, tmp_path, field):
+        payload = {"n_sectors": 3, "fov_half_width": 1, "dt": 1.0,
+                   "resources": [1.0, 1.0, 1.0],
+                   "tasks": [{"id": 0, "phi": 0.1, "theta": 0.0, "duration": 1.0}]}
+        huge = 10 ** 400
+        if field.startswith("scenario.resources"):
+            payload["resources"][1] = huge
+        elif field == "scenario.dt":
+            payload["dt"] = huge
+        else:
+            payload["tasks"][0][field.split(".")[1]] = huge
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ScenarioFormatError, match=re.escape(field)):
+            sio.read_scenario(path)
+
+    @pytest.mark.parametrize("n_sectors", [10 ** 400, "1" + "0" * 5000],
+                             ids=["401-digits", "5001-digits"])
+    def test_oversized_sector_count_is_a_format_error(self, tmp_path, n_sectors):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"n_sectors": %s, "fov_half_width": 1, "dt": 1.0, "resources": [1.0], '
+            '"tasks": [{"id": 0, "phi": 0.1, "theta": 0.0, "duration": 1.0}]}'
+            % n_sectors, encoding="utf-8")
+        with pytest.raises(ScenarioFormatError):
             sio.read_scenario(path)
 
     def test_infinity_token_is_a_validation_error(self, tmp_path):

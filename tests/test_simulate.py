@@ -142,12 +142,26 @@ class TestCheckTrace:
         trace = simulate(tri_scenario, POLICY_PARTITION, part, cycles=2)
         rec = trace.records[0]
         bad = dataclasses.replace(trace, records=(
-            dataclasses.replace(rec, sector=(rec.sector + 1) % 3),
+            rec._replace(sector=(rec.sector + 1) % 3),
         ) + trace.records[1:])
         assert any("does not match pass" in p for p in check_trace(tri_scenario, bad))
 
         dup = dataclasses.replace(trace, records=(rec, rec) + trace.records[1:])
         assert any("twice within one cycle" in p for p in check_trace(tri_scenario, dup))
+
+    @pytest.mark.parametrize("field, value", [
+        ("sector", 4), ("sector", -1), ("pass_index", -1)])
+    def test_out_of_range_sector_is_a_problem(self, field, value):
+        import dataclasses
+
+        s = scenario_from(4, 1, 1.0, (2.0,) * 4, [(0, 1.0), (1, 1.0), (3, 1.0)])
+        trace = simulate(s, POLICY_EDF, cycles=2)
+        rec = trace.records[0]
+        bad = dataclasses.replace(trace, records=(
+            rec._replace(**{field: value}),) + trace.records[1:])
+        problems = check_trace(s, bad)
+        assert any(f"task {rec.task_id}: sector" in p and "does not match pass" in p
+                   for p in problems)
 
 
 class TestRevisitStats:
@@ -300,10 +314,13 @@ def _equivalence_scenario(n, fov, seed, resources, dead, dt):
 
 
 # (n, fov, resources range, dead sectors, dt): fov 0, fov >= N/2, N=1,
-# zero-resource sectors, resources beyond dt, tasks too big for any pass.
+# zero-resource sectors, resources beyond dt, tasks too big for any pass,
+# and windows narrower than N (N-1 at N=60, fov 29) whose buckets leave
+# and re-enter within one cycle, including cycles of several rotations.
 EQUIVALENCE_CASES = [
     (1, 0, (2.0, 6.0), 0, 25.0),
     (1, 3, (0.2, 1.0), 0, 25.0),
+    (2, 0, (1.0, 4.0), 0, 25.0),
     (2, 1, (1.0, 4.0), 1, 25.0),
     (7, 0, (2.0, 8.0), 2, 25.0),
     (7, 3, (1.0, 6.0), 3, 25.0),
@@ -312,6 +329,10 @@ EQUIVALENCE_CASES = [
     (12, 1, (5.0, 20.0), 0, 2.0),
     (30, 5, (5.0, 20.0), 1, 25.0),
     (30, 1, (0.2, 2.0), 6, 1.0),
+    (60, 1, (1.0, 6.0), 3, 25.0),
+    (60, 29, (1.0, 6.0), 2, 25.0),
+    (61, 30, (1.0, 6.0), 2, 25.0),
+    (120, 10, (1.0, 3.0), 5, 25.0),
 ]
 
 
@@ -343,12 +364,18 @@ def test_bucket_drain_matches_brute_force(case, seed):
 
 
 def test_equivalence_cases_reach_every_branch():
-    # The cases above must keep exercising overfills and empty scenarios.
-    overfills = empty = 0
+    # The cases above must keep exercising overfills, empty scenarios, and
+    # edf cycles longer than a rotation under a window narrower than N, so
+    # that buckets leave the window and re-enter it within one cycle.
+    overfills = empty = rolled = 0
     for case in EQUIVALENCE_CASES:
+        n, fov = case[:2]
         for seed in (0, 1, 2):
-            s = _equivalence_scenario(*case[:2], seed, *case[2:])
+            s = _equivalence_scenario(n, fov, seed, *case[2:])
             empty += not s.tasks
-            overfills += any("overfills" in w for w in simulate(s, POLICY_EDF).warnings)
+            trace = simulate(s, POLICY_EDF)
+            overfills += any("overfills" in w for w in trace.warnings)
+            rolled += 2 * s.fov_half_width + 1 < n and trace.completion_pass >= n
     assert overfills >= 5
     assert empty >= 1
+    assert rolled >= 1
