@@ -55,7 +55,6 @@ from .simulate import (
     POLICY_PARTITION,
     ResourceEstimate,
     RevisitStats,
-    SimPolicy,
     SimulationTrace,
     TaskRevisit,
     check_trace,
@@ -93,7 +92,6 @@ __all__ = [
     "SearchLimits",
     "SectorSchedError",
     "SectorTargets",
-    "SimPolicy",
     "SimulationTrace",
     "SurveillanceTask",
     "TWO_PI",

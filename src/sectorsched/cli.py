@@ -80,11 +80,19 @@ def _partition_for(scenario: Scenario, policy: str) -> SchedulePartition:
     raise InvalidInputError(f"policy {policy!r} has no partition")
 
 
-def _first_cycle_partition(scenario: Scenario, trace: SimulationTrace) -> SchedulePartition:
-    """Effective partition of a policy trace: each task's first executing sector."""
-    sector_of_task: dict[int, int] = {}
-    for rec in trace.records:
-        sector_of_task.setdefault(rec.task_id, rec.sector)
+def _run_policy(scenario: Scenario, policy: str,
+                cycles: int) -> tuple[SchedulePartition | None, SimulationTrace]:
+    """Trace of a CLI policy and the partition it ran; edf runs none."""
+    if policy == "edf":
+        return None, simulate(scenario, POLICY_EDF, None, cycles=cycles)
+    partition = _partition_for(scenario, policy)
+    variant = POLICY_BROADSIDE if policy == "broadside" else POLICY_PARTITION
+    return partition, simulate(scenario, variant, partition, cycles=cycles)
+
+
+def _executed_partition(scenario: Scenario,
+                        sector_of_task: dict[int, int]) -> SchedulePartition:
+    """Partition of executing sectors: own-sector if run at home, else fov."""
     by_id = scenario.task_by_id()
     provenance = {
         tid: PROVENANCE_OWN if sector == by_id[tid].home_sector else PROVENANCE_FOV
@@ -93,22 +101,29 @@ def _first_cycle_partition(scenario: Scenario, trace: SimulationTrace) -> Schedu
     return build_partition(scenario.n_sectors, sector_of_task, provenance)
 
 
-def _policy_metrics(scenario: Scenario, policy: str, cycles: int) -> dict:
-    if policy == "edf":
-        trace = simulate(scenario, POLICY_EDF, None, cycles=cycles)
-        partition = _first_cycle_partition(scenario, trace)
-    else:
-        partition = _partition_for(scenario, policy)
-        variant = POLICY_BROADSIDE if policy == "broadside" else POLICY_PARTITION
-        trace = simulate(scenario, variant, partition, cycles=cycles)
-    report = load_report(scenario, partition)
-    stats = revisit_stats(trace, scenario)
+def _first_cycle_partition(scenario: Scenario, trace: SimulationTrace) -> SchedulePartition:
+    """Effective partition of a policy trace: each task's first executing sector."""
+    sector_of_task: dict[int, int] = {}
+    for rec in trace.records:
+        sector_of_task.setdefault(rec.task_id, rec.sector)
+    return _executed_partition(scenario, sector_of_task)
+
+
+def _metrics_row(policy: str, scenario: Scenario, partition: SchedulePartition,
+                 trace: SimulationTrace, completion_pass: int) -> dict:
     return {
         "policy": policy,
-        "max_relative_load": report.max_relative_load,
-        "worst_revisit_rotations": stats.max_interval_rot,
-        "completion_pass": trace.completion_pass,
+        "max_relative_load": load_report(scenario, partition).max_relative_load,
+        "worst_revisit_rotations": revisit_stats(trace, scenario).max_interval_rot,
+        "completion_pass": completion_pass,
     }
+
+
+def _policy_metrics(scenario: Scenario, policy: str, cycles: int) -> dict:
+    partition, trace = _run_policy(scenario, policy, cycles)
+    if partition is None:
+        partition = _first_cycle_partition(scenario, trace)
+    return _metrics_row(policy, scenario, partition, trace, trace.completion_pass)
 
 
 def _cmd_gen(args) -> int:
@@ -133,12 +148,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = io.read_scenario(args.scenario)
-    if args.policy == "edf":
-        trace = simulate(scenario, POLICY_EDF, None, cycles=args.cycles)
-    else:
-        partition = _partition_for(scenario, args.policy)
-        variant = POLICY_BROADSIDE if args.policy == "broadside" else POLICY_PARTITION
-        trace = simulate(scenario, variant, partition, cycles=args.cycles)
+    _, trace = _run_policy(scenario, args.policy, args.cycles)
     io.write_trace(trace, scenario, args.out)
     print(f"wrote trace ({len(trace.records)} executions, "
           f"completion pass {trace.completion_pass}) to {args.out}")
@@ -167,23 +177,11 @@ def _cmd_compare(args) -> int:
                   file=sys.stderr)
         else:
             solution = exact_min_passes(scenario, limits)
-            sector_of_task = {tid: sector
-                              for tid, (sector, _) in solution.assignments.items()}
-            by_id = scenario.task_by_id()
-            provenance = {
-                tid: PROVENANCE_OWN if sec == by_id[tid].home_sector else PROVENANCE_FOV
-                for tid, sec in sector_of_task.items()
-            }
-            partition = build_partition(scenario.n_sectors, sector_of_task, provenance)
-            report = load_report(scenario, partition)
+            partition = _executed_partition(scenario, {
+                tid: sector for tid, (sector, _) in solution.assignments.items()})
             trace = simulate(scenario, POLICY_PARTITION, partition, cycles=args.cycles)
-            stats = revisit_stats(trace, scenario)
-            rows.append({
-                "policy": "exact" if solution.optimal else "exact(limit)",
-                "max_relative_load": report.max_relative_load,
-                "worst_revisit_rotations": stats.max_interval_rot,
-                "completion_pass": solution.objective,
-            })
+            rows.append(_metrics_row("exact" if solution.optimal else "exact(limit)",
+                                     scenario, partition, trace, solution.objective))
     io.write_comparison(rows, args.out, fmt=args.format)
     for row in rows:
         print(f"{row['policy']}: max relative load {row['max_relative_load']:.6g}, "

@@ -76,7 +76,7 @@ def equalize(scenario: Scenario) -> SchedulePartition:
         raise ScenarioValidationError(problems)
 
     n = scenario.n_sectors
-    targets = sector_targets(scenario).targets.tolist()
+    targets = sector_targets(scenario).targets
     offsets = fov_offsets(scenario.fov_half_width, n)
     by_id = scenario.task_by_id()
     by_home: list[list[tuple[float, int]]] = [[] for _ in range(n)]

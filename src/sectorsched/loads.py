@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .errors import InfeasibleScenarioError, InvalidInputError
 from .model import Scenario, angular_sector_distance
@@ -26,15 +24,12 @@ PROVENANCE_LEFTOVER = "leftover"
 PROVENANCE_TAGS = (PROVENANCE_OWN, PROVENANCE_FOV, PROVENANCE_LEFTOVER)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SectorTargets:
     """Continuous optimum: overall ratio and per-sector fill targets, seconds."""
 
     r_opt: float
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.targets.setflags(write=False)
+    targets: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LoadReport:
     """Per-sector absolute load, target, and relative load, plus summary.
 
@@ -85,15 +80,11 @@ class LoadReport:
     resources, the continuous lower bound on rotations needed.
     """
 
-    absolute_load: np.ndarray
-    target: np.ndarray
-    relative_load: np.ndarray
+    absolute_load: tuple[float, ...]
+    target: tuple[float, ...]
+    relative_load: tuple[float, ...]
     max_relative_load: float
     rotations_to_complete_bound: float
-
-    def __post_init__(self):
-        for arr in (self.absolute_load, self.target, self.relative_load):
-            arr.setflags(write=False)
 
 
 def sector_targets(scenario: Scenario) -> SectorTargets:
@@ -107,8 +98,8 @@ def sector_targets(scenario: Scenario) -> SectorTargets:
             "all sector resources are zero but the task set is non-empty")
     else:
         r_opt = total_demand / total_resources
-    targets = np.asarray(scenario.resources, dtype=float) * r_opt
-    return SectorTargets(r_opt=r_opt, targets=targets)
+    return SectorTargets(r_opt=r_opt,
+                         targets=tuple(r * r_opt for r in scenario.resources))
 
 
 def _ratio_or_flag(load: float, denom: float) -> float:
@@ -127,25 +118,17 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
         raise InvalidInputError(
             f"partition has {len(partition.assignments)} sectors, "
             f"scenario has {scenario.n_sectors}")
-    loads = np.array([
-        math.fsum(by_id[tid].duration for tid in ids)
-        for ids in partition.assignments
-    ])
-    st = sector_targets(scenario)
-    relative = np.array([
-        _ratio_or_flag(loads[i], st.targets[i]) for i in range(scenario.n_sectors)
-    ])
-    rotations = max(
-        (_ratio_or_flag(loads[i], scenario.resources[i])
-         for i in range(scenario.n_sectors)),
-        default=0.0,
-    )
+    loads = tuple(math.fsum(by_id[tid].duration for tid in ids)
+                  for ids in partition.assignments)
+    targets = sector_targets(scenario).targets
+    relative = tuple(map(_ratio_or_flag, loads, targets))
     return LoadReport(
         absolute_load=loads,
-        target=st.targets,
+        target=targets,
         relative_load=relative,
-        max_relative_load=float(np.max(relative)) if relative.size else 0.0,
-        rotations_to_complete_bound=float(rotations),
+        max_relative_load=max(relative, default=0.0),
+        rotations_to_complete_bound=max(
+            map(_ratio_or_flag, loads, scenario.resources), default=0.0),
     )
 
 
@@ -188,7 +171,3 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
         if tag not in PROVENANCE_TAGS:
             problems.append(f"task {tid} has unknown provenance tag {tag!r}")
     return problems
-
-
-def total_duration(tasks: Iterable) -> float:
-    return math.fsum(t.duration for t in tasks)

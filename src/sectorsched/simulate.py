@@ -46,8 +46,6 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import sub
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
 from .model import CAP_SLACK, Scenario, fov_offsets
@@ -56,22 +54,6 @@ POLICY_PARTITION = "partition"
 POLICY_BROADSIDE = "broadside"
 POLICY_EDF = "edf"
 POLICY_VARIANTS = (POLICY_PARTITION, POLICY_BROADSIDE, POLICY_EDF)
-
-
-@dataclass(frozen=True)
-class SimPolicy:
-    """Which tasks are eligible per pass; in-pass order is always oldest first."""
-
-    variant: str = POLICY_PARTITION
-
-    def __post_init__(self):
-        if self.variant not in POLICY_VARIANTS:
-            raise InvalidInputError(
-                f"policy variant {self.variant!r} not one of {POLICY_VARIANTS}")
-
-    @property
-    def needs_partition(self) -> bool:
-        return self.variant in (POLICY_PARTITION, POLICY_BROADSIDE)
 
 
 class ExecutionRecord(NamedTuple):
@@ -97,23 +79,25 @@ class SimulationTrace:
     warnings: tuple[str, ...] = ()
 
 
-def simulate(scenario: Scenario, policy: SimPolicy | str,
+def simulate(scenario: Scenario, policy: str,
              partition: SchedulePartition | None = None,
              cycles: int = 1) -> SimulationTrace:
     """Run ``cycles`` complete update cycles and return the trace.
 
-    A partition is required for the partition and broadside variants and
-    must not be supplied for edf.  The produced trace is re-checked with the
-    independent validator; any capacity excess must match an oversized-task
-    warning, otherwise the simulator refuses its own output.
+    ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
+    the partition and broadside variants and must not be supplied for edf.
+    The produced trace is re-checked with the independent validator; any
+    capacity excess must match an oversized-task warning, otherwise the
+    simulator refuses its own output.
     """
-    if isinstance(policy, str):
-        policy = SimPolicy(policy)
+    if policy not in POLICY_VARIANTS:
+        raise InvalidInputError(
+            f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
     if not isinstance(cycles, int) or cycles < 1:
         raise InvalidInputError(f"cycles={cycles!r} must be a positive integer")
-    if policy.needs_partition:
+    if policy != POLICY_EDF:
         if partition is None:
-            raise InvalidInputError(f"policy {policy.variant!r} requires a partition")
+            raise InvalidInputError(f"policy {policy!r} requires a partition")
         problems = check_partition(scenario, partition)
         if problems:
             raise InvalidInputError("partition does not match scenario: "
@@ -133,7 +117,7 @@ def simulate(scenario: Scenario, policy: SimPolicy | str,
                                n_passes=0, cycles_completed=0,
                                warnings=tuple(warnings))
 
-    if policy.needs_partition:
+    if policy != POLICY_EDF:
         members = [list(ids) for ids in partition.assignments]
         window = range(0, 1)
     else:
@@ -341,29 +325,24 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, eq=False)
-class TaskRevisit:
-    """Per-task revisit intervals; ``exec_sector`` is the most recent one used."""
+class TaskRevisit(NamedTuple):
+    """A task's worst revisit interval; ``exec_sector`` is the most recent one used."""
 
     task_id: int
     home_sector: int
     exec_sector: int
-    intervals_s: tuple[float, ...]
     max_interval_s: float
     max_interval_rot: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RevisitStats:
     per_task: tuple[TaskRevisit, ...]
     max_interval_s: float
     max_interval_rot: float
     mean_interval_s: float
     mean_interval_rot: float
-    per_sector_max_rot: np.ndarray
-
-    def __post_init__(self):
-        self.per_sector_max_rot.setflags(write=False)
+    per_sector_max_rot: tuple[float, ...]
 
 
 def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
@@ -379,7 +358,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         return RevisitStats(
             per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
             mean_interval_s=0.0, mean_interval_rot=0.0,
-            per_sector_max_rot=np.zeros(scenario.n_sectors))
+            per_sector_max_rot=(0.0,) * scenario.n_sectors)
     if trace.cycles_completed < 2:
         raise InsufficientDataError(
             f"revisit intervals need >= 2 completed cycles, trace has "
@@ -398,24 +377,23 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         worst = max(intervals)
         worst_rot = worst / rotation
         home = by_id[tid].home_sector
-        per_task.append(TaskRevisit(
-            tid, home, last_sector[tid], intervals, worst, worst_rot))
+        per_task.append(TaskRevisit(tid, home, last_sector[tid], worst, worst_rot))
         all_intervals.extend(intervals)
         if worst_rot > per_sector[home]:
             per_sector[home] = worst_rot
     worst = max(all_intervals)
-    mean = float(np.mean(all_intervals))
+    mean = math.fsum(all_intervals) / len(all_intervals)
     return RevisitStats(
         per_task=tuple(per_task),
         max_interval_s=worst,
         max_interval_rot=worst / rotation,
         mean_interval_s=mean,
         mean_interval_rot=mean / rotation,
-        per_sector_max_rot=np.array(per_sector),
+        per_sector_max_rot=tuple(per_sector),
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ResourceEstimate:
     """Smoothed per-sector available time, seconds.  Extension hook.
 
@@ -425,11 +403,8 @@ class ResourceEstimate:
     for re-planning.
     """
 
-    available: np.ndarray
+    available: tuple[float, ...]
     alpha: float
-
-    def __post_init__(self):
-        self.available.setflags(write=False)
 
 
 def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
@@ -447,7 +422,7 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
     if dt <= 0:
         raise InvalidInputError(f"dt={dt!r} must be positive")
-    estimates = np.zeros(n_sectors)
+    estimates = [0.0] * n_sectors
     seeded = [False] * n_sectors
     for p, used in enumerate(used_per_pass):
         if used < 0:
@@ -459,4 +434,4 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
             seeded[j] = True
         else:
             estimates[j] = max((1.0 - alpha) * estimates[j] + alpha * observed, 0.0)
-    return ResourceEstimate(available=estimates, alpha=alpha)
+    return ResourceEstimate(available=tuple(estimates), alpha=alpha)

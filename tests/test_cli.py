@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,66 @@ class TestPipeline:
         g = max(float(r["relative_load"]) for r in read_csv(tmp_path / "g.loads.csv"))
         b = max(float(r["relative_load"]) for r in read_csv(tmp_path / "b.loads.csv"))
         assert 1.0 - 1e-9 <= g < b
+
+
+# A command set covering every artifact the CLI writes, and the sha256 of
+# each file it leaves behind.  Criterion 8 only compares two runs of the
+# same code; these digests pin the bytes across code changes.
+GOLDEN_COMMANDS = [
+    ["gen", "--seed", "421", "--sectors", "18", "--fov", "3",
+     "--hotspot", "4", "0.5", "4", "--out", "s.json"],
+    ["schedule", "--scenario", "s.json", "--out", "p.json"],
+    ["schedule", "--scenario", "s.json", "--out", "pb.json", "--policy", "broadside"],
+    ["simulate", "--scenario", "s.json", "--out", "t_greedy.csv",
+     "--policy", "greedy", "--cycles", "4"],
+    ["simulate", "--scenario", "s.json", "--out", "t_broadside.csv",
+     "--policy", "broadside", "--cycles", "4"],
+    ["simulate", "--scenario", "s.json", "--out", "t_edf.csv",
+     "--policy", "edf", "--cycles", "4"],
+    ["compare", "--scenario", "s.json", "--out", "cmp.csv"],
+    ["compare", "--scenario", "s.json", "--out", "cmp.json", "--format", "json"],
+    ["gen", "--seed", "3", "--sectors", "4", "--fov", "1", "--tasks", "1", "3",
+     "--out", "tiny.json"],
+    ["compare", "--scenario", "tiny.json", "--out", "tinycmp.csv", "--exact"],
+    ["report", "--seed", "0", "--runs", "3", "--fov", "5", "1", "--out", "bench.csv"],
+    ["report", "--runs", "1", "--tasks", "0", "0", "--out", "empty.csv"],
+]
+GOLDEN_SHA256 = {
+    "bench.csv": "f12a5e9fda901bc4575f597754a6ff422e9bf71f20bff50bf2af99a6b6a6af99",
+    "bench.summary.csv":
+        "95c268e7dad61a2ceb4a775aebc484a0042518d57ce18db49c250f458b768de1",
+    "cmp.csv": "7ea8c232f58b34bd1ac7a1d404fc881bdfd7a12e1350d6e7b3c14ca09f62888a",
+    "cmp.json": "5675fd9cfe6f7c2a786398787f3dbd9a4a1f3499c09c67b93410fbc18095b33d",
+    "empty.csv": "f5426ef017fae79374b979129fcd111105695b20f405040c3af3a916fa839194",
+    "empty.summary.csv":
+        "755755bbf3b24b81581f08ba0a95acffaf729c3842df60897ba62c4f1fa24c4a",
+    "p.json": "5a2aa1b65515479d57009b203687e755e4e2660e23de0c0e3c3a207754dfc6db",
+    "p.loads.csv": "e48423459b85b52640c6b24b8995029ecaea60dd935ac84bf031e08b7d200085",
+    "pb.json": "0a0d1343d96f66dcbb854618ee46e995fc833b6821299a03e6b36cb324cbf945",
+    "pb.loads.csv": "10cc97b840a18c7e2e243bc53236c45e6f0985832397e82e8a66d56f7dd51cfe",
+    "s.json": "cd7a26e91775f1513dcc9a5356674543ff6c71e7c5bd51dce9e95ab2de37e801",
+    "t_broadside.csv":
+        "91e18267b66ba21f3665735b892b08bd6284980b76ebd34ccab0856486e05a13",
+    "t_broadside.revisit.csv":
+        "b27296277089314b6c2b5f544b0e12f7fd55693e276021d27cccaa94e24b0371",
+    "t_edf.csv": "d413987b82e844614dc3d6324013a231a0676f7db6c203bedb99593e8744c4e0",
+    "t_edf.revisit.csv":
+        "f40987d607cdd4b0ed6b1f871433e6cf1cd9ab1db3121e6c94e849c763ee6848",
+    "t_greedy.csv": "84f9a48038ff2db4b569d3a72c41dad7dfbcf3b14fe5bc7b906526386c6cad11",
+    "t_greedy.revisit.csv":
+        "780bf1c58cd9248fd371fbedca27b0436d794ddc2a6c5d72c2a53fcad5efda8e",
+    "tiny.json": "146e5295bcba64f16d99c6ba2bcdf089b1c59b188e9c3a3bf8b257deb040019d",
+    "tinycmp.csv": "355e345534f32c18cce236f57861818c589685c16f011af1918bfa543d6dd8a6",
+}
+
+
+def test_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_COMMANDS:
+        assert main(argv) == 0, argv
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == GOLDEN_SHA256
 
 
 class TestCompare:

@@ -13,7 +13,6 @@ from sectorsched import (
     POLICY_EDF,
     POLICY_PARTITION,
     Scenario,
-    SimPolicy,
     angular_sector_distance,
     broadside_baseline,
     build_partition,
@@ -129,9 +128,9 @@ class TestSimulateValidation:
             simulate(tri_scenario, POLICY_PARTITION,
                      broadside_baseline(tri_scenario), cycles=0)
 
-    def test_unknown_variant(self):
+    def test_unknown_variant(self, tri_scenario):
         with pytest.raises(InvalidInputError):
-            SimPolicy("fifo")
+            simulate(tri_scenario, "fifo", broadside_baseline(tri_scenario))
 
 
 class TestCheckTrace:
