@@ -11,7 +11,7 @@ outputs are a function of its flags and input files alone.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -210,27 +210,15 @@ def _cmd_report(args) -> int:
     groups: dict[tuple[int, str], list[dict]] = {}
     for row in detail:
         groups.setdefault((row["fov"], row["policy"]), []).append(row)
+    fields = ("fov", "policy", "runs", "mean_max_relative_load",
+              "mean_worst_revisit_rotations", "mean_completion_pass")
     summary = []
     for (fov, policy), rows in sorted(groups.items()):
-        count = len(rows)
-        summary.append({
-            "fov": fov,
-            "policy": policy,
-            "runs": count,
-            "mean_max_relative_load": sum(r["max_relative_load"] for r in rows) / count,
-            "mean_worst_revisit_rotations":
-                sum(r["worst_revisit_rotations"] for r in rows) / count,
-            "mean_completion_pass": sum(r["completion_pass"] for r in rows) / count,
-        })
+        means = [sum(r[key] for r in rows) / len(rows) for key in
+                 ("max_relative_load", "worst_revisit_rotations", "completion_pass")]
+        summary.append(dict(zip(fields, (fov, policy, len(rows), *means))))
     summary_path = _derived_path(args.out, "summary")
-    with open(summary_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(summary[0].keys() if summary else
-                        ["fov", "policy", "runs", "mean_max_relative_load",
-                         "mean_worst_revisit_rotations", "mean_completion_pass"])
-        for row in summary:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row.values()])
+    io.write_comparison(summary, summary_path, fields=fields)
     print(f"wrote {len(detail)} rows to {args.out}, summary to {summary_path}")
     return 0
 
@@ -251,7 +239,10 @@ def _add_gen_knobs(parser, with_hotspots: bool) -> None:
                             help="scale one sector's resources and task count")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and no action changes a default in place."""
     parser = _Parser(prog="sectorsched",
                      description="Surveillance scheduling for rotating radars")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,9 +295,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -3,6 +3,11 @@
 Floats are serialized with Python's shortest round-trip representation, so
 ``read(write(x)) == x`` holds bit for bit, and identical inputs always
 produce byte-identical files.
+
+A CSV file is a header row, then one row per record.  Values are joined by
+``,`` with no quoting (none holds a comma, quote or line break), every row
+ends in ``\r\n``, and floats are written as their ``repr`` (``1e-05``,
+``inf``): the bytes ``csv.writer`` writes for the same rows.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import csv
 import json
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
@@ -39,24 +44,32 @@ def write_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _typed(value, kinds, where: str):
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ScenarioFormatError(f"{where}: unexpected type {type(value).__name__}")
-    return value
+_NUMBER = (int, float)
 
 
-def _number(value: int | float, where: str) -> float:
-    """A JSON number as a float; an integer beyond float range is malformed."""
+def _path(where: str, index: int | None, key: str | None) -> str:
+    where = where if index is None else f"{where}[{index}]"
+    return where if key is None else f"{where}.{key}"
+
+
+def _typed(value, kinds: tuple, where: str, index: int | None = None,
+           key: str | None = None):
+    """``value`` if its JSON type is in ``kinds`` (a bool is no number), a number
+    as a float.  The field path is only built when a check fails."""
+    if type(value) not in kinds:
+        raise ScenarioFormatError(
+            f"{_path(where, index, key)}: unexpected type {type(value).__name__}")
     try:
-        return float(value)
-    except OverflowError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+        return float(value) if float in kinds else value
+    except OverflowError as exc:  # an integer beyond float range
+        raise ScenarioFormatError(f"{_path(where, index, key)}: {exc}") from exc
 
 
-def _require(mapping: dict, key: str, kinds, where: str):
+def _require(mapping: dict, key: str, kinds: tuple, where: str,
+             index: int | None = None):
     if key not in mapping:
-        raise ScenarioFormatError(f"{where}: missing field {key!r}")
-    return _typed(mapping[key], kinds, f"{where}.{key}")
+        raise ScenarioFormatError(f"{_path(where, index, None)}: missing field {key!r}")
+    return _typed(mapping[key], kinds, where, index, key)
 
 
 def read_scenario(path: str | Path) -> Scenario:
@@ -74,35 +87,33 @@ def read_scenario(path: str | Path) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
 
-    n_sectors = _require(payload, "n_sectors", int, "scenario")
-    fov = _require(payload, "fov_half_width", int, "scenario")
-    dt = _number(_require(payload, "dt", (int, float), "scenario"), "scenario.dt")
-    resources = []
-    for i, r in enumerate(_require(payload, "resources", list, "scenario")):
-        where = f"scenario.resources[{i}]"
-        resources.append(_number(_typed(r, (int, float), where), where))
-    raw_tasks = _require(payload, "tasks", list, "scenario")
+    n_sectors = _require(payload, "n_sectors", (int,), "scenario")
+    fov = _require(payload, "fov_half_width", (int,), "scenario")
+    dt = _require(payload, "dt", _NUMBER, "scenario")
+    resources = tuple(
+        _typed(r, _NUMBER, "scenario.resources", i)
+        for i, r in enumerate(_require(payload, "resources", (list,), "scenario")))
+    raw_tasks = _require(payload, "tasks", (list,), "scenario")
     # Structure first, so that home sectors are derived from a sector count
     # known to match the resources.
     try:
         scenario = Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
-                            resources=tuple(resources))
+                            resources=resources)
     except (ValueError, TypeError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
     tasks = []
     for k, entry in enumerate(raw_tasks):
-        where = f"tasks[{k}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{where}: expected an object")
-        tid = _require(entry, "id", int, where)
-        phi, theta, duration = (
-            _number(_require(entry, key, (int, float), where), f"{where}.{key}")
-            for key in ("phi", "theta", "duration"))
+        if type(entry) is not dict:
+            raise ScenarioFormatError(f"tasks[{k}]: expected an object")
+        tid = _require(entry, "id", (int,), "tasks", k)
+        phi = _require(entry, "phi", _NUMBER, "tasks", k)
+        theta = _require(entry, "theta", _NUMBER, "tasks", k)
+        duration = _require(entry, "duration", _NUMBER, "tasks", k)
         try:
             direction = Direction(phi, theta)
         except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
+            raise ScenarioFormatError(f"tasks[{k}]: {exc}") from exc
         tasks.append(SurveillanceTask(
             id=tid, direction=direction, duration=duration,
             home_sector=sector_of_direction(phi, n_sectors)))
@@ -131,8 +142,8 @@ def read_partition(path: str | Path) -> SchedulePartition:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
-    assignments = _require(payload, "assignments", list, "partition")
-    provenance = _require(payload, "provenance", dict, "partition")
+    assignments = _require(payload, "assignments", (list,), "partition")
+    provenance = _require(payload, "provenance", (dict,), "partition")
     for i, ids in enumerate(assignments):
         if not isinstance(ids, list) or not all(
                 isinstance(t, int) and not isinstance(t, bool) for t in ids):
@@ -148,14 +159,17 @@ def read_partition(path: str | Path) -> SchedulePartition:
     )
 
 
+def _write_csv(path: str | Path, fields: Sequence[str], lines: Iterable[str]) -> None:
+    """The header ``fields``, then ``lines`` (rows already joined by commas)."""
+    text = "\r\n".join((",".join(fields), *lines, ""))  # "" ends the last row
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def write_load_report(report: LoadReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sector", "absolute_load", "target", "relative_load"])
-        for i in range(len(report.absolute_load)):
-            writer.writerow([i, repr(float(report.absolute_load[i])),
-                             repr(float(report.target[i])),
-                             repr(float(report.relative_load[i]))])
+    _write_csv(path, ("sector", "absolute_load", "target", "relative_load"), (
+        f"{i},{float(load)!r},{float(target)!r},{float(relative)!r}"
+        for i, (load, target, relative) in enumerate(zip(
+            report.absolute_load, report.target, report.relative_load, strict=True))))
 
 
 def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
@@ -168,15 +182,11 @@ def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
 
 
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
-    by_id = scenario.task_by_id()
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pass", "rotation", "sector", "task_id",
-                         "start_offset", "duration", "timestamp"])
-        for rec in trace.records:
-            writer.writerow([rec.pass_index, rec.rotation, rec.sector, rec.task_id,
-                             repr(rec.start_offset), repr(by_id[rec.task_id].duration),
-                             repr(rec.timestamp)])
+    duration = {t.id: repr(t.duration) for t in scenario.tasks}
+    _write_csv(path, ("pass", "rotation", "sector", "task_id",
+                      "start_offset", "duration", "timestamp"), [
+        f"{pass_index},{rotation},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
+        for tid, sector, pass_index, rotation, offset, stamp in trace.records])
 
 
 def read_trace(path: str | Path) -> list[ExecutionRecord]:
@@ -193,26 +203,20 @@ def read_trace(path: str | Path) -> list[ExecutionRecord]:
 
 def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:
     """One row per task with its worst interval, seconds and rotations."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["task_id", "home_sector", "exec_sector",
-                         "interval_s", "interval_rot"])
-        for tr in stats.per_task:
-            writer.writerow([tr.task_id, tr.home_sector, tr.exec_sector,
-                             repr(tr.max_interval_s), repr(tr.max_interval_rot)])
+    _write_csv(path, ("task_id", "home_sector", "exec_sector", "interval_s", "interval_rot"), [
+        f"{tid},{home},{sector},{seconds!r},{rotations!r}"
+        for tid, home, sector, seconds, rotations in stats.per_task])
 
 
-def write_comparison(rows: Sequence[dict], path: str | Path,
-                     fmt: str = "csv") -> None:
-    """Policy comparison table; ``fmt`` is ``csv`` or ``json``."""
-    fields = list(rows[0].keys()) if rows else [
-        "policy", "max_relative_load", "worst_revisit_rotations", "completion_pass"]
+def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv",
+                     fields: Sequence[str] = ("policy", "max_relative_load",
+                                              "worst_revisit_rotations",
+                                              "completion_pass")) -> None:
+    """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  The CSV header
+    is the first row's keys, or ``fields`` for a table without rows."""
     if fmt == "json":
         Path(path).write_text(json.dumps(list(rows), indent=2) + "\n", encoding="utf-8")
         return
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else v for v in row.values()])
+    _write_csv(path, list(rows[0]) if rows else fields, [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows])

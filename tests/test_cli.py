@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sectorsched.cli import main
+import sectorsched
+from sectorsched.cli import build_parser, main
 from sectorsched import io as sio
 from conftest import scenario_from
 
@@ -123,6 +128,38 @@ def test_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == GOLDEN_SHA256
+
+
+# Each later command omits an option the one before it set.
+REUSE_COMMANDS = [
+    ["gen", "--seed", "8", "--sectors", "12", "--fov", "2",
+     "--hotspot", "4", "0.5", "4", "--out", "hot.json"],
+    ["gen", "--seed", "8", "--sectors", "12", "--fov", "2", "--out", "plain.json"],
+    ["simulate", "--scenario", "plain.json", "--policy", "edf", "--cycles", "2",
+     "--out", "edf.csv"],
+    ["simulate", "--scenario", "plain.json", "--cycles", "2", "--out", "default.csv"],
+]
+
+
+def test_shared_parser_carries_no_state(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process; each command must still write the
+    # bytes it writes in a fresh interpreter.
+    assert build_parser() is build_parser()
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
+    for argv in REUSE_COMMANDS:
+        assert main(argv) == 0, argv
+    src = str(Path(sectorsched.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in REUSE_COMMANDS:
+        subprocess.run([sys.executable, "-m", "sectorsched.cli", *argv], cwd=fresh,
+                       env=env, check=True, capture_output=True, timeout=120)
+    files = {p.name: p.read_bytes() for p in shared.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert files["hot.json"] != files["plain.json"]
+    assert files["edf.csv"] != files["default.csv"]
 
 
 class TestCompare:
