@@ -11,7 +11,6 @@ scheme exists to equalize.
 
 from sectorsched import (
     GenParams,
-    POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
     broadside_baseline,
@@ -31,7 +30,7 @@ print(f"{len(scenario.tasks)} tasks on {scenario.n_sectors} sectors, "
 partition = equalize(scenario)
 for label, policy, part in (
     ("equalized", POLICY_PARTITION, partition),
-    ("broadside", POLICY_BROADSIDE, broadside_baseline(scenario)),
+    ("broadside", POLICY_PARTITION, broadside_baseline(scenario)),
     ("edf      ", POLICY_EDF, None),
 ):
     trace = simulate(scenario, policy, part, cycles=4)

@@ -50,7 +50,6 @@ from .model import (
 )
 from .simulate import (
     ExecutionRecord,
-    POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
     ResourceEstimate,
@@ -77,7 +76,6 @@ __all__ = [
     "InvalidInputError",
     "LimitsExceededError",
     "LoadReport",
-    "POLICY_BROADSIDE",
     "POLICY_EDF",
     "POLICY_PARTITION",
     "PROVENANCE_FOV",

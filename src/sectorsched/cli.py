@@ -22,8 +22,6 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     LimitsExceededError,
-    ScenarioFormatError,
-    ScenarioValidationError,
 )
 from .exact import SearchLimits, exact_min_passes
 from .generate import GenParams, generate
@@ -36,14 +34,11 @@ from .loads import (
     load_report,
 )
 from .model import Scenario
-from .simulate import (
-    POLICY_BROADSIDE,
-    POLICY_EDF,
-    POLICY_PARTITION,
-    SimulationTrace,
-    revisit_stats,
-    simulate,
-)
+from .simulate import POLICY_EDF, POLICY_PARTITION, SimulationTrace, revisit_stats, simulate
+
+# CLI policies: greedy and broadside run a partition (broadside the
+# home-sector one), edf runs none.
+_POLICIES = ("greedy", "broadside", "edf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,23 +47,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _derived_path(out: str, tag: str) -> Path:
-    return Path(out).with_suffix("").with_name(Path(out).with_suffix("").name + f".{tag}.csv")
+    return Path(out).with_suffix(f".{tag}.csv")
 
 
-def _gen_params(args) -> GenParams:
+def _gen_params(args, seed: int, fov: int) -> GenParams:
+    """Generator knobs of ``gen`` and ``report`` (which has no ``--hotspot``)."""
     hotspots = tuple(
         (int(sector), float(rmult), float(tmult))
-        for sector, rmult, tmult in (args.hotspot or [])
+        for sector, rmult, tmult in (getattr(args, "hotspot", None) or [])
     )
     return GenParams(
         n_sectors=args.sectors,
-        fov_half_width=args.fov,
+        fov_half_width=fov,
         dt=args.dt,
         tasks_per_sector=tuple(args.tasks),
         duration=tuple(args.duration),
         resources=tuple(args.resources),
         hotspots=hotspots,
-        seed=args.seed,
+        seed=seed,
     )
 
 
@@ -86,8 +82,7 @@ def _run_policy(scenario: Scenario, policy: str,
     if policy == "edf":
         return None, simulate(scenario, POLICY_EDF, None, cycles=cycles)
     partition = _partition_for(scenario, policy)
-    variant = POLICY_BROADSIDE if policy == "broadside" else POLICY_PARTITION
-    return partition, simulate(scenario, variant, partition, cycles=cycles)
+    return partition, simulate(scenario, POLICY_PARTITION, partition, cycles=cycles)
 
 
 def _executed_partition(scenario: Scenario,
@@ -127,7 +122,7 @@ def _policy_metrics(scenario: Scenario, policy: str, cycles: int) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    scenario = generate(_gen_params(args))
+    scenario = generate(_gen_params(args, args.seed, args.fov))
     io.write_scenario(scenario, args.out)
     print(f"wrote scenario with {len(scenario.tasks)} tasks to {args.out}")
     return 0
@@ -167,8 +162,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = io.read_scenario(args.scenario)
-    rows = [_policy_metrics(scenario, policy, args.cycles)
-            for policy in ("greedy", "broadside", "edf")]
+    rows = [_policy_metrics(scenario, policy, args.cycles) for policy in _POLICIES]
     if args.exact:
         limits = SearchLimits()
         if (len(scenario.tasks) > limits.max_tasks
@@ -196,16 +190,14 @@ def _cmd_report(args) -> int:
     for offset in range(args.runs):
         seed = args.seed + offset
         for fov in args.fov:
-            params = GenParams(
-                n_sectors=args.sectors, fov_half_width=fov, dt=args.dt,
-                tasks_per_sector=tuple(args.tasks), duration=tuple(args.duration),
-                resources=tuple(args.resources), seed=seed)
-            scenario = generate(params)
-            for policy in ("greedy", "broadside", "edf"):
+            scenario = generate(_gen_params(args, seed, fov))
+            for policy in _POLICIES:
                 row = {"seed": seed, "fov": fov}
                 row.update(_policy_metrics(scenario, policy, args.cycles))
                 detail.append(row)
-    io.write_comparison(detail, args.out, fmt=args.format)
+    io.write_comparison(detail, args.out, fmt=args.format, fields=(
+        "seed", "fov", "policy", "max_relative_load", "worst_revisit_rotations",
+        "completion_pass"))
 
     groups: dict[tuple[int, str], list[dict]] = {}
     for row in detail:
@@ -258,15 +250,14 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="partition JSON path "
                    "(load report lands next to it as <out>.loads.csv)")
-    p.add_argument("--policy", choices=["greedy", "broadside"], default="greedy")
+    p.add_argument("--policy", choices=_POLICIES[:2], default="greedy")
     p.set_defaults(handler=_cmd_schedule)
 
     p = sub.add_parser("simulate", help="run rotations and record revisits")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="trace CSV path "
                    "(revisit stats land next to it as <out>.revisit.csv)")
-    p.add_argument("--policy", choices=["greedy", "broadside", "edf"],
-                   default="greedy")
+    p.add_argument("--policy", choices=_POLICIES, default="greedy")
     p.add_argument("--cycles", type=int, default=3,
                    help="complete update cycles to simulate")
     p.set_defaults(handler=_cmd_simulate)
@@ -304,8 +295,8 @@ def main(argv=None) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioFormatError, ScenarioValidationError, InvalidInputError,
-            InsufficientDataError, LimitsExceededError, OSError) as exc:
+    except (InvalidInputError, InsufficientDataError, LimitsExceededError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI, Direction, sector_of_direction
+from .model import Scenario, SurveillanceTask, TWO_PI, make_task
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,12 +131,7 @@ def generate(params: GenParams) -> Scenario:
                 phi = math.nextafter(TWO_PI, 0.0)
             theta = rng.uniform_range(-math.pi, math.pi)
             duration = rng.uniform_range(*params.duration)
-            tasks.append(SurveillanceTask(
-                id=task_id,
-                direction=Direction(phi, theta),
-                duration=duration,
-                home_sector=sector_of_direction(phi, n),
-            ))
+            tasks.append(make_task(task_id, phi, theta, duration, n))
             task_id += 1
 
     return Scenario(

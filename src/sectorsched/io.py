@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
-from .model import (
-    Direction,
-    Scenario,
-    SurveillanceTask,
-    sector_of_direction,
-    validate_scenario,
-)
+from .model import Scenario, make_task, validate_scenario
 from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
 
 
@@ -72,13 +67,8 @@ def _require(mapping: dict, key: str, kinds: tuple, where: str,
     return _typed(mapping[key], kinds, where, index, key)
 
 
-def read_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file.
-
-    Malformed content raises :class:`ScenarioFormatError` with a field path;
-    well-formed content violating scenario invariants raises
-    :class:`ScenarioValidationError` listing every violation.
-    """
+def _read_object(path: str | Path) -> dict:
+    """The JSON object in ``path``; anything else raises :class:`ScenarioFormatError`."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
@@ -86,6 +76,17 @@ def read_scenario(path: str | Path) -> Scenario:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
+    return payload
+
+
+def read_scenario(path: str | Path) -> Scenario:
+    """Parse and validate a scenario file.
+
+    Malformed content raises :class:`ScenarioFormatError` with a field path;
+    well-formed content violating scenario invariants raises
+    :class:`ScenarioValidationError` listing every violation.
+    """
+    payload = _read_object(path)
 
     n_sectors = _require(payload, "n_sectors", (int,), "scenario")
     fov = _require(payload, "fov_half_width", (int,), "scenario")
@@ -111,12 +112,9 @@ def read_scenario(path: str | Path) -> Scenario:
         theta = _require(entry, "theta", _NUMBER, "tasks", k)
         duration = _require(entry, "duration", _NUMBER, "tasks", k)
         try:
-            direction = Direction(phi, theta)
+            tasks.append(make_task(tid, phi, theta, duration, n_sectors))
         except ValueError as exc:
             raise ScenarioFormatError(f"tasks[{k}]: {exc}") from exc
-        tasks.append(SurveillanceTask(
-            id=tid, direction=direction, duration=duration,
-            home_sector=sector_of_direction(phi, n_sectors)))
     scenario = replace(scenario, tasks=tuple(tasks))
     violations = validate_scenario(scenario)
     if violations:
@@ -135,13 +133,7 @@ def write_partition(partition: SchedulePartition, path: str | Path) -> None:
 
 def read_partition(path: str | Path) -> SchedulePartition:
     """Parse a partition file; malformed content raises :class:`ScenarioFormatError`."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also an integer literal too long to convert
-        raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ScenarioFormatError(f"{path}: top level must be an object")
+    payload = _read_object(path)
     assignments = _require(payload, "assignments", (list,), "partition")
     provenance = _require(payload, "provenance", (dict,), "partition")
     for i, ids in enumerate(assignments):
@@ -213,9 +205,13 @@ def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv",
                                               "worst_revisit_rotations",
                                               "completion_pass")) -> None:
     """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  The CSV header
-    is the first row's keys, or ``fields`` for a table without rows."""
+    is the first row's keys, or ``fields`` for a table without rows.  JSON
+    has no non-finite number, so there an infinite or NaN float is the
+    string of its ``repr`` (``"inf"``), the token the CSV form writes."""
     if fmt == "json":
-        Path(path).write_text(json.dumps(list(rows), indent=2) + "\n", encoding="utf-8")
+        rows = [{k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()} for row in rows]
+        Path(path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         return
     _write_csv(path, list(rows[0]) if rows else fields, [
         ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())

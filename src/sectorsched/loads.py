@@ -44,18 +44,9 @@ class SchedulePartition:
     assignments: tuple[tuple[int, ...], ...]
     provenance: Mapping[int, str]
 
-    def sector_of(self, task_id: int) -> int:
-        for i, ids in enumerate(self.assignments):
-            if task_id in ids:
-                return i
-        raise KeyError(task_id)
-
     def sector_index(self) -> dict[int, int]:
         """Task id -> executing sector, for the whole partition."""
         return {tid: i for i, ids in enumerate(self.assignments) for tid in ids}
-
-    def all_task_ids(self) -> list[int]:
-        return sorted(tid for ids in self.assignments for tid in ids)
 
 
 def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],

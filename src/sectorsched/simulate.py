@@ -11,8 +11,8 @@ pass.
 Policies:
 
 * ``partition``: only tasks assigned to the current sector are eligible.
-* ``broadside``: identical mechanics, meant to be driven by the trivial
-  home-sector partition.
+  The broadside baseline is this variant fed ``broadside_baseline``, the
+  trivial home-sector partition.
 * ``edf``: no partition; every task whose field of view covers the current
   sector is eligible, so the oldest illumination anywhere near broadside
   runs first.
@@ -21,10 +21,10 @@ A task larger than every pass it is eligible for would deadlock the cycle;
 instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation in ``SimulationTrace.warnings``.
 
-Mechanism: tasks sit in buckets, a sector's assigned tasks for partition
-and broadside, the tasks homed in a sector for edf.  A pass over sector j
-reaches the buckets (j + c) mod N for c in a window of offsets: ``0..0``
-for partition and broadside, ``model.fov_offsets`` for edf.  A task's
+Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
+the tasks homed in a sector for edf.  A pass over sector j reaches the
+buckets (j + c) mod N for c in a window of offsets: ``0..0`` for
+partition, ``model.fov_offsets`` for edf.  A task's
 priority ``(last illumination, id)`` changes only when it runs, and it runs
 once per cycle, so each bucket is sorted once at the start of a cycle and a
 pass runs a prefix of the merge of its reachable buckets, popping a heap of
@@ -51,9 +51,8 @@ from .loads import SchedulePartition, check_partition
 from .model import CAP_SLACK, Scenario, fov_offsets
 
 POLICY_PARTITION = "partition"
-POLICY_BROADSIDE = "broadside"
 POLICY_EDF = "edf"
-POLICY_VARIANTS = (POLICY_PARTITION, POLICY_BROADSIDE, POLICY_EDF)
+POLICY_VARIANTS = (POLICY_PARTITION, POLICY_EDF)
 
 
 class ExecutionRecord(NamedTuple):
@@ -85,7 +84,7 @@ def simulate(scenario: Scenario, policy: str,
     """Run ``cycles`` complete update cycles and return the trace.
 
     ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
-    the partition and broadside variants and must not be supplied for edf.
+    the partition variant and must not be supplied for edf.
     The produced trace is re-checked with the independent validator; any
     capacity excess must match an oversized-task warning, otherwise the
     simulator refuses its own output.

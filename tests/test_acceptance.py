@@ -17,7 +17,6 @@ from sectorsched import (
     CAP_SLACK,
     GenParams,
     PROVENANCE_LEFTOVER,
-    POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
     SearchLimits,
@@ -189,7 +188,7 @@ def test_criterion_7_simulator_constraints():
             partition = equalize(scenario)
             traces = [
                 simulate(scenario, POLICY_PARTITION, partition, cycles=2),
-                simulate(scenario, POLICY_BROADSIDE, broadside_baseline(scenario),
+                simulate(scenario, POLICY_PARTITION, broadside_baseline(scenario),
                          cycles=2),
                 simulate(scenario, POLICY_EDF, None, cycles=2),
             ]
@@ -319,10 +318,11 @@ def test_criterion_12_starvation_exhibit():
         partition = equalize(scenario)
         assert check_partition(scenario, partition) == []
         by_id = scenario.task_by_id()
+        sector_of = partition.sector_index()
         starved = [
             i for i, ids in enumerate(partition.assignments)
             if ids and all(by_id[t].home_sector != i for t in ids)
-            and all(partition.sector_of(t.id) != i
+            and all(sector_of[t.id] != i
                     for t in scenario.tasks if t.home_sector == i)
         ]
         assert starved, "no sector executes only neighbors' tasks"

@@ -184,6 +184,27 @@ class TestCompare:
         rows = json.loads(out.read_text(encoding="utf-8"))
         assert [r["policy"] for r in rows] == ["greedy", "broadside", "edf"]
 
+    def test_json_writes_infinite_load_as_inf_string(self, tmp_path):
+        # broadside leaves the task homed in the dead sector 0 there
+        s = scenario_from(3, 1, 5.0, (0.0, 4.0, 4.0), [(0, 1.0), (1, 1.0)])
+        scenario = tmp_path / "dead.json"
+        sio.write_scenario(s, scenario)
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--scenario", str(scenario), "--out", str(out),
+                   "--format", "json") == 0
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        rows = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        loads = {r["policy"]: r["max_relative_load"] for r in rows}
+        assert loads["broadside"] == "inf"
+        assert isinstance(loads["greedy"], float)
+        csv_out = tmp_path / "cmp.csv"
+        assert run("compare", "--scenario", str(scenario), "--out", str(csv_out)) == 0
+        assert {r["policy"]: r["max_relative_load"]
+                for r in read_csv(csv_out)}["broadside"] == "inf"
+
     def test_oversized_scenario_skips_exact(self, tmp_path, capsys):
         scenario = tmp_path / "big.json"
         run("gen", "--seed", "5", "--out", str(scenario), "--sectors", "12")
@@ -217,6 +238,30 @@ class TestReport:
                 for key, value in row.items():
                     if "load" in key or "revisit" in key:
                         assert float(value) == 0.0
+
+
+    def test_no_runs_writes_the_detail_header(self, tmp_path):
+        headers = []
+        for runs in ("0", "1"):
+            out = tmp_path / f"r{runs}.csv"
+            assert run("report", "--runs", runs, "--sectors", "4", "--tasks", "1", "2",
+                       "--out", str(out)) == 0
+            headers.append(out.read_text(encoding="utf-8").splitlines()[0])
+        assert headers[0] == headers[1]
+        assert headers[0].startswith("seed,fov,policy,")
+
+
+def test_derived_artifact_names(tmp_path, monkeypatch, capsys):
+    # <out>.loads.csv and <out>.revisit.csv replace only the last suffix
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--sectors", "4", "--tasks", "1", "2", "--out", "s.json") == 0
+    for out in ("part", "part.v1.json"):
+        assert run("schedule", "--scenario", "s.json", "--out", out) == 0
+    for out in ("trace", "trace.v1.csv"):
+        assert run("simulate", "--scenario", "s.json", "--out", out) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "part", "part.loads.csv", "part.v1.json", "part.v1.loads.csv", "s.json",
+        "trace", "trace.revisit.csv", "trace.v1.csv", "trace.v1.revisit.csv"]
 
 
 class TestEmptyScenario:

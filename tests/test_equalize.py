@@ -196,8 +196,9 @@ class TestEqualize:
             s = scenario_from(n, rng.randint(0, n // 2), 1.0,
                               [2.0 + rng.uniform() * 8.0 for _ in range(n)], homes)
             part = equalize(s)
+            sector_of = part.sector_index()
             for task in s.tasks:
-                sector = part.sector_of(task.id)
+                sector = sector_of[task.id]
                 if part.provenance[task.id] == PROVENANCE_OWN:
                     assert sector == task.home_sector
 
@@ -280,7 +281,8 @@ class TestEqualize:
                 hotspots=tuple((h, rm, tm) for h, (rm, tm) in hot.items()), seed=seed))
             part = equalize(s)
             assert check_partition(s, part) == []
-            assert all(part.sector_of(t.id) == t.home_sector for t in s.tasks
+            sector_of = part.sector_index()
+            assert all(sector_of[t.id] == t.home_sector for t in s.tasks
                        if part.provenance[t.id] == PROVENANCE_OWN)
 
 
@@ -386,4 +388,4 @@ class TestStarvationFixture:
         assert all(by_id[tid].home_sector != 0 for tid in starved)
         # its own task is executed by a neighbor
         own = [t.id for t in s.tasks if t.home_sector == 0]
-        assert own and all(part.sector_of(tid) != 0 for tid in own)
+        assert own and all(part.sector_index()[tid] != 0 for tid in own)

@@ -47,6 +47,7 @@ class TestEqualizeProperties:
             return
         part = equalize(s)
         assert check_partition(s, part) == []
+        sector_of = part.sector_index()
         for task in s.tasks:
             if part.provenance[task.id] == PROVENANCE_OWN:
-                assert part.sector_of(task.id) == task.home_sector
+                assert sector_of[task.id] == task.home_sector

@@ -14,7 +14,6 @@ import pytest
 
 from sectorsched import (
     GenParams,
-    POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
     Scenario,
@@ -100,7 +99,7 @@ SCENARIOS = {
 def _runs(scenario):
     """Traces of the three CLI policies."""
     return {"greedy": simulate(scenario, POLICY_PARTITION, equalize(scenario), cycles=3),
-            "broadside": simulate(scenario, POLICY_BROADSIDE,
+            "broadside": simulate(scenario, POLICY_PARTITION,
                                   broadside_baseline(scenario), cycles=3),
             "edf": simulate(scenario, POLICY_EDF, cycles=3)}
 

@@ -127,9 +127,8 @@ class TestCheckPartition:
 
     def test_sector_of(self):
         part = build_partition(3, {5: 2, 6: 0}, {5: PROVENANCE_OWN, 6: PROVENANCE_OWN})
-        assert part.sector_of(5) == 2
         assert part.sector_index() == {5: 2, 6: 0}
-        assert part.all_task_ids() == [5, 6]
+        assert part.sector_index()[5] == 2
 
 
 def test_max_relative_load_at_least_one_for_valid_partitions():

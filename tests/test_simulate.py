@@ -9,7 +9,6 @@ from sectorsched import (
     GenParams,
     InsufficientDataError,
     InvalidInputError,
-    POLICY_BROADSIDE,
     POLICY_EDF,
     POLICY_PARTITION,
     Scenario,
@@ -41,7 +40,7 @@ class TestSimulatePartitionDriven:
 
     def test_broadside_needs_two_rotations(self, tri_scenario):
         part = broadside_baseline(tri_scenario)
-        trace = simulate(tri_scenario, POLICY_BROADSIDE, part, cycles=3)
+        trace = simulate(tri_scenario, POLICY_PARTITION, part, cycles=3)
         assert trace.completion_pass == 3  # second sector-0 task waits a rotation
         stats = revisit_stats(trace, tri_scenario)
         assert stats.max_interval_rot == pytest.approx(2.0)
@@ -74,7 +73,7 @@ class TestSimulatePartitionDriven:
     def test_oversized_task_is_flagged_not_deadlocked(self):
         s = scenario_from(2, 0, 1.0, (4.0, 9.0), [(0, 5.0), (1, 2.0)])
         part = broadside_baseline(s)
-        trace = simulate(s, POLICY_BROADSIDE, part, cycles=2)
+        trace = simulate(s, POLICY_PARTITION, part, cycles=2)
         assert trace.cycles_completed == 2
         assert any("overfills" in w for w in trace.warnings)
         # the independent checker still reports the genuine capacity breach
@@ -129,8 +128,11 @@ class TestSimulateValidation:
                      broadside_baseline(tri_scenario), cycles=0)
 
     def test_unknown_variant(self, tri_scenario):
-        with pytest.raises(InvalidInputError):
-            simulate(tri_scenario, "fifo", broadside_baseline(tri_scenario))
+        # broadside is the partition variant fed the home-sector partition,
+        # not a variant of its own
+        for variant in ("fifo", "broadside"):
+            with pytest.raises(InvalidInputError, match="not one of"):
+                simulate(tri_scenario, variant, broadside_baseline(tri_scenario))
 
 
 class TestCheckTrace:
@@ -172,7 +174,7 @@ class TestRevisitStats:
 
     def test_per_sector_maxima(self, tri_scenario):
         part = broadside_baseline(tri_scenario)
-        trace = simulate(tri_scenario, POLICY_BROADSIDE, part, cycles=3)
+        trace = simulate(tri_scenario, POLICY_PARTITION, part, cycles=3)
         stats = revisit_stats(trace, tri_scenario)
         assert stats.per_sector_max_rot[0] == pytest.approx(2.0)
         assert stats.per_sector_max_rot[1] == pytest.approx(2.0)
@@ -345,7 +347,7 @@ def test_bucket_drain_matches_brute_force(case, seed):
         t.id: rng.choice([j for j in range(s.n_sectors) if angular_sector_distance(
             j, t.home_sector, s.n_sectors) <= s.fov_half_width])
         for t in s.tasks}, {t.id: "fov-equalized" for t in s.tasks})
-    runs = [(POLICY_EDF, None), (POLICY_BROADSIDE, broadside_baseline(s)),
+    runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s)),
             (POLICY_PARTITION, anywhere)]
     for variant, partition in runs:
         cycles = 1 + seed
