@@ -37,7 +37,6 @@ from .loads import (
 )
 from .model import (
     CAP_SLACK,
-    Direction,
     Scenario,
     SurveillanceTask,
     TWO_PI,
@@ -58,7 +57,6 @@ from .simulate import (
     TaskRevisit,
     check_trace,
     measure_resources,
-    replay_assignment,
     revisit_stats,
     simulate,
 )
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CAP_SLACK",
-    "Direction",
     "ExactSolution",
     "ExecutionRecord",
     "GenParams",
@@ -111,7 +108,6 @@ __all__ = [
     "make_task",
     "maximal_subset",
     "measure_resources",
-    "replay_assignment",
     "revisit_stats",
     "sector_of_direction",
     "sector_targets",

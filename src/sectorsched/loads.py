@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InfeasibleScenarioError, InvalidInputError
-from .model import Scenario, angular_sector_distance
+from .errors import InfeasibleScenarioError, InvalidInputError, ScenarioValidationError
+from .model import Scenario, angular_sector_distance, validate_scenario
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -100,15 +100,18 @@ def _ratio_or_flag(load: float, denom: float) -> float:
 
 
 def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
-    """Per-sector loads of a partition against the scenario's targets."""
+    """Per-sector loads of a partition against the scenario's targets.
+
+    An invalid scenario raises :class:`ScenarioValidationError`, a partition
+    that :func:`check_partition` rejects raises :class:`InvalidInputError`.
+    """
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ScenarioValidationError(violations)
+    problems = check_partition(scenario, partition)
+    if problems:
+        raise InvalidInputError("partition does not match scenario: " + "; ".join(problems))
     by_id = scenario.task_by_id()
-    unknown = [tid for ids in partition.assignments for tid in ids if tid not in by_id]
-    if unknown:
-        raise InvalidInputError(f"partition references unknown task ids {sorted(unknown)}")
-    if len(partition.assignments) != scenario.n_sectors:
-        raise InvalidInputError(
-            f"partition has {len(partition.assignments)} sectors, "
-            f"scenario has {scenario.n_sectors}")
     loads = tuple(math.fsum(by_id[tid].duration for tid in ids)
                   for ids in partition.assignments)
     targets = sector_targets(scenario).targets

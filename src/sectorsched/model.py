@@ -1,4 +1,7 @@
-"""Domain model: beam directions, surveillance tasks, scenarios, sector geometry.
+"""Domain model: surveillance tasks, scenarios, sector geometry.
+
+A task is a beam direction, azimuth ``phi`` in [0, 2*pi) and elevation
+``theta`` in [-pi, pi], plus the dwell time it needs every update cycle.
 
 Azimuth is divided into ``n_sectors`` equal slices; a task belongs to the
 sector its azimuth falls into (its home sector).  The antenna boresight
@@ -33,11 +36,19 @@ def _floor_ratio(ratio: float) -> int:
 
 
 @dataclass(frozen=True)
-class Direction:
-    """A beam pointing direction in radians: phi in [0, 2*pi), theta in [-pi, pi]."""
+class SurveillanceTask:
+    """One beam pointing direction (radians) to refresh every update cycle.
 
+    ``home_sector`` is derived from the azimuth; keep it consistent with
+    ``sector_of_direction(phi, n_sectors)`` for the scenario the task lives
+    in (``validate_scenario`` checks this).
+    """
+
+    id: int
     phi: float
-    theta: float = 0.0
+    theta: float
+    duration: float
+    home_sector: int
 
     def __post_init__(self):
         if not 0.0 <= self.phi < TWO_PI:
@@ -46,35 +57,13 @@ class Direction:
             raise InvalidInputError(f"theta={self.theta!r} outside [-pi, pi]")
 
 
-@dataclass(frozen=True)
-class SurveillanceTask:
-    """One beam pointing direction to refresh every update cycle.
-
-    ``home_sector`` is derived from the azimuth; keep it consistent with
-    ``sector_of_direction(direction.phi, n_sectors)`` for the scenario the
-    task lives in (``validate_scenario`` checks this).
-    """
-
-    id: int
-    direction: Direction
-    duration: float
-    home_sector: int
-
-    @property
-    def phi(self) -> float:
-        return self.direction.phi
-
-    @property
-    def theta(self) -> float:
-        return self.direction.theta
-
-
 def make_task(task_id: int, phi: float, theta: float, duration: float,
               n_sectors: int) -> SurveillanceTask:
     """Build a task with its home sector derived from phi."""
     return SurveillanceTask(
         id=task_id,
-        direction=Direction(phi, theta),
+        phi=phi,
+        theta=theta,
         duration=duration,
         home_sector=sector_of_direction(phi, n_sectors),
     )

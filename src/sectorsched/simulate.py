@@ -46,9 +46,9 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InvalidInputError, ScenarioValidationError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, fov_offsets
+from .model import CAP_SLACK, Scenario, fov_offsets, validate_scenario
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -84,7 +84,8 @@ def simulate(scenario: Scenario, policy: str,
     """Run ``cycles`` complete update cycles and return the trace.
 
     ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
-    the partition variant and must not be supplied for edf.
+    the partition variant and must not be supplied for edf.  An invalid
+    scenario raises :class:`ScenarioValidationError`.
     The produced trace is re-checked with the independent validator; any
     capacity excess must match an oversized-task warning, otherwise the
     simulator refuses its own output.
@@ -94,6 +95,9 @@ def simulate(scenario: Scenario, policy: str,
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
     if not isinstance(cycles, int) or cycles < 1:
         raise InvalidInputError(f"cycles={cycles!r} must be a positive integer")
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ScenarioValidationError(violations)
     if policy != POLICY_EDF:
         if partition is None:
             raise InvalidInputError(f"policy {policy!r} requires a partition")
@@ -122,9 +126,6 @@ def simulate(scenario: Scenario, policy: str,
     else:
         members = [[] for _ in range(n)]
         for tid, task in by_id.items():
-            if not 0 <= task.home_sector < n:
-                raise InvalidInputError(
-                    f"task {tid}: home sector {task.home_sector!r} outside [0, {n})")
             members[task.home_sector].append(tid)
         window = fov_offsets(scenario.fov_half_width, n)
     lo, hi = window[0], window[-1]
@@ -228,47 +229,6 @@ def simulate(scenario: Scenario, policy: str,
         raise RuntimeError("simulator produced an invalid trace: "
                            + "; ".join(unexplained))
     return trace
-
-
-def replay_assignment(scenario: Scenario,
-                      assignments: Mapping[int, tuple[int, int]]) -> SimulationTrace:
-    """Replay a (sector, rotation) assignment as a single update cycle.
-
-    Every task executes in exactly the pass its assignment names, in id
-    order within the pass, so the trace's completion pass equals the
-    assignment's own objective.  Useful for cross-checking the exact solver
-    against the trace validator.
-    """
-    by_id = scenario.task_by_id()
-    unknown = sorted(set(assignments) - set(by_id))
-    if unknown:
-        raise InvalidInputError(f"assignment references unknown task ids {unknown}")
-    missing = sorted(set(by_id) - set(assignments))
-    if missing:
-        raise InvalidInputError(f"assignment misses task ids {missing}")
-    n = scenario.n_sectors
-    by_pass: dict[int, list[int]] = {}
-    for tid, (sector, rotation) in assignments.items():
-        if not (0 <= sector < n) or rotation < 0:
-            raise InvalidInputError(
-                f"task {tid}: pass (sector={sector}, rotation={rotation}) out of range")
-        by_pass.setdefault(rotation * n + sector, []).append(tid)
-    records = []
-    illumination = {}
-    for pass_index in sorted(by_pass):
-        used = 0.0
-        for tid in sorted(by_pass[pass_index]):
-            timestamp = pass_index * scenario.dt + used
-            records.append(ExecutionRecord(
-                task_id=tid, sector=pass_index % n, pass_index=pass_index,
-                rotation=pass_index // n, start_offset=used, timestamp=timestamp))
-            illumination[tid] = (timestamp,)
-            used += by_id[tid].duration
-    last = records[-1].pass_index if records else -1
-    return SimulationTrace(
-        records=tuple(records), illumination=illumination,
-        completion_pass=last, n_passes=last + 1,
-        cycles_completed=1 if records else 0)
 
 
 def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[str]:
@@ -419,13 +379,13 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
         raise InvalidInputError(f"alpha={alpha!r} outside (0, 1]")
     if n_sectors < 1:
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
-    if dt <= 0:
-        raise InvalidInputError(f"dt={dt!r} must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidInputError(f"dt={dt!r} must be positive and finite")
     estimates = [0.0] * n_sectors
     seeded = [False] * n_sectors
     for p, used in enumerate(used_per_pass):
-        if used < 0:
-            raise InvalidInputError(f"negative usage {used!r} in pass {p}")
+        if not used >= 0:
+            raise InvalidInputError(f"usage {used!r} in pass {p} is not a non-negative number")
         j = p % n_sectors
         observed = max(dt - used, 0.0)
         if not seeded[j]:

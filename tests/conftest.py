@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -26,6 +27,27 @@ def scenario_from(n_sectors, fov, dt, resources, homed_durations):
         tasks.append(make_task(task_id, phi, 0.0, duration, n_sectors))
     return Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
                     resources=tuple(resources), tasks=tuple(tasks))
+
+
+# One-field breakages that validate_scenario reports, as (field, value) for
+# ``mutated``; an id of 1 duplicates the second task of a generated scenario.
+INVALID_FIELDS = {
+    "nan duration": ("duration", math.nan),
+    "negative duration": ("duration", -1.0),
+    "zero duration": ("duration", 0.0),
+    "duplicate id": ("id", 1),
+    "infinite resource": ("resources", math.inf),
+    "nan resource": ("resources", math.nan),
+}
+
+
+def mutated(scenario, field, value):
+    """``scenario`` with ``field`` of its first task, or the resources of
+    sector 0 for ``field == "resources"``, set to ``value``."""
+    if field == "resources":
+        return dataclasses.replace(scenario, resources=(value,) + scenario.resources[1:])
+    task = dataclasses.replace(scenario.tasks[0], **{field: value})
+    return dataclasses.replace(scenario, tasks=(task,) + scenario.tasks[1:])
 
 
 def dedup_active_sectors(m, fov, n_sectors):

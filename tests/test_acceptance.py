@@ -270,7 +270,8 @@ def test_criterion_10_fov_sensitivity(tmp_path):
             writer.writerow([5, len(wide), repr(mean_wide)])
             writer.writerow([1, len(narrow), repr(mean_narrow)])
         assert mean_narrow >= mean_wide
-        rows = list(csv.DictReader(open(bench, encoding="utf-8")))
+        with open(bench, encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         assert {r["fov_half_width"] for r in rows} == {"1", "5"}
         assert all(float(r["mean_max_relative_load"]) >= 1.0 for r in rows)
 

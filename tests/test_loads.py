@@ -4,16 +4,20 @@ import pytest
 
 from sectorsched import (
     InfeasibleScenarioError,
+    GenParams,
     InvalidInputError,
     PROVENANCE_OWN,
+    ScenarioValidationError,
     SchedulePartition,
     broadside_baseline,
     build_partition,
     check_partition,
+    equalize,
+    generate,
     load_report,
     sector_targets,
 )
-from conftest import scenario_from
+from conftest import mutated, scenario_from
 
 
 @pytest.fixture
@@ -89,6 +93,32 @@ class TestLoadReport:
     def test_conservation(self, skewed):
         rep = load_report(skewed, broadside_baseline(skewed))
         assert math.fsum(rep.absolute_load) == pytest.approx(10.0, rel=1e-9)
+
+    @pytest.fixture
+    def six(self):
+        s = generate(GenParams(n_sectors=6, fov_half_width=1, seed=3))
+        return s, equalize(s)
+
+    def test_task_listed_twice(self, six):
+        s, part = six
+        first = part.assignments[0][0]
+        twice = SchedulePartition(
+            assignments=(part.assignments[0], part.assignments[1] + (first,))
+            + part.assignments[2:], provenance=part.provenance)
+        with pytest.raises(InvalidInputError, match=f"task {first} assigned to sectors 0 and 1"):
+            load_report(s, twice)
+
+    def test_dropped_tasks(self, six):
+        s, part = six
+        dropped = SchedulePartition(
+            assignments=((),) + part.assignments[1:], provenance=part.provenance)
+        with pytest.raises(InvalidInputError, match="tasks never assigned"):
+            load_report(s, dropped)
+
+    def test_invalid_scenario(self, six):
+        s, part = six
+        with pytest.raises(ScenarioValidationError, match="non-finite duration inf"):
+            load_report(mutated(s, "duration", math.inf), part)
 
 
 class TestBroadsideBaseline:

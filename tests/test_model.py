@@ -3,7 +3,6 @@ import math
 import pytest
 
 from sectorsched import (
-    Direction,
     InvalidInputError,
     ScenarioValidationError,
     Scenario,
@@ -150,14 +149,21 @@ class TestAngularSectorDistance:
             assert (d == 0) == (a == b)
 
 
-class TestDirection:
+class TestSurveillanceTask:
     def test_ranges(self):
-        Direction(0.0, math.pi)
-        Direction(math.nextafter(TWO_PI, 0.0), -math.pi)
-        with pytest.raises(InvalidInputError):
-            Direction(TWO_PI, 0.0)
-        with pytest.raises(InvalidInputError):
-            Direction(1.0, 3.2)
+        make_task(0, 0.0, math.pi, 1.0, 4)
+        make_task(1, math.nextafter(TWO_PI, 0.0), -math.pi, 1.0, 4)
+        with pytest.raises(InvalidInputError, match=r"phi=6\.28.* outside \[0, 2\*pi\)"):
+            make_task(2, TWO_PI, 0.0, 1.0, 4)
+        with pytest.raises(InvalidInputError, match=r"theta=3\.2 outside \[-pi, pi\]"):
+            make_task(3, 1.0, 3.2, 1.0, 4)
+
+    def test_fields_checked_without_make_task(self):
+        task = SurveillanceTask(id=0, phi=1.0, theta=-0.5, duration=2.0, home_sector=0)
+        assert (task.phi, task.theta) == (1.0, -0.5)
+        for phi, theta in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -3.2)):
+            with pytest.raises(InvalidInputError):
+                SurveillanceTask(id=0, phi=phi, theta=theta, duration=1.0, home_sector=0)
 
 
 class TestScenario:
@@ -192,7 +198,7 @@ class TestValidateScenario:
         assert any("non-positive duration" in v and "task id 0" in v for v in violations)
 
     def test_inconsistent_home_sector(self):
-        bad = SurveillanceTask(id=0, direction=Direction(0.1), duration=1.0, home_sector=3)
+        bad = SurveillanceTask(id=0, phi=0.1, theta=0.0, duration=1.0, home_sector=3)
         s = Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
                      resources=(1.0,) * 4, tasks=(bad,))
         assert any("inconsistent home sector" in v for v in validate_scenario(s))

@@ -12,6 +12,7 @@ from sectorsched import (
     POLICY_EDF,
     POLICY_PARTITION,
     Scenario,
+    ScenarioValidationError,
     angular_sector_distance,
     broadside_baseline,
     build_partition,
@@ -22,7 +23,7 @@ from sectorsched import (
     revisit_stats,
     simulate,
 )
-from conftest import scenario_from
+from conftest import INVALID_FIELDS, mutated, scenario_from
 
 
 class TestSimulatePartitionDriven:
@@ -134,6 +135,16 @@ class TestSimulateValidation:
             with pytest.raises(InvalidInputError, match="not one of"):
                 simulate(tri_scenario, variant, broadside_baseline(tri_scenario))
 
+    @pytest.mark.parametrize("policy", [POLICY_PARTITION, POLICY_EDF])
+    @pytest.mark.parametrize("breakage", INVALID_FIELDS)
+    def test_invalid_scenario_rejected(self, breakage, policy):
+        s = mutated(generate(GenParams(n_sectors=6, fov_half_width=1, seed=3)),
+                    *INVALID_FIELDS[breakage])
+        partition = broadside_baseline(s) if policy == POLICY_PARTITION else None
+        with pytest.raises(ScenarioValidationError) as caught:
+            simulate(s, policy, partition, cycles=2)
+        assert len(caught.value.violations) == 1
+
 
 class TestCheckTrace:
     def test_detects_corruption(self, tri_scenario):
@@ -225,6 +236,12 @@ class TestMeasureResources:
             measure_resources([-0.1], 1, 1.0, 0.5)
         with pytest.raises(InvalidInputError):
             measure_resources([0.1], 1, 0.0, 0.5)
+
+    @pytest.mark.parametrize("used, dt", [
+        ([1.0, math.nan, 2.0], 5.0), ([0.1], math.nan), ([0.1], math.inf)])
+    def test_non_finite_input(self, used, dt):
+        with pytest.raises(InvalidInputError):
+            measure_resources(used, 2, dt, 0.5)
 
 
 def test_edf_and_partition_agree_on_equalized_steady_state(tri_scenario):
