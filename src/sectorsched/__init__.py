@@ -45,7 +45,6 @@ from .model import (
     main_sector,
     make_task,
     sector_of_direction,
-    validate_scenario,
 )
 from .simulate import (
     ExecutionRecord,
@@ -112,5 +111,4 @@ __all__ = [
     "sector_of_direction",
     "sector_targets",
     "simulate",
-    "validate_scenario",
 ]

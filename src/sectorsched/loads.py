@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InfeasibleScenarioError, InvalidInputError, ScenarioValidationError
-from .model import Scenario, angular_sector_distance, validate_scenario
+from .errors import InvalidInputError
+from .model import Scenario, angular_sector_distance
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -79,16 +79,10 @@ class LoadReport:
 
 
 def sector_targets(scenario: Scenario) -> SectorTargets:
-    """Continuous optimum ratio and per-sector targets for a scenario."""
+    """Continuous optimum ratio and per-sector targets for a scenario (one
+    with tasks has positive total resources, see :class:`Scenario`)."""
     total_demand = math.fsum(t.duration for t in scenario.tasks)
-    total_resources = math.fsum(scenario.resources)
-    if total_demand == 0.0:
-        r_opt = 0.0
-    elif total_resources <= 0.0:
-        raise InfeasibleScenarioError(
-            "all sector resources are zero but the task set is non-empty")
-    else:
-        r_opt = total_demand / total_resources
+    r_opt = total_demand / math.fsum(scenario.resources) if total_demand else 0.0
     return SectorTargets(r_opt=r_opt,
                          targets=tuple(r * r_opt for r in scenario.resources))
 
@@ -102,12 +96,10 @@ def _ratio_or_flag(load: float, denom: float) -> float:
 def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
     """Per-sector loads of a partition against the scenario's targets.
 
-    An invalid scenario raises :class:`ScenarioValidationError`, a partition
-    that :func:`check_partition` rejects raises :class:`InvalidInputError`.
+    The scenario is valid by construction; a partition, which comes from
+    outside, is checked, and one that :func:`check_partition` rejects
+    raises :class:`InvalidInputError`.
     """
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
     problems = check_partition(scenario, partition)
     if problems:
         raise InvalidInputError("partition does not match scenario: " + "; ".join(problems))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ScenarioValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +41,7 @@ class SurveillanceTask:
 
     ``home_sector`` is derived from the azimuth; keep it consistent with
     ``sector_of_direction(phi, n_sectors)`` for the scenario the task lives
-    in (``validate_scenario`` checks this).
+    in (the scenario checks this when it is built).
     """
 
     id: int
@@ -73,12 +73,14 @@ def make_task(task_id: int, phi: float, theta: float, duration: float,
 class Scenario:
     """A full problem instance.
 
-    Structural problems (bad sector count, bad dt, resource vector of the
-    wrong length) raise at construction.  Data-level problems (non-finite or
-    non-positive durations, non-finite or negative resources, inconsistent
-    home sectors, duplicate ids, zero total resources) are reported by
-    :func:`validate_scenario` so that malformed instances can be inspected
-    rather than being unrepresentable.
+    An invalid scenario cannot be built.  Structural problems (bad sector
+    count, bad dt, resource vector of the wrong length) raise
+    :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
+    checks the data (non-finite or non-positive durations, non-finite or
+    negative resources, inconsistent home sectors, duplicate ids, zero total
+    resources, sums beyond the float range), and any violation raises
+    :class:`ScenarioValidationError` listing them all.  Every function that
+    takes a scenario relies on this and does not check it again.
 
     A field of view wider than half the circle adds nothing under mod-N
     arithmetic, so ``fov_half_width`` is clamped to ``n_sectors // 2``.
@@ -104,6 +106,9 @@ class Scenario:
                 f"resources has {len(self.resources)} entries, expected {self.n_sectors}")
         object.__setattr__(
             self, "fov_half_width", min(self.fov_half_width, self.n_sectors // 2))
+        violations = validate_scenario(self)
+        if violations:
+            raise ScenarioValidationError(violations)
 
     @property
     def rotation_time(self) -> float:
@@ -173,6 +178,14 @@ def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
     return min(d, n_sectors - d)
 
 
+def _sum_overflows(values) -> bool:
+    """Whether the exact sum of ``values`` lies beyond the float range."""
+    try:
+        return math.isinf(math.fsum(values))
+    except OverflowError:  # "intermediate overflow in fsum"
+        return True
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; returns violations (empty list = ok)."""
     violations: list[str] = []
@@ -199,6 +212,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"inconsistent home sector, task id {task.id}: "
                 f"stored {task.home_sector}, phi implies {expected}")
     if (scenario.tasks and all(map(math.isfinite, scenario.resources))
-            and not math.fsum(scenario.resources) > 0):
+            and not max(scenario.resources) > 0):
         violations.append("all sector resources are zero but the task set is non-empty")
+    if _sum_overflows(filter(math.isfinite, scenario.resources)):
+        violations.append("sector resources sum beyond the float range")
+    if _sum_overflows(filter(math.isfinite, (t.duration for t in scenario.tasks))):
+        violations.append("task durations sum beyond the float range")
     return violations

@@ -46,9 +46,9 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InsufficientDataError, InvalidInputError, ScenarioValidationError
+from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, fov_offsets, validate_scenario
+from .model import CAP_SLACK, Scenario, fov_offsets
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -84,8 +84,9 @@ def simulate(scenario: Scenario, policy: str,
     """Run ``cycles`` complete update cycles and return the trace.
 
     ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
-    the partition variant and must not be supplied for edf.  An invalid
-    scenario raises :class:`ScenarioValidationError`.
+    the partition variant and must not be supplied for edf.  The scenario is
+    valid by construction; a partition that :func:`check_partition` rejects
+    raises :class:`InvalidInputError`.
     The produced trace is re-checked with the independent validator; any
     capacity excess must match an oversized-task warning, otherwise the
     simulator refuses its own output.
@@ -95,9 +96,6 @@ def simulate(scenario: Scenario, policy: str,
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
     if not isinstance(cycles, int) or cycles < 1:
         raise InvalidInputError(f"cycles={cycles!r} must be a positive integer")
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
     if policy != POLICY_EDF:
         if partition is None:
             raise InvalidInputError(f"policy {policy!r} requires a partition")

@@ -299,6 +299,31 @@ class TestExitCodes:
         assert err.startswith("error:") and "tasks[0].duration" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("resources, durations", [
+        ([1e308, 1e308], [1.0]), ([1.0, 1.0], [1e308, 1e308])],
+        ids=["resources", "durations"])
+    def test_sum_beyond_float_range(self, tmp_path, capsys, resources, durations):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "n_sectors": 2, "fov_half_width": 1, "dt": 1.0, "resources": resources,
+            "tasks": [{"id": k, "phi": 0.1, "theta": 0.0, "duration": d}
+                      for k, d in enumerate(durations)]}), encoding="utf-8")
+        assert run("schedule", "--scenario", str(path),
+                   "--out", str(tmp_path / "p.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sum beyond the float range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("knobs", [
+        ("--hotspot", "0", "inf", "1"), ("--resources", "nan", "nan"),
+        ("--duration", "1", "inf"), ("--resources", "0", "0")])
+    def test_gen_refuses_an_invalid_scenario(self, tmp_path, capsys, knobs):
+        out = tmp_path / "s.json"
+        assert run("gen", *knobs, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_infeasible_scenario(self, tmp_path):
         s = scenario_from(3, 0, 1.0, (0.0, 5.0, 5.0), [(0, 1.0)])
         path = tmp_path / "dead.json"

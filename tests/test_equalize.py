@@ -25,7 +25,6 @@ from sectorsched import (
     make_task,
     maximal_subset,
     sector_targets,
-    validate_scenario,
 )
 from sectorsched.io import read_scenario
 from conftest import dedup_active_sectors, scenario_from
@@ -68,9 +67,6 @@ def reference_equalize(scenario):
     longest first to the field-of-view sector with the least relative load
     after taking them, ties by (distance, sector index).
     """
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioValidationError(problems)
     n = scenario.n_sectors
     targets = sector_targets(scenario).targets
     by_id = scenario.task_by_id()
@@ -231,9 +227,10 @@ class TestEqualize:
             equalize(s)
 
     def test_invalid_scenario_rejected(self):
-        s = scenario_from(3, 1, 1.0, (5.0,) * 3, [(0, 0.0)])
-        with pytest.raises(ScenarioValidationError):
-            equalize(s)
+        # The scenario raises while it is built, before equalize sees it.
+        with pytest.raises(ScenarioValidationError) as info:
+            equalize(scenario_from(3, 1, 1.0, (5.0,) * 3, [(0, 0.0)]))
+        assert info.value.violations == ["non-positive duration, task id 0"]
 
     def test_deterministic_byte_for_byte(self):
         rng = Xorshift64Star(5150)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from sectorsched import (
-    InfeasibleScenarioError,
     GenParams,
     InvalidInputError,
     PROVENANCE_OWN,
@@ -39,9 +38,11 @@ class TestSectorTargets:
         assert st.targets == pytest.approx([0.0, 0.0])
 
     def test_no_resources_infeasible(self):
-        s = scenario_from(2, 1, 1.0, (0.0, 0.0), [(0, 1.0)])
-        with pytest.raises(InfeasibleScenarioError):
-            sector_targets(s)
+        # Rejected while the scenario is built, so no target is ever asked for.
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(2, 1, 1.0, (0.0, 0.0), [(0, 1.0)])
+        assert info.value.violations == [
+            "all sector resources are zero but the task set is non-empty"]
 
     def test_targets_sum_to_demand(self, skewed):
         st = sector_targets(skewed)

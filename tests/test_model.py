@@ -12,11 +12,10 @@ from sectorsched import (
     active_sectors,
     angular_sector_distance,
     main_sector,
-    equalize,
     make_task,
     sector_of_direction,
-    validate_scenario,
 )
+from sectorsched.model import validate_scenario
 from conftest import dedup_active_sectors, scenario_from
 
 
@@ -188,35 +187,51 @@ class TestScenario:
 
 
 class TestValidateScenario:
+    """A scenario validates itself: a violation raises while it is built."""
+
     def test_well_formed(self):
         s = scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 1.0), (2, 0.5)])
         assert validate_scenario(s) == []
 
     def test_non_positive_duration(self):
-        s = scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 0.0)])
-        violations = validate_scenario(s)
-        assert any("non-positive duration" in v and "task id 0" in v for v in violations)
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 0.0)])
+        assert info.value.violations == ["non-positive duration, task id 0"]
 
     def test_inconsistent_home_sector(self):
         bad = SurveillanceTask(id=0, phi=0.1, theta=0.0, duration=1.0, home_sector=3)
-        s = Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
                      resources=(1.0,) * 4, tasks=(bad,))
-        assert any("inconsistent home sector" in v for v in validate_scenario(s))
+        assert info.value.violations == [
+            "inconsistent home sector, task id 0: stored 3, phi implies 0"]
 
     def test_duplicate_ids(self):
         t0 = make_task(7, 0.1, 0.0, 1.0, 4)
         t1 = make_task(7, 0.2, 0.0, 1.0, 4)
-        s = Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
                      resources=(1.0,) * 4, tasks=(t0, t1))
-        assert any("duplicate task id 7" in v for v in validate_scenario(s))
+        assert info.value.violations == ["duplicate task id 7"]
 
     def test_zero_resources_with_tasks(self):
-        s = scenario_from(2, 1, 1.0, (0.0, 0.0), [(0, 1.0)])
-        assert any("resources are zero" in v for v in validate_scenario(s))
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(2, 1, 1.0, (0.0, 0.0), [(0, 1.0)])
+        assert info.value.violations == [
+            "all sector resources are zero but the task set is non-empty"]
 
     def test_negative_resource(self):
-        s = Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(-1.0, 2.0))
-        assert any("negative resources" in v for v in validate_scenario(s))
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(-1.0, 2.0))
+        assert info.value.violations == ["negative resources -1.0 in sector 0"]
+
+    @pytest.mark.parametrize("resources, durations, violation", [
+        ((1e308, 1e308), (1.0,), "sector resources sum beyond the float range"),
+        ((1.0, 1.0), (1e308, 1e308), "task durations sum beyond the float range")])
+    def test_sum_beyond_float_range(self, resources, durations, violation):
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(2, 1, 1.0, resources, [(0, d) for d in durations])
+        assert info.value.violations == [violation]
 
 
 @pytest.mark.filterwarnings("error")
@@ -225,21 +240,18 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_resources(self, bad):
-        s = scenario_from(3, 1, 1.0, (2.0, bad, 2.0), [(0, 1.0), (1, 1.0)])
-        violations = validate_scenario(s)
-        assert violations == [f"non-finite resources {bad!r} in sector 1"]
-        with pytest.raises(ScenarioValidationError):
-            equalize(s)
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(3, 1, 1.0, (2.0, bad, 2.0), [(0, 1.0), (1, 1.0)])
+        assert info.value.violations == [f"non-finite resources {bad!r} in sector 1"]
 
     def test_nan_resources_are_not_reported_as_zero(self):
-        s = scenario_from(2, 1, 1.0, (math.nan, math.nan), [(0, 1.0)])
-        violations = validate_scenario(s)
-        assert not any("resources are zero" in v for v in violations)
-        assert len(violations) == 2
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(2, 1, 1.0, (math.nan, math.nan), [(0, 1.0)])
+        assert not any("resources are zero" in v for v in info.value.violations)
+        assert len(info.value.violations) == 2
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_durations(self, bad):
-        s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (2, bad)])
-        assert validate_scenario(s) == [f"non-finite duration {bad!r}, task id 1"]
-        with pytest.raises(ScenarioValidationError):
-            equalize(s)
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (2, bad)])
+        assert info.value.violations == [f"non-finite duration {bad!r}, task id 1"]

@@ -138,10 +138,11 @@ class TestSimulateValidation:
     @pytest.mark.parametrize("policy", [POLICY_PARTITION, POLICY_EDF])
     @pytest.mark.parametrize("breakage", INVALID_FIELDS)
     def test_invalid_scenario_rejected(self, breakage, policy):
-        s = mutated(generate(GenParams(n_sectors=6, fov_half_width=1, seed=3)),
-                    *INVALID_FIELDS[breakage])
-        partition = broadside_baseline(s) if policy == POLICY_PARTITION else None
+        # The broken scenario raises while it is built, before any simulation.
+        s = generate(GenParams(n_sectors=6, fov_half_width=1, seed=3))
         with pytest.raises(ScenarioValidationError) as caught:
+            s = mutated(s, *INVALID_FIELDS[breakage])
+            partition = broadside_baseline(s) if policy == POLICY_PARTITION else None
             simulate(s, policy, partition, cycles=2)
         assert len(caught.value.violations) == 1
 

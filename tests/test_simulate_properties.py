@@ -19,12 +19,10 @@ from sectorsched import (  # noqa: E402
     broadside_baseline,
     check_trace,
     equalize,
-    generate,
     simulate,
-    validate_scenario,
 )
 from conftest import INVALID_FIELDS, mutated  # noqa: E402
-from test_equalize_properties import gen_params  # noqa: E402
+from test_equalize_properties import gen_params, generated  # noqa: E402
 
 _OVERFILL = re.compile(r"task \d+ \(duration .*\) overfills sector \d+ "
                        r"\(resources .*\) in pass (\d+)")
@@ -35,11 +33,8 @@ class TestSimulateProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.integers(1, 3))
     def test_never_raises_and_only_named_overfills_fail_the_check(self, params, cycles):
-        s = generate(params)
-        if validate_scenario(s):
-            # Tasks but no resources anywhere: the one invalid generated case.
-            with pytest.raises(ScenarioValidationError):
-                simulate(s, POLICY_EDF, cycles=cycles)
+        s = generated(params)
+        if s is None:
             return
         runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s))]
         try:
@@ -57,10 +52,9 @@ class TestSimulateProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.sampled_from(sorted(INVALID_FIELDS)))
     def test_one_broken_field_is_rejected(self, params, breakage):
-        s = generate(params)
-        assume(len(s.tasks) >= 2)
-        broken = mutated(s, *INVALID_FIELDS[breakage])
-        for policy, partition in ((POLICY_EDF, None),
-                                  (POLICY_PARTITION, broadside_baseline(broken))):
-            with pytest.raises(ScenarioValidationError):
-                simulate(broken, policy, partition, cycles=2)
+        s = generated(params)
+        assume(s is not None and len(s.tasks) >= 2)
+        # The broken scenario raises while it is built, before any simulation.
+        with pytest.raises(ScenarioValidationError) as info:
+            mutated(s, *INVALID_FIELDS[breakage])
+        assert len(info.value.violations) == 1
