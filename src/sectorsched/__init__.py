@@ -54,6 +54,7 @@ from .simulate import (
     RevisitStats,
     SimulationTrace,
     TaskRevisit,
+    TraceProblem,
     check_trace,
     measure_resources,
     revisit_stats,
@@ -90,6 +91,7 @@ __all__ = [
     "SurveillanceTask",
     "TWO_PI",
     "TaskRevisit",
+    "TraceProblem",
     "Xorshift64Star",
     "active_sectors",
     "angular_sector_distance",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def _cmd_simulate(args) -> int:
     print(f"wrote trace ({len(trace.records)} executions, "
           f"completion pass {trace.completion_pass}) to {args.out}")
     for note in trace.warnings:
-        print(f"warning: {note}", file=sys.stderr)
+        print(f"warning: {note.detail}", file=sys.stderr)
     if args.cycles >= 2:
         stats = revisit_stats(trace, scenario)
         revisit_path = _derived_path(args.out, "revisit")
@@ -206,8 +207,11 @@ def _cmd_report(args) -> int:
               "mean_worst_revisit_rotations", "mean_completion_pass")
     summary = []
     for (fov, policy), rows in sorted(groups.items()):
-        means = [sum(r[key] for r in rows) / len(rows) for key in
-                 ("max_relative_load", "worst_revisit_rotations", "completion_pass")]
+        # Plain left-to-right sums: sum() compensates float error from Python
+        # 3.12 on, which would make the summary bytes depend on the version.
+        means = [functools.reduce(operator.add, (r[key] for r in rows), 0) / len(rows)
+                 for key in ("max_relative_load", "worst_revisit_rotations",
+                             "completion_pass")]
         summary.append(dict(zip(fields, (fov, policy, len(rows), *means))))
     summary_path = _derived_path(args.out, "summary")
     io.write_comparison(summary, summary_path, fields=fields)

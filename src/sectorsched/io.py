@@ -173,10 +173,11 @@ def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
 
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
     duration = {t.id: repr(t.duration) for t in scenario.tasks}
+    n = scenario.n_sectors
     _write_csv(path, ("pass", "rotation", "sector", "task_id",
                       "start_offset", "duration", "timestamp"), [
-        f"{pass_index},{rotation},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
-        for tid, sector, pass_index, rotation, offset, stamp in trace.records])
+        f"{pass_index},{pass_index // n},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
+        for tid, sector, pass_index, offset, stamp in trace.records])
 
 
 def read_trace(path: str | Path) -> list[ExecutionRecord]:
@@ -185,8 +186,7 @@ def read_trace(path: str | Path) -> list[ExecutionRecord]:
         for row in csv.DictReader(handle):
             records.append(ExecutionRecord(
                 task_id=int(row["task_id"]), sector=int(row["sector"]),
-                pass_index=int(row["pass"]), rotation=int(row["rotation"]),
-                start_offset=float(row["start_offset"]),
+                pass_index=int(row["pass"]), start_offset=float(row["start_offset"]),
                 timestamp=float(row["timestamp"])))
     return records
 

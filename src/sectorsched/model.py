@@ -77,8 +77,9 @@ class Scenario:
     count, bad dt, resource vector of the wrong length) raise
     :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
     checks the data (non-finite or non-positive durations, non-finite or
-    negative resources, inconsistent home sectors, duplicate ids, zero total
-    resources, sums beyond the float range), and any violation raises
+    negative resources, ids that are not non-negative ints, inconsistent home
+    sectors, duplicate ids, zero total resources, sums or a load ratio beyond
+    the float range), and any violation raises
     :class:`ScenarioValidationError` listing them all.  Every function that
     takes a scenario relies on this and does not check it again.
 
@@ -196,7 +197,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             violations.append(f"negative resources {r!r} in sector {i}")
     seen_ids: set[int] = set()
     for task in scenario.tasks:
-        if not isinstance(task.id, int) or task.id < 0:
+        if type(task.id) is not int or task.id < 0:  # a bool is no id
             violations.append(f"task id {task.id!r} is not a non-negative integer")
         elif task.id in seen_ids:
             violations.append(f"duplicate task id {task.id}")
@@ -218,4 +219,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         violations.append("sector resources sum beyond the float range")
     if _sum_overflows(filter(math.isfinite, (t.duration for t in scenario.tasks))):
         violations.append("task durations sum beyond the float range")
+    # With all else valid, the load ratio sector_targets takes must be finite.
+    if not violations and scenario.tasks and math.isinf(
+            math.fsum(t.duration for t in scenario.tasks) / math.fsum(scenario.resources)):
+        violations.append("task durations over sector resources beyond the float range")
     return violations

@@ -19,7 +19,9 @@ Policies:
 
 A task larger than every pass it is eligible for would deadlock the cycle;
 instead the simulator runs it alone in one pass, overfilling it, and flags
-the violation in ``SimulationTrace.warnings``.
+the violation as an ``overfill`` problem in ``SimulationTrace.warnings``.
+A trace is its records: illumination histories and a record's rotation,
+``pass_index // n_sectors``, are derived from them.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -42,9 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import sub
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
@@ -61,21 +64,37 @@ class ExecutionRecord(NamedTuple):
     task_id: int
     sector: int
     pass_index: int
-    rotation: int
     start_offset: float
     timestamp: float
 
 
+class TraceProblem(NamedTuple):
+    """A trace finding: its kind, pass and task (``None`` if none), and message."""
+
+    kind: str
+    pass_index: int | None
+    task_id: int | None
+    detail: str
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Time-ordered execution records plus per-task illumination history."""
+    """Time-ordered execution records and the simulator's warnings, of kinds
+    ``resources`` (resources beyond the pass duration) and ``overfill``."""
 
     records: tuple[ExecutionRecord, ...]
-    illumination: Mapping[int, tuple[float, ...]]
     completion_pass: int
     n_passes: int
     cycles_completed: int
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[TraceProblem, ...] = ()
+
+    @cached_property
+    def illumination(self) -> dict[int, tuple[float, ...]]:
+        """Each executed task's illumination timestamps, in execution order."""
+        times: dict[int, list[float]] = {}
+        for tid, _, _, _, timestamp in self.records:
+            times.setdefault(tid, []).append(timestamp)
+        return {tid: tuple(ts) for tid, ts in times.items()}
 
 
 def simulate(scenario: Scenario, policy: str,
@@ -88,8 +107,8 @@ def simulate(scenario: Scenario, policy: str,
     valid by construction; a partition that :func:`check_partition` rejects
     raises :class:`InvalidInputError`.
     The produced trace is re-checked with the independent validator; any
-    capacity excess must match an oversized-task warning, otherwise the
-    simulator refuses its own output.
+    ``overload`` problem must be a pass with an ``overfill`` warning,
+    otherwise the simulator refuses its own output.
     """
     if policy not in POLICY_VARIANTS:
         raise InvalidInputError(
@@ -108,13 +127,12 @@ def simulate(scenario: Scenario, policy: str,
 
     n = scenario.n_sectors
     dt = scenario.dt
-    warnings = [
-        f"sector {j}: resources {scenario.resources[j]} exceed pass duration {dt}"
-        for j in range(n) if scenario.resources[j] > dt
-    ]
+    warnings = [TraceProblem("resources", None, None,
+                             f"sector {j}: resources {r} exceed pass duration {dt}")
+                for j, r in enumerate(scenario.resources) if r > dt]
     by_id = scenario.task_by_id()
     if not by_id:
-        return SimulationTrace(records=(), illumination={}, completion_pass=-1,
+        return SimulationTrace(records=(), completion_pass=-1,
                                n_passes=0, cycles_completed=0,
                                warnings=tuple(warnings))
 
@@ -137,8 +155,6 @@ def simulate(scenario: Scenario, policy: str,
 
     last_time: dict[int, float] = {tid: -math.inf for tid in by_id}
     records: list[ExecutionRecord] = []
-    illumination: dict[int, list[float]] = {tid: [] for tid in by_id}
-    overfilled: set[int] = set()
     completion_pass = -1
     cycles_done = 0
     n_tasks = len(by_id)
@@ -170,7 +186,6 @@ def simulate(scenario: Scenario, policy: str,
             if bucket := buckets[h]:
                 heappush(heads, (bucket[-1], h, generation[h]))
         budget = scenario.resources[sector]
-        rotation = pass_index // n
         start = pass_index * dt
         used = 0.0
         ran = 0
@@ -190,9 +205,7 @@ def simulate(scenario: Scenario, policy: str,
             else:
                 heappop(heads)
             timestamp = start + used
-            records.append(ExecutionRecord(
-                tid, sector, pass_index, rotation, used, timestamp))
-            illumination[tid].append(timestamp)
+            records.append(ExecutionRecord(tid, sector, pass_index, used, timestamp))
             last_time[tid] = timestamp
             used += duration
             ran += 1
@@ -200,10 +213,9 @@ def simulate(scenario: Scenario, policy: str,
             if oversized:
                 # Larger than every pass that reaches it: run it alone
                 # rather than deadlocking the cycle.
-                overfilled.add(pass_index)
-                warnings.append(
-                    f"task {tid} (duration {duration}) overfills sector "
-                    f"{sector} (resources {budget}) in pass {pass_index}")
+                warnings.append(TraceProblem(
+                    "overfill", pass_index, tid, f"task {tid} (duration {duration}) "
+                    f"overfills sector {sector} (resources {budget}) in pass {pass_index}"))
                 break
         if not remaining:
             if completion_pass < 0:
@@ -213,68 +225,70 @@ def simulate(scenario: Scenario, policy: str,
 
     trace = SimulationTrace(
         records=tuple(records),
-        illumination={tid: tuple(ts) for tid, ts in illumination.items()},
         completion_pass=completion_pass,
         n_passes=pass_index,
         cycles_completed=cycles_done,
         warnings=tuple(warnings),
     )
-    unexplained = [
-        problem for problem in check_trace(scenario, trace)
-        if not any(problem.startswith(f"pass {p} uses ") for p in overfilled)
-    ]
+    explained = {("overload", w.pass_index) for w in warnings if w.kind == "overfill"}
+    unexplained = [problem.detail for problem in check_trace(scenario, trace)
+                   if (problem.kind, problem.pass_index) not in explained]
     if unexplained:
         raise RuntimeError("simulator produced an invalid trace: "
                            + "; ".join(unexplained))
     return trace
 
 
-def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[str]:
+def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem]:
     """Independent trace validator.
 
     Re-derives pass loads, field-of-view feasibility, and once-per-cycle
     coverage straight from the records, sharing no state with the simulator.
+    Kinds: ``order``, ``unknown-task``, ``sector``, ``fov``, ``overload``, ``repeat``.
     """
-    problems: list[str] = []
+    problems: list[TraceProblem] = []
     by_id = scenario.task_by_id()
     n = scenario.n_sectors
     w = scenario.fov_half_width
 
     load_by_pass: dict[int, float] = {}
     previous = (-1, -math.inf)
-    for tid, sector, p, _, offset, _ in trace.records:
+    for tid, sector, p, offset, _ in trace.records:
         # Execution order is (pass, offset); raw timestamps may interleave
         # when a sector's resources exceed the kinematic pass duration.
         if (p, offset) < previous:
-            problems.append(f"records out of execution order at pass {p}")
+            problems.append(TraceProblem(
+                "order", p, tid, f"records out of execution order at pass {p}"))
         previous = (p, offset)
         task = by_id.get(tid)
         if task is None:
-            problems.append(f"record references unknown task {tid}")
+            problems.append(TraceProblem(
+                "unknown-task", p, tid, f"record references unknown task {tid}"))
             continue
         if sector != p % n:
-            problems.append(
-                f"record for task {tid}: sector {sector} does not match pass {p}")
+            problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
+                                         f"sector {sector} does not match pass {p}"))
         # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
         d = (sector - task.home_sector) % n
         if w < d < n - w:
-            problems.append(
-                f"task {tid} executed {min(d, n - d)} sectors from home in pass "
-                f"{p} (fov half-width {w})")
+            problems.append(TraceProblem(
+                "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
+                f"home in pass {p} (fov half-width {w})"))
         load_by_pass[p] = load_by_pass.get(p, 0.0) + task.duration
     for p, used in sorted(load_by_pass.items()):
         cap = scenario.resources[p % n]
         if used > cap + CAP_SLACK:
-            problems.append(f"pass {p} uses {used}, sector resources {cap}")
+            problems.append(TraceProblem(
+                "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
 
     # Once-per-cycle coverage, cycle boundaries re-derived from the records.
     if by_id:
         all_ids = set(by_id)
         current: set[int] = set()
-        for tid, _, p, _, _, _ in trace.records:
+        for tid, _, p, _, _ in trace.records:
             if tid in current:
-                problems.append(
-                    f"task {tid} executed twice within one cycle (pass {p})")
+                problems.append(TraceProblem(
+                    "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
                 continue
             current.add(tid)
             if current == all_ids:
@@ -321,7 +335,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             f"revisit intervals need >= 2 completed cycles, trace has "
             f"{trace.cycles_completed}")
     rotation = scenario.rotation_time
-    last_sector = {tid: sector for tid, sector, _, _, _, _ in trace.records}
+    last_sector = {tid: sector for tid, sector, _, _, _ in trace.records}
 
     per_task = []
     all_intervals: list[float] = []

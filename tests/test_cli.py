@@ -264,6 +264,18 @@ def test_derived_artifact_names(tmp_path, monkeypatch, capsys):
         "trace", "trace.revisit.csv", "trace.v1.csv", "trace.v1.revisit.csv"]
 
 
+def test_simulate_warning_text(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    sio.write_scenario(scenario_from(2, 0, 1.0, (4.0, 9.0), [(0, 5.0), (1, 2.0)]), path)
+    assert run("simulate", "--scenario", str(path), "--policy", "broadside",
+               "--cycles", "2", "--out", str(tmp_path / "t.csv")) == 0
+    assert capsys.readouterr().err == (
+        "warning: sector 0: resources 4.0 exceed pass duration 1.0\n"
+        "warning: sector 1: resources 9.0 exceed pass duration 1.0\n"
+        "warning: task 0 (duration 5.0) overfills sector 0 (resources 4.0) in pass 0\n"
+        "warning: task 0 (duration 5.0) overfills sector 0 (resources 4.0) in pass 2\n")
+
+
 class TestEmptyScenario:
     @pytest.mark.parametrize("policy", ["greedy", "broadside", "edf"])
     def test_simulate(self, tmp_path, policy):
@@ -299,10 +311,13 @@ class TestExitCodes:
         assert err.startswith("error:") and "tasks[0].duration" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("resources, durations", [
-        ([1e308, 1e308], [1.0]), ([1.0, 1.0], [1e308, 1e308])],
-        ids=["resources", "durations"])
-    def test_sum_beyond_float_range(self, tmp_path, capsys, resources, durations):
+    @pytest.mark.parametrize("resources, durations, violation", [
+        ([1e308, 1e308], [1.0], "sum beyond the float range"),
+        ([1.0, 1.0], [1e308, 1e308], "sum beyond the float range"),
+        ([5e-324, 0.0], [1.0, 2.0], "over sector resources beyond the float range")],
+        ids=["resources", "durations", "load-ratio"])
+    def test_sum_beyond_float_range(self, tmp_path, capsys, resources, durations,
+                                    violation):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({
             "n_sectors": 2, "fov_half_width": 1, "dt": 1.0, "resources": resources,
@@ -311,7 +326,7 @@ class TestExitCodes:
         assert run("schedule", "--scenario", str(path),
                    "--out", str(tmp_path / "p.json")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "sum beyond the float range" in err
+        assert err.startswith("error:") and violation in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("knobs", [

@@ -23,7 +23,6 @@ from sectorsched import (  # noqa: E402
     simulate,
 )
 from test_equalize_properties import generated  # noqa: E402
-from test_simulate_properties import _OVERFILL  # noqa: E402
 
 
 @st.composite
@@ -58,7 +57,7 @@ class TestExactProperties:
         except InfeasibleScenarioError:
             pass  # a task whose whole field of view is dead sectors
         for trace in traces:
-            if not any(map(_OVERFILL.fullmatch, trace.warnings)):
+            if not any(w.kind == "overfill" for w in trace.warnings):
                 # A trace without overfill is a schedule the search also
                 # considers, so it can be no better than the optimum.
                 assert solution.objective <= trace.completion_pass

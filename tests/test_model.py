@@ -225,6 +225,20 @@ class TestValidateScenario:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(-1.0, 2.0))
         assert info.value.violations == ["negative resources -1.0 in sector 0"]
 
+    def test_bool_task_id(self):
+        # read_scenario refuses a bool id, so a scenario must not hold one.
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
+                     tasks=(make_task(True, 0.1, 0.0, 1.0, 2),))
+        assert info.value.violations == ["task id True is not a non-negative integer"]
+
+    def test_load_ratio_beyond_float_range(self):
+        # sector_targets would divide 3.0 by 5e-324: r_opt inf and a nan target.
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from(2, 1, 1.0, (5e-324, 0.0), [(0, 1.0), (1, 2.0)])
+        assert info.value.violations == [
+            "task durations over sector resources beyond the float range"]
+
     @pytest.mark.parametrize("resources, durations, violation", [
         ((1e308, 1e308), (1.0,), "sector resources sum beyond the float range"),
         ((1.0, 1.0), (1e308, 1e308), "task durations sum beyond the float range")])

@@ -3,8 +3,6 @@
 Needs hypothesis; the module is skipped where it is not installed.
 """
 
-import re
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -24,10 +22,6 @@ from sectorsched import (  # noqa: E402
 from conftest import INVALID_FIELDS, mutated  # noqa: E402
 from test_equalize_properties import gen_params, generated  # noqa: E402
 
-_OVERFILL = re.compile(r"task \d+ \(duration .*\) overfills sector \d+ "
-                       r"\(resources .*\) in pass (\d+)")
-_PASS_LOAD = re.compile(r"pass (\d+) uses .*")
-
 
 class TestSimulateProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -44,10 +38,9 @@ class TestSimulateProperties:
         for policy, partition in runs:
             trace = simulate(s, policy, partition, cycles=cycles)
             assert trace.cycles_completed == (cycles if s.tasks else 0)
-            overfilled = {int(m[1]) for m in map(_OVERFILL.fullmatch, trace.warnings) if m}
+            overfilled = {w.pass_index for w in trace.warnings if w.kind == "overfill"}
             for problem in check_trace(s, trace):
-                load = _PASS_LOAD.fullmatch(problem)
-                assert load and int(load[1]) in overfilled, problem
+                assert problem.kind == "overload" and problem.pass_index in overfilled, problem
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.sampled_from(sorted(INVALID_FIELDS)))
