@@ -43,7 +43,6 @@ from .model import (
     active_sectors,
     angular_sector_distance,
     main_sector,
-    make_task,
     sector_of_direction,
 )
 from .simulate import (
@@ -106,7 +105,6 @@ __all__ = [
     "generate",
     "load_report",
     "main_sector",
-    "make_task",
     "maximal_subset",
     "measure_resources",
     "revisit_stats",

@@ -89,9 +89,8 @@ def _run_policy(scenario: Scenario, policy: str,
 def _executed_partition(scenario: Scenario,
                         sector_of_task: dict[int, int]) -> SchedulePartition:
     """Partition of executing sectors: own-sector if run at home, else fov."""
-    by_id = scenario.task_by_id()
     provenance = {
-        tid: PROVENANCE_OWN if sector == by_id[tid].home_sector else PROVENANCE_FOV
+        tid: PROVENANCE_OWN if sector == scenario.home[tid] else PROVENANCE_FOV
         for tid, sector in sector_of_task.items()
     }
     return build_partition(scenario.n_sectors, sector_of_task, provenance)

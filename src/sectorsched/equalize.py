@@ -77,7 +77,7 @@ def equalize(scenario: Scenario) -> SchedulePartition:
     by_id = scenario.task_by_id()
     by_home: list[list[tuple[float, int]]] = [[] for _ in range(n)]
     for task in sorted(scenario.tasks, key=lambda t: (-t.duration, t.id)):
-        by_home[task.home_sector].append((task.duration, task.id))
+        by_home[scenario.home[task.id]].append((task.duration, task.id))
 
     sector_of_task: dict[int, int] = {}
     provenance: dict[int, str] = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import CAP_SLACK, Scenario, angular_sector_distance, make_task
+from .model import CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 
@@ -83,17 +83,18 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     caps = [scenario.resources[p % n] for p in range(horizon)]
 
     tasks = sorted(scenario.tasks, key=lambda t: (-t.duration, t.id))
-    feasible_sectors = {}
+    reach = {h: {j for j in range(n)
+                 if angular_sector_distance(j, h, n) <= scenario.fov_half_width}
+             for h in set(scenario.home.values())}
+    feasible_sectors = {tid: reach[h] for tid, h in scenario.home.items()}
     for task in tasks:
-        okay = [j for j in range(n)
-                if angular_sector_distance(j, task.home_sector, n) <= scenario.fov_half_width]
-        feasible_sectors[task.id] = set(okay)
-        if task.duration > max(scenario.resources[j] for j in okay) + CAP_SLACK:
+        sectors = feasible_sectors[task.id]
+        if task.duration > max(scenario.resources[j] for j in sectors) + CAP_SLACK:
             raise InfeasibleScenarioError(
                 f"task {task.id}: duration {task.duration} exceeds every "
                 f"sector resource in its field of view")
 
-    lower = _lower_bound(scenario, tasks, feasible_sectors, caps)
+    lower = _lower_bound(scenario, tasks, reach, caps)
     incumbent = _first_fit_schedule(tasks, feasible_sectors, caps, n)
 
     budget = [limits.node_budget]
@@ -122,17 +123,19 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
                          optimal=optimal)
 
 
-def _lower_bound(scenario, tasks, feasible_sectors, caps) -> int:
-    """Smallest pass index worth testing: capacity and FOV-group necessities."""
+def _lower_bound(scenario, tasks, reach, caps) -> int:
+    """Smallest pass index worth testing: capacity and FOV-group necessities.
+
+    ``reach`` maps each home sector to the sectors in its field of view."""
     horizon = len(caps)
     total = math.fsum(t.duration for t in tasks)
     bounds = [_prefix_passes(caps, range(scenario.n_sectors), scenario.n_sectors, total)]
     demand_by_home: dict[int, float] = {}
     for t in tasks:
-        demand_by_home[t.home_sector] = demand_by_home.get(t.home_sector, 0.0) + t.duration
+        home = scenario.home[t.id]
+        demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
     for home, demand in demand_by_home.items():
-        sectors = feasible_sectors[next(t.id for t in tasks if t.home_sector == home)]
-        bounds.append(_prefix_passes(caps, sectors, scenario.n_sectors, demand))
+        bounds.append(_prefix_passes(caps, reach[home], scenario.n_sectors, demand))
     return min(max(bounds), horizon)
 
 
@@ -226,7 +229,7 @@ def check_assignment(scenario: Scenario,
         if not (0 <= sector < scenario.n_sectors) or rotation < 0:
             problems.append(f"task {tid}: pass (sector={sector}, rotation={rotation}) out of range")
             continue
-        dist = angular_sector_distance(sector, task.home_sector, scenario.n_sectors)
+        dist = angular_sector_distance(sector, scenario.home[tid], scenario.n_sectors)
         if dist > scenario.fov_half_width:
             problems.append(
                 f"task {tid} executed {dist} sectors from home "
@@ -259,8 +262,8 @@ def bin_packing_reduce(item_sizes: Sequence[float],
     n = len(bin_capacities)
     sector_width = 2.0 * math.pi / n
     tasks = tuple(
-        make_task(k, phi=sector_width * (k + 0.5) / len(item_sizes), theta=0.0,
-                  duration=float(size), n_sectors=n)
+        SurveillanceTask(k, phi=sector_width * (k + 0.5) / len(item_sizes), theta=0.0,
+                         duration=float(size))
         for k, size in enumerate(item_sizes)
     )
     return Scenario(

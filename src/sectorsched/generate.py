@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI, make_task
+from .model import Scenario, SurveillanceTask, TWO_PI
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,7 +131,7 @@ def generate(params: GenParams) -> Scenario:
                 phi = math.nextafter(TWO_PI, 0.0)
             theta = rng.uniform_range(-math.pi, math.pi)
             duration = rng.uniform_range(*params.duration)
-            tasks.append(make_task(task_id, phi, theta, duration, n))
+            tasks.append(SurveillanceTask(task_id, phi, theta, duration))
             task_id += 1
 
     return Scenario(

@@ -18,9 +18,9 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ScenarioFormatError
+from .errors import ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
-from .model import Scenario, make_task
+from .model import Scenario, SurveillanceTask
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
 
@@ -82,8 +82,10 @@ def _read_object(path: str | Path) -> dict:
 def read_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Malformed content raises :class:`ScenarioFormatError` with a field path;
-    well-formed content violating scenario invariants raises
+    The file's task objects become the tasks, then the one scenario is built.
+    Malformed content raises :class:`ScenarioFormatError` with a field path,
+    or the file name for a structural problem such as a resource list of the
+    wrong length; well-formed content violating scenario invariants raises
     :class:`ScenarioValidationError` listing every violation.
     """
     payload = _read_object(path)
@@ -95,15 +97,6 @@ def read_scenario(path: str | Path) -> Scenario:
         _typed(r, _NUMBER, "scenario.resources", i)
         for i, r in enumerate(_require(payload, "resources", (list,), "scenario")))
     raw_tasks = _require(payload, "tasks", (list,), "scenario")
-    # Structure first, so that home sectors are derived from a sector count
-    # known to match the resources.  Zeros stand in for the resource values,
-    # which the scenario built below checks together with the tasks.
-    try:
-        Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
-                 resources=(0.0,) * len(resources))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-
     tasks = []
     for k, entry in enumerate(raw_tasks):
         if type(entry) is not dict:
@@ -113,11 +106,16 @@ def read_scenario(path: str | Path) -> Scenario:
         theta = _require(entry, "theta", _NUMBER, "tasks", k)
         duration = _require(entry, "duration", _NUMBER, "tasks", k)
         try:
-            tasks.append(make_task(tid, phi, theta, duration, n_sectors))
+            tasks.append(SurveillanceTask(tid, phi, theta, duration))
         except ValueError as exc:
             raise ScenarioFormatError(f"tasks[{k}]: {exc}") from exc
-    return Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
-                    resources=resources, tasks=tuple(tasks))
+    try:
+        return Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
+                        resources=resources, tasks=tuple(tasks))
+    except ScenarioValidationError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def write_partition(partition: SchedulePartition, path: str | Path) -> None:

@@ -120,9 +120,8 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
 
 def broadside_baseline(scenario: Scenario) -> SchedulePartition:
     """The trivial partition: every task executes in its home sector."""
-    sector_of_task = {t.id: t.home_sector for t in scenario.tasks}
-    provenance = {t.id: PROVENANCE_OWN for t in scenario.tasks}
-    return build_partition(scenario.n_sectors, sector_of_task, provenance)
+    return build_partition(scenario.n_sectors, scenario.home,
+                           dict.fromkeys(scenario.home, PROVENANCE_OWN))
 
 
 def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[str]:
@@ -133,7 +132,7 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
             f"partition covers {len(partition.assignments)} sectors, "
             f"scenario has {scenario.n_sectors}")
         return problems
-    by_id = scenario.task_by_id()
+    home = scenario.home
     seen: dict[int, int] = {}
     for sector, ids in enumerate(partition.assignments):
         for tid in ids:
@@ -141,16 +140,15 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
                 problems.append(f"task {tid} assigned to sectors {seen[tid]} and {sector}")
                 continue
             seen[tid] = sector
-            task = by_id.get(tid)
-            if task is None:
+            if tid not in home:
                 problems.append(f"task {tid} not part of the scenario")
                 continue
-            dist = angular_sector_distance(sector, task.home_sector, scenario.n_sectors)
+            dist = angular_sector_distance(sector, home[tid], scenario.n_sectors)
             if dist > scenario.fov_half_width:
                 problems.append(
                     f"task {tid} executed {dist} sectors from home "
                     f"(fov half-width {scenario.fov_half_width})")
-    missing = sorted(set(by_id) - set(seen))
+    missing = sorted(set(home) - set(seen))
     if missing:
         problems.append(f"tasks never assigned: {missing}")
     for tid, tag in partition.provenance.items():

@@ -1,13 +1,15 @@
 """Domain model: surveillance tasks, scenarios, sector geometry.
 
 A task is a beam direction, azimuth ``phi`` in [0, 2*pi) and elevation
-``theta`` in [-pi, pi], plus the dwell time it needs every update cycle.
+``theta`` in [-pi, pi], plus the dwell time it needs every update cycle:
+``(id, phi, theta, duration)``, the task object of a scenario file.
 
 Azimuth is divided into ``n_sectors`` equal slices; a task belongs to the
-sector its azimuth falls into (its home sector).  The antenna boresight
-rotates at a constant rate of one sector per ``dt`` seconds, and the
-electronically steered beam can reach ``fov_half_width`` sectors to either
-side of the current main sector.
+sector its azimuth falls into (its home sector), which depends on the
+sector count, so the scenario derives it: ``Scenario.home``.  The antenna
+boresight rotates at a constant rate of one sector per ``dt`` seconds, and
+the electronically steered beam can reach ``fov_half_width`` sectors to
+either side of the current main sector.
 
 Sector indices are plain ints, always reduced into ``[0, n_sectors)`` by the
 functions that produce them.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import InvalidInputError, ScenarioValidationError
 
@@ -35,38 +38,20 @@ def _floor_ratio(ratio: float) -> int:
     return math.floor(ratio + _FLOOR_EPS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
 class SurveillanceTask:
-    """One beam pointing direction (radians) to refresh every update cycle.
-
-    ``home_sector`` is derived from the azimuth; keep it consistent with
-    ``sector_of_direction(phi, n_sectors)`` for the scenario the task lives
-    in (the scenario checks this when it is built).
-    """
+    """One beam pointing direction (radians) to refresh every update cycle."""
 
     id: int
     phi: float
     theta: float
     duration: float
-    home_sector: int
 
     def __post_init__(self):
         if not 0.0 <= self.phi < TWO_PI:
             raise InvalidInputError(f"phi={self.phi!r} outside [0, 2*pi)")
         if not -math.pi <= self.theta <= math.pi:
             raise InvalidInputError(f"theta={self.theta!r} outside [-pi, pi]")
-
-
-def make_task(task_id: int, phi: float, theta: float, duration: float,
-              n_sectors: int) -> SurveillanceTask:
-    """Build a task with its home sector derived from phi."""
-    return SurveillanceTask(
-        id=task_id,
-        phi=phi,
-        theta=theta,
-        duration=duration,
-        home_sector=sector_of_direction(phi, n_sectors),
-    )
 
 
 @dataclass(frozen=True)
@@ -77,11 +62,12 @@ class Scenario:
     count, bad dt, resource vector of the wrong length) raise
     :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
     checks the data (non-finite or non-positive durations, non-finite or
-    negative resources, ids that are not non-negative ints, inconsistent home
-    sectors, duplicate ids, zero total resources, sums or a load ratio beyond
-    the float range), and any violation raises
-    :class:`ScenarioValidationError` listing them all.  Every function that
-    takes a scenario relies on this and does not check it again.
+    negative resources, ids that are not non-negative ints, duplicate ids,
+    zero total resources, sums or a load ratio beyond the float range), and
+    any violation raises :class:`ScenarioValidationError` listing them all.
+    Every function that takes a scenario relies on this and does not check
+    it again.  ``home`` maps each task id to its home sector, derived from
+    the azimuth, so ``dataclasses.replace`` derives it afresh.
 
     A field of view wider than half the circle adds nothing under mod-N
     arithmetic, so ``fov_half_width`` is clamped to ``n_sectors // 2``.
@@ -92,6 +78,7 @@ class Scenario:
     dt: float
     resources: tuple[float, ...]
     tasks: tuple[SurveillanceTask, ...] = field(default_factory=tuple)
+    home: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n_sectors, int) or self.n_sectors < 1:
@@ -110,6 +97,8 @@ class Scenario:
         violations = validate_scenario(self)
         if violations:
             raise ScenarioValidationError(violations)
+        object.__setattr__(self, "home", {
+            t.id: sector_of_direction(t.phi, self.n_sectors) for t in self.tasks})
 
     @property
     def rotation_time(self) -> float:
@@ -207,11 +196,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             violations.append(f"non-finite duration {task.duration!r}, task id {task.id}")
         elif not task.duration > 0:
             violations.append(f"non-positive duration, task id {task.id}")
-        expected = sector_of_direction(task.phi, scenario.n_sectors)
-        if task.home_sector != expected:
-            violations.append(
-                f"inconsistent home sector, task id {task.id}: "
-                f"stored {task.home_sector}, phi implies {expected}")
     if (scenario.tasks and all(map(math.isfinite, scenario.resources))
             and not max(scenario.resources) > 0):
         violations.append("all sector resources are zero but the task set is non-empty")

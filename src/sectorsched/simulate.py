@@ -141,8 +141,8 @@ def simulate(scenario: Scenario, policy: str,
         window = range(0, 1)
     else:
         members = [[] for _ in range(n)]
-        for tid, task in by_id.items():
-            members[task.home_sector].append(tid)
+        for tid, home in scenario.home.items():
+            members[home].append(tid)
         window = fov_offsets(scenario.fov_half_width, n)
     lo, hi = window[0], window[-1]
     # A pass over j reaches buckets j + lo .. j + hi.  The window is
@@ -242,12 +242,17 @@ def simulate(scenario: Scenario, policy: str,
 def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem]:
     """Independent trace validator.
 
-    Re-derives pass loads, field-of-view feasibility, and once-per-cycle
-    coverage straight from the records, sharing no state with the simulator.
-    Kinds: ``order``, ``unknown-task``, ``sector``, ``fov``, ``overload``, ``repeat``.
+    Re-derives pass loads, field-of-view feasibility, once-per-cycle coverage
+    and the passes where cycles close straight from the records, sharing no
+    state with the simulator; a record of an unknown task is reported once,
+    then left out.  One ``cycles`` problem reports closes that disagree with
+    ``cycles_completed`` or ``completion_pass``, or records after the last.
+    Kinds: ``order``, ``unknown-task``, ``sector``, ``fov``, ``overload``,
+    ``repeat``, ``cycles``.
     """
     problems: list[TraceProblem] = []
-    by_id = scenario.task_by_id()
+    duration = {t.id: t.duration for t in scenario.tasks}
+    home = scenario.home
     n = scenario.n_sectors
     w = scenario.fov_half_width
 
@@ -260,8 +265,7 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
             problems.append(TraceProblem(
                 "order", p, tid, f"records out of execution order at pass {p}"))
         previous = (p, offset)
-        task = by_id.get(tid)
-        if task is None:
+        if tid not in home:
             problems.append(TraceProblem(
                 "unknown-task", p, tid, f"record references unknown task {tid}"))
             continue
@@ -269,12 +273,12 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
             problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
                                          f"sector {sector} does not match pass {p}"))
         # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
-        d = (sector - task.home_sector) % n
+        d = (sector - home[tid]) % n
         if w < d < n - w:
             problems.append(TraceProblem(
                 "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
                 f"home in pass {p} (fov half-width {w})"))
-        load_by_pass[p] = load_by_pass.get(p, 0.0) + task.duration
+        load_by_pass[p] = load_by_pass.get(p, 0.0) + duration[tid]
     for p, used in sorted(load_by_pass.items()):
         cap = scenario.resources[p % n]
         if used > cap + CAP_SLACK:
@@ -282,17 +286,25 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
                 "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
 
     # Once-per-cycle coverage, cycle boundaries re-derived from the records.
-    if by_id:
-        all_ids = set(by_id)
-        current: set[int] = set()
-        for tid, _, p, _, _ in trace.records:
-            if tid in current:
-                problems.append(TraceProblem(
-                    "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
-                continue
-            current.add(tid)
-            if current == all_ids:
-                current = set()
+    current: set[int] = set()
+    closes: list[int] = []
+    for tid, _, p, _, _ in trace.records:
+        if tid not in home:
+            continue
+        if tid in current:
+            problems.append(TraceProblem(
+                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
+            continue
+        current.add(tid)
+        if len(current) == len(home):
+            closes.append(p)
+            current = set()
+    first = closes[0] if closes else -1
+    if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
+        problems.append(TraceProblem(
+            "cycles", None, None, f"records close {len(closes)} cycles, the first in "
+            f"pass {first}, and leave {len(current)} tasks after the last; the trace "
+            f"claims {trace.cycles_completed}, the first in pass {trace.completion_pass}"))
     return problems
 
 
@@ -324,8 +336,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     """
-    by_id = scenario.task_by_id()
-    if not by_id:
+    home = scenario.home
+    if not home:
         return RevisitStats(
             per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
             mean_interval_s=0.0, mean_interval_rot=0.0,
@@ -340,18 +352,17 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     per_task = []
     all_intervals: list[float] = []
     per_sector = [0.0] * scenario.n_sectors
-    for tid in sorted(by_id):
+    for tid, h in sorted(home.items()):
         times = trace.illumination.get(tid, ())
         intervals = tuple(map(sub, times[1:], times))
         if not intervals:
             raise InsufficientDataError(f"task {tid} was illuminated fewer than twice")
         worst = max(intervals)
         worst_rot = worst / rotation
-        home = by_id[tid].home_sector
-        per_task.append(TaskRevisit(tid, home, last_sector[tid], worst, worst_rot))
+        per_task.append(TaskRevisit(tid, h, last_sector[tid], worst, worst_rot))
         all_intervals.extend(intervals)
-        if worst_rot > per_sector[home]:
-            per_sector[home] = worst_rot
+        if worst_rot > per_sector[h]:
+            per_sector[h] = worst_rot
     worst = max(all_intervals)
     mean = math.fsum(all_intervals) / len(all_intervals)
     return RevisitStats(

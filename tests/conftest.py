@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sectorsched import Scenario, make_task
+from sectorsched import Scenario, SurveillanceTask
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +24,7 @@ def scenario_from(n_sectors, fov, dt, resources, homed_durations):
         k = placed.get(home, 0)
         placed[home] = k + 1
         phi = (home + (k + 1) / (counts[home] + 1)) * width
-        tasks.append(make_task(task_id, phi, 0.0, duration, n_sectors))
+        tasks.append(SurveillanceTask(task_id, phi, 0.0, duration))
     return Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
                     resources=tuple(resources), tasks=tuple(tasks))
 

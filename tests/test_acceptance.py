@@ -318,13 +318,12 @@ def test_criterion_12_starvation_exhibit():
                                      / "starvation.json")
         partition = equalize(scenario)
         assert check_partition(scenario, partition) == []
-        by_id = scenario.task_by_id()
+        home = scenario.home
         sector_of = partition.sector_index()
         starved = [
             i for i, ids in enumerate(partition.assignments)
-            if ids and all(by_id[t].home_sector != i for t in ids)
-            and all(sector_of[t.id] != i
-                    for t in scenario.tasks if t.home_sector == i)
+            if ids and all(home[t] != i for t in ids)
+            and all(sector_of[t] != i for t in home if home[t] == i)
         ]
         assert starved, "no sector executes only neighbors' tasks"
         report = load_report(scenario, partition)

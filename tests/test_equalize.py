@@ -14,6 +14,7 @@ from sectorsched import (
     PROVENANCE_OWN,
     ScenarioValidationError,
     SectorSchedError,
+    SurveillanceTask,
     Xorshift64Star,
     angular_sector_distance,
     broadside_baseline,
@@ -22,7 +23,6 @@ from sectorsched import (
     equalize,
     generate,
     load_report,
-    make_task,
     maximal_subset,
     sector_targets,
 )
@@ -35,7 +35,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def tasks_of(durations, n_sectors=8, home=0):
     width = 2 * math.pi / n_sectors
     return tuple(
-        make_task(i, (home + (i + 1) / (len(durations) + 1)) * width, 0.0, d, n_sectors)
+        SurveillanceTask(i, (home + (i + 1) / (len(durations) + 1)) * width, 0.0, d)
         for i, d in enumerate(durations)
     )
 
@@ -70,6 +70,7 @@ def reference_equalize(scenario):
     n = scenario.n_sectors
     targets = sector_targets(scenario).targets
     by_id = scenario.task_by_id()
+    home = scenario.home
     unassigned = set(by_id)
     sector_of_task, provenance = {}, {}
     loads = [0.0] * n
@@ -82,7 +83,7 @@ def reference_equalize(scenario):
 
     def first_fit(candidates, sector, budget, used):
         ordered = sorted(candidates, key=lambda t: (
-            -t.duration, angular_sector_distance(sector, t.home_sector, n), t.id))
+            -t.duration, angular_sector_distance(sector, home[t.id], n), t.id))
         chosen = []
         for task in ordered:
             if used + task.duration <= budget + CAP_SLACK:
@@ -92,25 +93,25 @@ def reference_equalize(scenario):
 
     for i in range(n):
         budget = float(targets[i])
-        own = [t for t in scenario.tasks if t.home_sector == i and t.id in unassigned]
+        own = [t for t in scenario.tasks if home[t.id] == i and t.id in unassigned]
         for tid in first_fit(own, i, budget, 0.0):
             assign(tid, i, PROVENANCE_OWN)
         fov = set(dedup_active_sectors(i, scenario.fov_half_width, n))
         reachable = [t for t in scenario.tasks
-                     if t.home_sector in fov and t.id in unassigned]
+                     if home[t.id] in fov and t.id in unassigned]
         for tid in first_fit(reachable, i, budget, loads[i]):
             assign(tid, i, PROVENANCE_FOV)
 
     for task in sorted((by_id[tid] for tid in unassigned),
                        key=lambda t: (-t.duration, t.id)):
-        fov = dedup_active_sectors(task.home_sector, scenario.fov_half_width, n)
+        fov = dedup_active_sectors(home[task.id], scenario.fov_half_width, n)
         eligible = [j for j in fov if targets[j] > 0.0]
         if not eligible:
             raise InfeasibleScenarioError(
                 f"task {task.id}: every sector in its field of view has zero target")
         best = min(eligible, key=lambda j: (
             (task.duration + loads[j]) / targets[j],
-            angular_sector_distance(j, task.home_sector, n), j))
+            angular_sector_distance(j, home[task.id], n), j))
         assign(task.id, best, PROVENANCE_LEFTOVER)
     return build_partition(n, sector_of_task, provenance)
 
@@ -196,7 +197,7 @@ class TestEqualize:
             for task in s.tasks:
                 sector = sector_of[task.id]
                 if part.provenance[task.id] == PROVENANCE_OWN:
-                    assert sector == task.home_sector
+                    assert sector == s.home[task.id]
 
     def test_cap_respected_before_leftovers(self):
         rng = Xorshift64Star(42)
@@ -279,7 +280,7 @@ class TestEqualize:
             part = equalize(s)
             assert check_partition(s, part) == []
             sector_of = part.sector_index()
-            assert all(sector_of[t.id] == t.home_sector for t in s.tasks
+            assert all(sector_of[t.id] == s.home[t.id] for t in s.tasks
                        if part.provenance[t.id] == PROVENANCE_OWN)
 
 
@@ -381,8 +382,7 @@ class TestStarvationFixture:
         assert check_partition(s, part) == []
         starved = part.assignments[0]
         assert starved, "sector 0 should still execute something"
-        by_id = s.task_by_id()
-        assert all(by_id[tid].home_sector != 0 for tid in starved)
+        assert all(s.home[tid] != 0 for tid in starved)
         # its own task is executed by a neighbor
-        own = [t.id for t in s.tasks if t.home_sector == 0]
+        own = [tid for tid, home in s.home.items() if home == 0]
         assert own and all(part.sector_index()[tid] != 0 for tid in own)

@@ -57,7 +57,7 @@ def window_bound(scenario):
     n, w = scenario.n_sectors, scenario.fov_half_width
     demand = [0.0] * n
     for task in scenario.tasks:
-        demand[task.home_sector] += task.duration
+        demand[scenario.home[task.id]] += task.duration
     r_opt = math.fsum(demand) / math.fsum(scenario.resources)
     bound = 0.0
     for start in range(n):
@@ -79,7 +79,7 @@ class TestEqualizeProperties:
             return
         n, w = s.n_sectors, s.fov_half_width
         dead_reach = any(all(s.resources[j] == 0.0 for j in dedup_active_sectors(
-            t.home_sector, w, n)) for t in s.tasks)
+            home, w, n)) for home in s.home.values())
         if dead_reach:
             # A task whose whole field of view has no resources is never placed.
             with pytest.raises(InfeasibleScenarioError):
@@ -90,7 +90,7 @@ class TestEqualizeProperties:
         sector_of = part.sector_index()
         for task in s.tasks:
             if part.provenance[task.id] == PROVENANCE_OWN:
-                assert sector_of[task.id] == task.home_sector
+                assert sector_of[task.id] == s.home[task.id]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(gen_params())

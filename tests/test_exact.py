@@ -38,7 +38,7 @@ def exists_schedule_within(scenario, last_pass):
             return True
         task = tasks[index]
         for p in range(last_pass + 1):
-            if angular_sector_distance(p % n, task.home_sector, n) > scenario.fov_half_width:
+            if angular_sector_distance(p % n, scenario.home[task.id], n) > scenario.fov_half_width:
                 continue
             if task.duration > residual[p] + CAP_SLACK:
                 continue
@@ -198,7 +198,7 @@ class TestBinPackingReduce:
         for bins in (1, 2, 3, 6, 7):
             s = bin_packing_reduce([1.0], [10.0] * bins)
             assert all(
-                angular_sector_distance(j, s.tasks[0].home_sector, bins) <= s.fov_half_width
+                angular_sector_distance(j, s.home[0], bins) <= s.fov_half_width
                 for j in range(bins))
 
     def test_reduction_agrees_with_enumerator(self):

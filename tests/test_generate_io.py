@@ -74,7 +74,7 @@ class TestGenerate:
     def test_tasks_live_in_their_sector(self):
         s = generate(GenParams(n_sectors=12, seed=77))
         for t in s.tasks:
-            assert t.home_sector == sector_of_direction(t.phi, 12)
+            assert s.home[t.id] == sector_of_direction(t.phi, 12)
             assert -math.pi <= t.theta <= math.pi
             assert 0.5 <= t.duration <= 3.0
         assert all(5.0 <= r <= 20.0 for r in s.resources)
@@ -89,7 +89,7 @@ class TestGenerate:
                                   tasks_per_sector=(4, 4)))
         hot = generate(GenParams(n_sectors=6, fov_half_width=1, seed=5,
                                  tasks_per_sector=(4, 4), hotspots=((2, 1.0, 3.0),)))
-        count = lambda s, i: sum(1 for t in s.tasks if t.home_sector == i)
+        count = lambda s, i: sum(1 for home in s.home.values() if home == i)
         assert count(hot, 2) == 3 * count(base, 2)
 
     def test_param_validation(self):

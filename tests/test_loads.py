@@ -126,7 +126,7 @@ class TestBroadsideBaseline:
     def test_every_task_at_home(self, skewed):
         part = broadside_baseline(skewed)
         for task in skewed.tasks:
-            assert task.id in part.assignments[task.home_sector]
+            assert task.id in part.assignments[skewed.home[task.id]]
             assert part.provenance[task.id] == PROVENANCE_OWN
         assert check_partition(skewed, part) == []
 

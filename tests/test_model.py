@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,6 @@ from sectorsched import (
     active_sectors,
     angular_sector_distance,
     main_sector,
-    make_task,
     sector_of_direction,
 )
 from sectorsched.model import validate_scenario
@@ -150,19 +150,19 @@ class TestAngularSectorDistance:
 
 class TestSurveillanceTask:
     def test_ranges(self):
-        make_task(0, 0.0, math.pi, 1.0, 4)
-        make_task(1, math.nextafter(TWO_PI, 0.0), -math.pi, 1.0, 4)
+        SurveillanceTask(0, 0.0, math.pi, 1.0)
+        SurveillanceTask(1, math.nextafter(TWO_PI, 0.0), -math.pi, 1.0)
         with pytest.raises(InvalidInputError, match=r"phi=6\.28.* outside \[0, 2\*pi\)"):
-            make_task(2, TWO_PI, 0.0, 1.0, 4)
+            SurveillanceTask(2, TWO_PI, 0.0, 1.0)
         with pytest.raises(InvalidInputError, match=r"theta=3\.2 outside \[-pi, pi\]"):
-            make_task(3, 1.0, 3.2, 1.0, 4)
+            SurveillanceTask(3, 1.0, 3.2, 1.0)
 
     def test_fields_checked_without_make_task(self):
-        task = SurveillanceTask(id=0, phi=1.0, theta=-0.5, duration=2.0, home_sector=0)
+        task = SurveillanceTask(id=0, phi=1.0, theta=-0.5, duration=2.0)
         assert (task.phi, task.theta) == (1.0, -0.5)
         for phi, theta in ((-0.1, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -3.2)):
             with pytest.raises(InvalidInputError):
-                SurveillanceTask(id=0, phi=phi, theta=theta, duration=1.0, home_sector=0)
+                SurveillanceTask(id=0, phi=phi, theta=theta, duration=1.0)
 
 
 class TestScenario:
@@ -185,6 +185,19 @@ class TestScenario:
         s = Scenario(n_sectors=4, fov_half_width=1, dt=0.5, resources=(1.0,) * 4)
         assert s.rotation_time == 2.0
 
+    def test_replace_rederives_home(self):
+        # The four tasks sit in quarters 0, 3, 1, 3 of the circle.  With a
+        # stored home sector, replacing the sector count made the scenario
+        # inconsistent; now the home sectors follow the new count.
+        s = scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 1.0), (3, 1.0), (1, 1.0), (3, 1.0)])
+        for m in (1, 2, 8, 12):
+            t = dataclasses.replace(s, n_sectors=m, resources=(1.0,) * m)
+            assert t.home == {task.id: sector_of_direction(task.phi, m) for task in s.tasks}
+            assert t.tasks == s.tasks
+        assert dataclasses.replace(s, n_sectors=2, resources=(1.0,) * 2).home == \
+            {0: 0, 1: 1, 2: 0, 3: 1}
+        assert dataclasses.replace(s) == s and dataclasses.replace(s).home == s.home
+
 
 class TestValidateScenario:
     """A scenario validates itself: a violation raises while it is built."""
@@ -198,17 +211,9 @@ class TestValidateScenario:
             scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 0.0)])
         assert info.value.violations == ["non-positive duration, task id 0"]
 
-    def test_inconsistent_home_sector(self):
-        bad = SurveillanceTask(id=0, phi=0.1, theta=0.0, duration=1.0, home_sector=3)
-        with pytest.raises(ScenarioValidationError) as info:
-            Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
-                     resources=(1.0,) * 4, tasks=(bad,))
-        assert info.value.violations == [
-            "inconsistent home sector, task id 0: stored 3, phi implies 0"]
-
     def test_duplicate_ids(self):
-        t0 = make_task(7, 0.1, 0.0, 1.0, 4)
-        t1 = make_task(7, 0.2, 0.0, 1.0, 4)
+        t0 = SurveillanceTask(7, 0.1, 0.0, 1.0)
+        t1 = SurveillanceTask(7, 0.2, 0.0, 1.0)
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=4, fov_half_width=1, dt=1.0,
                      resources=(1.0,) * 4, tasks=(t0, t1))
@@ -229,7 +234,7 @@ class TestValidateScenario:
         # read_scenario refuses a bool id, so a scenario must not hold one.
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
-                     tasks=(make_task(True, 0.1, 0.0, 1.0, 2),))
+                     tasks=(SurveillanceTask(True, 0.1, 0.0, 1.0),))
         assert info.value.violations == ["task id True is not a non-negative integer"]
 
     def test_load_ratio_beyond_float_range(self):

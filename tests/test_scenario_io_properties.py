@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sectorsched import Scenario, ScenarioFormatError, make_task  # noqa: E402
+from sectorsched import Scenario, ScenarioFormatError, SurveillanceTask  # noqa: E402
 from sectorsched import io as sio  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
@@ -36,9 +36,9 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 10 ** 6), unique=True,
                         max_size=8 if any(resources) else 0))
     tasks = tuple(
-        make_task(tid, draw(_numbers(0.0, TWO_PI, exclude_max=True)),
-                  draw(_numbers(-math.pi, math.pi)),
-                  draw(_numbers(1e-6, 30.0)), n)
+        SurveillanceTask(tid, draw(_numbers(0.0, TWO_PI, exclude_max=True)),
+                         draw(_numbers(-math.pi, math.pi)),
+                         draw(_numbers(1e-6, 30.0)))
         for tid in ids)
     return Scenario(n_sectors=n, fov_half_width=draw(st.integers(0, n + 1)),
                     dt=draw(_numbers(1e-3, 100.0)), resources=tuple(resources),

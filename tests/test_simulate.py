@@ -178,12 +178,14 @@ class TestCheckTrace:
     @pytest.mark.parametrize("corrupt, expected", [
         (lambda r: r, []),
         (lambda r: [r[1], r[0], *r[2:]], [("order", 0, 0)]),
-        (lambda r: [*r[:5], r[5]._replace(task_id=9)], [("unknown-task", 7, 9)]),
+        (lambda r: [*r[:5], r[5]._replace(task_id=9)],
+         [("unknown-task", 7, 9), ("cycles", None, None)]),
         (lambda r: [r[0]._replace(sector=1), *r[1:]], [("sector", 0, 0)]),
         (lambda r: [*r[:5], r[5]._replace(sector=1, pass_index=9)], [("fov", 9, 2)]),
         (lambda r: [*r[:3], r[3]._replace(sector=1, pass_index=5), *r[4:]],
          [("overload", 5, None)]),
-        (lambda r: [*r[:4], r[4]._replace(task_id=0), r[5]], [("repeat", 5, 0)]),
+        (lambda r: [*r[:4], r[4]._replace(task_id=0), r[5]],
+         [("repeat", 5, 0), ("cycles", None, None)]),
     ], ids=["clean", "order", "unknown-task", "sector", "fov", "overload", "repeat"])
     def test_each_problem_kind(self, corrupt, expected):
         import dataclasses
@@ -194,6 +196,38 @@ class TestCheckTrace:
             [(0, 0), (1, 1), (2, 3), (0, 4), (1, 5), (2, 7)]
         bad = dataclasses.replace(trace, records=tuple(corrupt(list(trace.records))))
         assert [p[:3] for p in check_trace(s, bad)] == expected
+
+    @staticmethod
+    def _three_cycles():
+        s = scenario_from(4, 1, 1.0, (2.0,) * 4, [(0, 1.5), (1, 1.5), (3, 1.5)])
+        trace = simulate(s, POLICY_PARTITION, broadside_baseline(s), cycles=3)
+        assert (trace.cycles_completed, trace.completion_pass) == (3, 3)
+        return s, trace
+
+    def test_unknown_task_is_reported_once(self):
+        # The unknown record is left out of the coverage, so it draws no
+        # repeat problems; the cycle it stood in closes one pass late.
+        import dataclasses
+
+        s, trace = self._three_cycles()
+        records = (trace.records[0]._replace(task_id=9),) + trace.records[1:]
+        problems = check_trace(s, dataclasses.replace(trace, records=records))
+        assert [p[:3] for p in problems] == [("unknown-task", 0, 9), ("cycles", None, None)]
+        assert problems[1].detail == (
+            "records close 2 cycles, the first in pass 4, and leave 2 tasks after the "
+            "last; the trace claims 3, the first in pass 3")
+
+    def test_missing_execution_is_a_problem(self):
+        import dataclasses
+
+        s, trace = self._three_cycles()
+        assert check_trace(s, trace) == []
+        dropped = dataclasses.replace(trace, records=trace.records[1:])
+        assert [p[:3] for p in check_trace(s, dropped)] == [("cycles", None, None)]
+        # Counts that disagree with complete records are a problem too.
+        for claim in ({"cycles_completed": 2}, {"completion_pass": 7}):
+            wrong = dataclasses.replace(trace, **claim)
+            assert [p[:3] for p in check_trace(s, wrong)] == [("cycles", None, None)]
 
 
 class TestRevisitStats:
@@ -297,7 +331,7 @@ def reference_simulate(scenario, variant, partition, cycles):
     if variant == POLICY_EDF:
         def eligible(sector, tid):
             return angular_sector_distance(
-                sector, by_id[tid].home_sector, n) <= scenario.fov_half_width
+                sector, scenario.home[tid], n) <= scenario.fov_half_width
     else:
         sector_of = partition.sector_index()
 
@@ -381,7 +415,7 @@ def test_bucket_drain_matches_brute_force(case, seed):
     rng = random.Random(seed)
     anywhere = build_partition(s.n_sectors, {
         t.id: rng.choice([j for j in range(s.n_sectors) if angular_sector_distance(
-            j, t.home_sector, s.n_sectors) <= s.fov_half_width])
+            j, s.home[t.id], s.n_sectors) <= s.fov_half_width])
         for t in s.tasks}, {t.id: "fov-equalized" for t in s.tasks})
     runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s)),
             (POLICY_PARTITION, anywhere)]
