@@ -13,24 +13,29 @@ The result is a partition in which every sector's load hugs its fair share
 as closely as the task granularity allows, so all sectors need a similar
 number of rotations to drain.
 
-Mechanism and cost.  The tasks are sorted once, by (-duration, id), into one
-list per home sector.  A task is deleted from its list when it is assigned,
-so the lists always hold exactly the unassigned tasks, in fill order.  The
-own phase is :func:`maximal_subset` over the sector's own list.  The
-field-of-view phase merges the lists of the homes in reach with a heap of
-their heads keyed (-duration, distance, id), which is the order a sort of
-every candidate would give.  A head that does not fit moves its home forward to the first
-entry that does: the room left only shrinks, so first-fit would reject every
-skipped entry too.  The skip applies the very comparison first-fit makes,
-``used + duration <= cap``, because a rearranged form can round differently.
-With T tasks and half-width w, the sweep costs one O(T log T) sort plus, per
-sector, O(w log w) heap work and one step per task taken or skipped, where a
-home none of whose tasks fits costs one comparison.
+Mechanism and cost.  One window list holds the unassigned tasks of the homes
+in reach of the current sector as ``(duration, id, home)``, sorted
+ascending.  The own phase is :func:`maximal_subset` over the sector's own
+unassigned tasks, and its picks leave the window.  The field-of-view fill
+is first-fit in the order (-duration, distance, id) while the room left
+only shrinks, so the task it takes next is the longest one that fits, ties
+going to the nearer home, then the lower id.  ``used + duration`` rises
+with the duration, so the tasks that fit form a prefix of the window, and
+one binary search on ``cap - used``, corrected a step at a time against
+the very comparison first-fit makes, ``used + duration <= cap``, finds its
+end: a rearranged form can round differently.  Moving to the next sector
+drops the unassigned tasks of the home that leaves reach and inserts those
+of the home that enters it; a window that reaches every sector never
+slides.  With T tasks, half-width w and W = O(T w / N) tasks in the window,
+the sweep costs one O(T log T) sort, then per pick and per task that enters
+or leaves the window one O(log W) search and one list insert or delete,
+plus one step per task of equal duration when the longest fit is tied.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InfeasibleScenarioError
@@ -44,6 +49,8 @@ from .loads import (
 )
 from .model import CAP_SLACK, Scenario, SurveillanceTask, fov_offsets
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
+
+_duration = itemgetter(0)  # of a window entry (duration, id, home)
 
 
 def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
@@ -74,59 +81,65 @@ def equalize(scenario: Scenario) -> SchedulePartition:
     n = scenario.n_sectors
     targets = sector_targets(scenario).targets
     offsets = fov_offsets(scenario.fov_half_width, n)
+    lo, hi = offsets[0], offsets[-1]
     by_id = scenario.task_by_id()
-    by_home: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    for task in sorted(scenario.tasks, key=lambda t: (-t.duration, t.id)):
-        by_home[scenario.home[task.id]].append((task.duration, task.id))
+    by_home: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    for task in scenario.tasks:
+        h = scenario.home[task.id]
+        by_home[h].append((task.duration, task.id, h))
+    window = sorted(e for c in offsets for e in by_home[c % n])
 
     sector_of_task: dict[int, int] = {}
     provenance: dict[int, str] = {}
     loads = [0.0] * n
 
     for i in range(n):
+        if i and len(offsets) < n:
+            # One sector on: home i - 1 + lo leaves reach, home i + hi enters.
+            for entry in by_home[(i - 1 + lo) % n]:
+                if entry[1] not in sector_of_task:
+                    del window[bisect_left(window, entry)]
+            for entry in by_home[(i + hi) % n]:
+                if entry[1] not in sector_of_task:
+                    insort(window, entry)
         cap = targets[i] + CAP_SLACK
-        own = maximal_subset([by_id[tid] for _, tid in by_home[i]], targets[i])
+        own = maximal_subset([by_id[tid] for _, tid, _ in by_home[i]
+                              if tid not in sector_of_task], targets[i])
         used = 0.0
         for tid in own:
-            used += by_id[tid].duration
+            d = by_id[tid].duration
+            used += d
             sector_of_task[tid] = i
             provenance[tid] = PROVENANCE_OWN
-        if own:
-            taken = set(own)
-            by_home[i] = [e for e in by_home[i] if e[1] not in taken]
+            del window[bisect_left(window, (d, tid, i))]
 
-        heads = []
-        for c in offsets:
-            home = (i + c) % n
-            entries = by_home[home]
-            if entries and used + entries[-1][0] <= cap:
-                d, tid = entries[0]
-                heads.append((-d, abs(c), tid, home, 0))
-        heapify(heads)
-        while heads:
-            neg_d, dist, tid, home, k = heads[0]
-            d = -neg_d
-            entries = by_home[home]
-            if used + d <= cap:
-                used += d
-                sector_of_task[tid] = i
-                provenance[tid] = PROVENANCE_FOV
-                del entries[k]
-            elif used + entries[-1][0] > cap:
-                k = len(entries)
-            else:
+        k = len(window)
+        while k:
+            # Entries up to k - 1 fit: the search's answer, stepped back or
+            # forward until it agrees with ``used + d <= cap``.
+            k = bisect_right(window, cap - used, 0, k, key=_duration)
+            while k and used + window[k - 1][0] > cap:
+                k -= 1
+            while k < len(window) and used + window[k][0] <= cap:
                 k += 1
-                while used + entries[k][0] > cap:
-                    k += 1
-            if k < len(entries):
-                d, tid = entries[k]
-                heapreplace(heads, (-d, dist, tid, home, k))
-            else:
-                heappop(heads)
+            if not k:
+                break
+            d = window[k - 1][0]
+            pick = k - 1
+            if pick and window[pick - 1][0] == d:
+                # Tied durations: the nearer home wins, then the lower id.
+                first = bisect_left(window, d, 0, k, key=_duration)
+                pick = min(range(first, k), key=lambda j: (
+                    min((window[j][2] - i) % n, (i - window[j][2]) % n), window[j][1]))
+            _, tid, _ = window.pop(pick)
+            used += d
+            sector_of_task[tid] = i
+            provenance[tid] = PROVENANCE_FOV
+            k -= 1
         loads[i] = used
 
-    leftovers = sorted((-d, tid, home)
-                       for home, entries in enumerate(by_home) for d, tid in entries)
+    leftovers = sorted((-d, tid, h) for entries in by_home
+                       for d, tid, h in entries if tid not in sector_of_task)
     for neg_d, tid, home in leftovers:
         d = -neg_d
         best = None

@@ -245,26 +245,33 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     Re-derives pass loads, field-of-view feasibility, once-per-cycle coverage
     and the passes where cycles close straight from the records, sharing no
     state with the simulator; a record of an unknown task is reported once,
-    then left out.  One ``cycles`` problem reports closes that disagree with
+    then left out.  A record's timestamp must be its pass start,
+    ``pass_index * dt``, plus its offset, as :func:`revisit_stats` assumes.
+    One ``cycles`` problem reports closes that disagree with
     ``cycles_completed`` or ``completion_pass``, or records after the last.
-    Kinds: ``order``, ``unknown-task``, ``sector``, ``fov``, ``overload``,
-    ``repeat``, ``cycles``.
+    Kinds: ``order``, ``timestamp``, ``unknown-task``, ``sector``, ``fov``,
+    ``overload``, ``repeat``, ``cycles``.
     """
     problems: list[TraceProblem] = []
     duration = {t.id: t.duration for t in scenario.tasks}
     home = scenario.home
     n = scenario.n_sectors
     w = scenario.fov_half_width
+    dt = scenario.dt
 
     load_by_pass: dict[int, float] = {}
     previous = (-1, -math.inf)
-    for tid, sector, p, offset, _ in trace.records:
+    for tid, sector, p, offset, timestamp in trace.records:
         # Execution order is (pass, offset); raw timestamps may interleave
         # when a sector's resources exceed the kinematic pass duration.
         if (p, offset) < previous:
             problems.append(TraceProblem(
                 "order", p, tid, f"records out of execution order at pass {p}"))
         previous = (p, offset)
+        if timestamp != p * dt + offset:
+            problems.append(TraceProblem(
+                "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
+                f"pass {p} start {p * dt} plus offset {offset}"))
         if tid not in home:
             problems.append(TraceProblem(
                 "unknown-task", p, tid, f"record references unknown task {tid}"))

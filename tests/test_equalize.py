@@ -60,7 +60,7 @@ def exhaustive_is_maximal(durations, chosen_ids, budget, used):
 
 
 def reference_equalize(scenario):
-    """The sort-based equalizer, kept as the oracle for the heap merge.
+    """The sort-based equalizer, kept as the oracle for the sliding window.
 
     Every sector sorts its whole field-of-view candidate set by
     (-duration, distance to the sector, id) and fills first-fit; leftovers go
@@ -298,6 +298,19 @@ class TestReferenceEquivalence:
                 n_sectors=n, fov_half_width=meta.randint(0, n), tasks_per_sector=(0, 9),
                 duration=duration, hotspots=hotspots, seed=seed)))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fleet_scale(self, seed):
+        # The benchmark's fleet shape: 1-degree sectors, fov 60, so every
+        # sector reaches 121 homes; one starved hotspot and one dead sector.
+        rng = Xorshift64Star(seed)
+        hot = rng.randint(0, 359)
+        dead = (hot + 1 + rng.randint(0, 358)) % 360
+        s = generate(GenParams(n_sectors=360, fov_half_width=60, seed=seed,
+                               hotspots=((hot, 0.5, 4.0), (dead, 0.0, 1.0))))
+        assignments, provenance = assert_matches_reference(s)
+        assert assignments[dead] == ()
+        assert PROVENANCE_LEFTOVER in provenance.values()
+
     def test_quantized_durations_and_resources(self):
         # Few distinct durations and resources put ties into every ordering.
         rng = Xorshift64Star(4405)
@@ -352,6 +365,21 @@ class TestReferenceEquivalence:
         part = equalize(s)
         assert part.assignments == ((1,), (0, 2))
         assert part.provenance[1] == PROVENANCE_FOV
+        assert_matches_reference(s)
+
+    @pytest.mark.parametrize("used, d, cap, filler, tag", [
+        (0.07, 0.93, 1.0, 1.9999999970000002, PROVENANCE_FOV),
+        (0.06, 0.51, 0.57, 1.1399999969999999, PROVENANCE_LEFTOVER),
+    ], ids=["fits-as-a-sum-only", "fits-as-a-difference-only"])
+    def test_fit_is_the_sum_first_fit_tests(self, used, d, cap, filler, tag):
+        # Sector 0 holds its own task, then looks at task 1.  First-fit tests
+        # used + d <= cap, and d <= cap - used rounds the other way here.
+        s = scenario_from(2, 1, 1.0, (1.0, 2.0), [(0, used), (1, d), (1, filler)])
+        assert sector_targets(s).targets[0] + CAP_SLACK == cap
+        assert (used + d <= cap) != (d <= cap - used)
+        part = equalize(s)
+        assert part.assignments == ((0, 1), (2,))
+        assert part.provenance[1] == tag
         assert_matches_reference(s)
 
     def test_zero_target_sectors(self):

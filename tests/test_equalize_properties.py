@@ -21,7 +21,8 @@ from sectorsched import (  # noqa: E402
     generate,
     load_report,
 )
-from conftest import dedup_active_sectors  # noqa: E402
+from conftest import dedup_active_sectors, scenario_from  # noqa: E402
+from test_equalize import assert_matches_reference  # noqa: E402
 
 NO_RESOURCES = "all sector resources are zero but the task set is non-empty"
 
@@ -45,6 +46,25 @@ def generated(params):
     except ScenarioValidationError as exc:
         assert exc.violations == [NO_RESOURCES]
         return None
+
+
+@st.composite
+def tied_scenarios(draw):
+    """Small scenarios with few distinct durations and resources, so that
+    ties reach every ordering.  Half-widths cover windows that slide and wrap
+    the circle, 2w == N, and 2w >= N - 1, where the window reaches every
+    sector."""
+    n = draw(st.integers(1, 24))
+    w = draw(st.one_of(st.integers(0, n), st.sampled_from((n // 2, (n - 1) // 2))))
+    durations = draw(st.sampled_from((
+        st.sampled_from((0.5, 1.0, 1.5, 2.0)), st.just(1.0),
+        st.sampled_from((0.1, 0.2, 0.3, 1 / 3)), st.floats(0.05, 3.0))))
+    homes = draw(st.lists(st.tuples(st.integers(0, n - 1), durations), max_size=4 * n))
+    resources = draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.5)),
+                              min_size=n, max_size=n))
+    if not any(resources):
+        resources[0] = 1.0
+    return scenario_from(n, w, 1.0, resources, homes)
 
 
 def window_bound(scenario):
@@ -105,3 +125,8 @@ class TestEqualizeProperties:
         bound = window_bound(s)
         assert bound >= 1.0 - 1e-9  # the whole circle is one of the arcs
         assert load_report(s, part).max_relative_load >= bound * (1.0 - 1e-9)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tied_scenarios())
+    def test_matches_reference_equalizer(self, s):
+        assert_matches_reference(s)

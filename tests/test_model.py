@@ -42,6 +42,11 @@ class TestSectorOfDirection:
         with pytest.raises(InvalidInputError):
             sector_of_direction(1.0, 0)
 
+    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            sector_of_direction(1.0, n_sectors)
+
     def test_partition_covers_and_is_disjoint(self):
         # Every azimuth gets exactly one sector; sector boundaries line up.
         rng = Xorshift64Star(11)
@@ -71,6 +76,15 @@ class TestMainSector:
     def test_negative_time(self):
         with pytest.raises(InvalidInputError):
             main_sector(-1.0, 30, 0.1)
+
+    # Each once raised a bare OverflowError or ValueError, or returned 0 or 1.0.
+    @pytest.mark.parametrize("t, n_sectors, dt", [
+        (math.inf, 30, 0.1), (math.nan, 30, 0.1), (1.0, 30, math.nan),
+        (1.0, 30, math.inf), (1.0, 4.5, 0.1), (1.0, True, 0.1), (1e300, 30, 1e-300),
+    ], ids=["t-inf", "t-nan", "dt-nan", "dt-inf", "n-float", "n-bool", "t-over-dt-inf"])
+    def test_non_finite_or_non_integer_input(self, t, n_sectors, dt):
+        with pytest.raises(InvalidInputError):
+            main_sector(t, n_sectors, dt)
 
     def test_rotation_periodicity(self):
         rng = Xorshift64Star(5)
@@ -180,6 +194,13 @@ class TestScenario:
         for dt in (math.inf, math.nan):
             with pytest.raises(InvalidInputError):
                 Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
+
+    def test_bool_counts_rejected(self):
+        # True and False are ints, but a scenario file cannot hold them as counts.
+        for counts in ({"n_sectors": True, "fov_half_width": 0},
+                       {"n_sectors": 1, "fov_half_width": False}):
+            with pytest.raises(InvalidInputError, match="integer"):
+                Scenario(dt=1.0, resources=(1.0,), **counts)
 
     def test_rotation_time(self):
         s = Scenario(n_sectors=4, fov_half_width=1, dt=0.5, resources=(1.0,) * 4)

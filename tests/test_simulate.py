@@ -181,12 +181,16 @@ class TestCheckTrace:
         (lambda r: [*r[:5], r[5]._replace(task_id=9)],
          [("unknown-task", 7, 9), ("cycles", None, None)]),
         (lambda r: [r[0]._replace(sector=1), *r[1:]], [("sector", 0, 0)]),
-        (lambda r: [*r[:5], r[5]._replace(sector=1, pass_index=9)], [("fov", 9, 2)]),
+        (lambda r: [*r[:5], r[5]._replace(sector=1, pass_index=9)],
+         [("timestamp", 9, 2), ("fov", 9, 2)]),
         (lambda r: [*r[:3], r[3]._replace(sector=1, pass_index=5), *r[4:]],
-         [("overload", 5, None)]),
+         [("timestamp", 5, 0), ("overload", 5, None)]),
         (lambda r: [*r[:4], r[4]._replace(task_id=0), r[5]],
          [("repeat", 5, 0), ("cycles", None, None)]),
-    ], ids=["clean", "order", "unknown-task", "sector", "fov", "overload", "repeat"])
+        (lambda r: [*r[:3], r[3]._replace(timestamp=r[3].timestamp + 0.5), *r[4:]],
+         [("timestamp", 4, 0)]),
+    ], ids=["clean", "order", "unknown-task", "sector", "fov", "overload", "repeat",
+            "timestamp"])
     def test_each_problem_kind(self, corrupt, expected):
         import dataclasses
 
@@ -216,6 +220,20 @@ class TestCheckTrace:
         assert problems[1].detail == (
             "records close 2 cycles, the first in pass 4, and leave 2 tasks after the "
             "last; the trace claims 3, the first in pass 3")
+
+    def test_shifted_timestamp_is_a_problem(self):
+        # A timestamp 50 s late passed the validator while revisit_stats
+        # read it as a 13.5-rotation gap.
+        import dataclasses
+
+        s, trace = self._three_cycles()
+        assert revisit_stats(trace, s).max_interval_rot == 1.0
+        rec = trace.records[3]
+        records = (*trace.records[:3], rec._replace(timestamp=rec.timestamp + 50.0),
+                   *trace.records[4:])
+        late = dataclasses.replace(trace, records=records)
+        assert revisit_stats(late, s).max_interval_rot == 13.5
+        assert [p[:3] for p in check_trace(s, late)] == [("timestamp", 4, 0)]
 
     def test_missing_execution_is_a_problem(self):
         import dataclasses
