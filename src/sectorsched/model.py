@@ -38,16 +38,6 @@ def _floor_ratio(ratio: float) -> int:
     return math.floor(ratio + _FLOOR_EPS)
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int and not a bool, which is an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_n_sectors(n_sectors) -> None:
-    if not _is_int(n_sectors) or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
-
-
 @dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
 class SurveillanceTask:
     """One beam pointing direction (radians) to refresh every update cycle."""
@@ -91,8 +81,9 @@ class Scenario:
     home: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_n_sectors(self.n_sectors)
-        if not _is_int(self.fov_half_width) or self.fov_half_width < 0:
+        if type(self.n_sectors) is not int or self.n_sectors < 1:  # a bool is no count
+            raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
+        if type(self.fov_half_width) is not int or self.fov_half_width < 0:
             raise InvalidInputError(f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidInputError(f"dt={self.dt!r} must be positive and finite")
@@ -120,7 +111,8 @@ class Scenario:
 
 def sector_of_direction(phi: float, n_sectors: int) -> int:
     """Sector index owning azimuth ``phi``: floor(phi / (2*pi) * n_sectors)."""
-    _check_n_sectors(n_sectors)
+    if type(n_sectors) is not int or n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not 0.0 <= phi < TWO_PI:
         raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
     idx = _floor_ratio(phi / TWO_PI * n_sectors)
@@ -131,7 +123,8 @@ def main_sector(t: float, n_sectors: int, dt: float) -> int:
     """Sector the boresight points at time ``t``, wrapped into [0, n_sectors)."""
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInputError(f"dt={dt!r} must be positive and finite")
-    _check_n_sectors(n_sectors)
+    if type(n_sectors) is not int or n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not (t >= 0 and math.isfinite(t)):
         raise InvalidInputError(f"t={t!r} must be non-negative and finite")
     ratio = t / dt
@@ -159,7 +152,8 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
     result has min(2w + 1, n_sectors) distinct entries, w being the clamped
     half-width, and always contains m.
     """
-    _check_n_sectors(n_sectors)
+    if n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
     if not 0 <= m < n_sectors:
         raise InvalidInputError(f"main sector {m!r} outside [0, {n_sectors})")
     if fov_half_width < 0:
@@ -169,7 +163,8 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
 
 def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
     """Cyclic distance between two sector indices, in sectors."""
-    _check_n_sectors(n_sectors)
+    if n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
     if not (0 <= a < n_sectors and 0 <= b < n_sectors):
         raise InvalidInputError(f"sector pair ({a!r}, {b!r}) outside [0, {n_sectors})")
     d = (a - b) % n_sectors

@@ -77,7 +77,7 @@ class TestMainSector:
         with pytest.raises(InvalidInputError):
             main_sector(-1.0, 30, 0.1)
 
-    # Each once raised a bare OverflowError or ValueError, or returned 0 or 1.0.
+    # Each leaked a bare OverflowError or ValueError, or returned 0 or 1.0.
     @pytest.mark.parametrize("t, n_sectors, dt", [
         (math.inf, 30, 0.1), (math.nan, 30, 0.1), (1.0, 30, math.nan),
         (1.0, 30, math.inf), (1.0, 4.5, 0.1), (1.0, True, 0.1), (1e300, 30, 1e-300),
