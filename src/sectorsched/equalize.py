@@ -26,10 +26,11 @@ the very comparison first-fit makes, ``used + duration <= cap``, finds its
 end: a rearranged form can round differently.  Moving to the next sector
 drops the unassigned tasks of the home that leaves reach and inserts those
 of the home that enters it; a window that reaches every sector never
-slides.  With T tasks, half-width w and W = O(T w / N) tasks in the window,
-the sweep costs one O(T log T) sort, then per pick and per task that enters
-or leaves the window one O(log W) search and one list insert or delete,
-plus one step per task of equal duration when the longest fit is tied.
+slides.  With W tasks in the window, about (2w + 1) / N of them all, the
+sweep sorts the first window once, then costs, per pick and per task that
+enters or leaves the window, one O(log W) search and one list insert or
+delete, plus one step per task of equal duration when the longest fit is
+tied.
 """
 
 from __future__ import annotations
