@@ -54,7 +54,7 @@ def _derived_path(out: str, tag: str) -> Path:
 def _gen_params(args, seed: int, fov: int) -> GenParams:
     """Generator knobs of ``gen`` and ``report`` (which has no ``--hotspot``)."""
     hotspots = tuple(
-        (int(sector), float(rmult), float(tmult))
+        (int(sector) if sector.is_integer() else sector, rmult, tmult)
         for sector, rmult, tmult in (getattr(args, "hotspot", None) or [])
     )
     return GenParams(
@@ -72,40 +72,22 @@ def _gen_params(args, seed: int, fov: int) -> GenParams:
 def _partition_for(scenario: Scenario, policy: str) -> SchedulePartition:
     if policy == "greedy":
         return equalize(scenario)
-    if policy == "broadside":
-        return broadside_baseline(scenario)
-    raise InvalidInputError(f"policy {policy!r} has no partition")
+    return broadside_baseline(scenario)
 
 
-def _run_policy(scenario: Scenario, policy: str,
-                cycles: int) -> tuple[SchedulePartition | None, SimulationTrace]:
-    """Trace of a CLI policy and the partition it ran; edf runs none."""
+def _trace(scenario: Scenario, policy: str, cycles: int) -> SimulationTrace:
     if policy == "edf":
-        return None, simulate(scenario, POLICY_EDF, None, cycles=cycles)
-    partition = _partition_for(scenario, policy)
-    return partition, simulate(scenario, POLICY_PARTITION, partition, cycles=cycles)
+        return simulate(scenario, POLICY_EDF, None, cycles=cycles)
+    return simulate(scenario, POLICY_PARTITION, _partition_for(scenario, policy), cycles=cycles)
 
 
-def _executed_partition(scenario: Scenario,
-                        sector_of_task: dict[int, int]) -> SchedulePartition:
-    """Partition of executing sectors: own-sector if run at home, else fov."""
-    provenance = {
+def _row(policy: str, scenario: Scenario, trace: SimulationTrace, completion_pass: int) -> dict:
+    """A ``compare`` / ``report`` row, loads on each task's first executing
+    sector: under the partition policy, the partition the trace ran."""
+    sector_of_task = {rec.task_id: rec.sector for rec in reversed(trace.records)}
+    partition = build_partition(scenario.n_sectors, sector_of_task, {
         tid: PROVENANCE_OWN if sector == scenario.home[tid] else PROVENANCE_FOV
-        for tid, sector in sector_of_task.items()
-    }
-    return build_partition(scenario.n_sectors, sector_of_task, provenance)
-
-
-def _first_cycle_partition(scenario: Scenario, trace: SimulationTrace) -> SchedulePartition:
-    """Effective partition of a policy trace: each task's first executing sector."""
-    sector_of_task: dict[int, int] = {}
-    for rec in trace.records:
-        sector_of_task.setdefault(rec.task_id, rec.sector)
-    return _executed_partition(scenario, sector_of_task)
-
-
-def _metrics_row(policy: str, scenario: Scenario, partition: SchedulePartition,
-                 trace: SimulationTrace, completion_pass: int) -> dict:
+        for tid, sector in sector_of_task.items()})
     return {
         "policy": policy,
         "max_relative_load": load_report(scenario, partition).max_relative_load,
@@ -114,11 +96,9 @@ def _metrics_row(policy: str, scenario: Scenario, partition: SchedulePartition,
     }
 
 
-def _policy_metrics(scenario: Scenario, policy: str, cycles: int) -> dict:
-    partition, trace = _run_policy(scenario, policy, cycles)
-    if partition is None:
-        partition = _first_cycle_partition(scenario, trace)
-    return _metrics_row(policy, scenario, partition, trace, trace.completion_pass)
+def _policy_row(scenario: Scenario, policy: str, cycles: int) -> dict:
+    trace = _trace(scenario, policy, cycles)
+    return _row(policy, scenario, trace, trace.completion_pass)
 
 
 def _cmd_gen(args) -> int:
@@ -143,7 +123,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = io.read_scenario(args.scenario)
-    _, trace = _run_policy(scenario, args.policy, args.cycles)
+    trace = _trace(scenario, args.policy, args.cycles)
     io.write_trace(trace, scenario, args.out)
     print(f"wrote trace ({len(trace.records)} executions, "
           f"completion pass {trace.completion_pass}) to {args.out}")
@@ -162,7 +142,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = io.read_scenario(args.scenario)
-    rows = [_policy_metrics(scenario, policy, args.cycles) for policy in _POLICIES]
+    rows = [_policy_row(scenario, policy, args.cycles) for policy in _POLICIES]
     if args.exact:
         limits = SearchLimits()
         if (len(scenario.tasks) > limits.max_tasks
@@ -171,11 +151,13 @@ def _cmd_compare(args) -> int:
                   file=sys.stderr)
         else:
             solution = exact_min_passes(scenario, limits)
-            partition = _executed_partition(scenario, {
-                tid: sector for tid, (sector, _) in solution.assignments.items()})
+            sector_of_task = {tid: sector for tid, (sector, _) in solution.assignments.items()}
+            partition = build_partition(scenario.n_sectors, sector_of_task, {
+                tid: PROVENANCE_OWN if sector == scenario.home[tid] else PROVENANCE_FOV
+                for tid, sector in sector_of_task.items()})
             trace = simulate(scenario, POLICY_PARTITION, partition, cycles=args.cycles)
-            rows.append(_metrics_row("exact" if solution.optimal else "exact(limit)",
-                                     scenario, partition, trace, solution.objective))
+            rows.append(_row("exact" if solution.optimal else "exact(limit)",
+                             scenario, trace, solution.objective))
     io.write_comparison(rows, args.out, fmt=args.format)
     for row in rows:
         print(f"{row['policy']}: max relative load {row['max_relative_load']:.6g}, "
@@ -193,7 +175,7 @@ def _cmd_report(args) -> int:
             scenario = generate(_gen_params(args, seed, fov))
             for policy in _POLICIES:
                 row = {"seed": seed, "fov": fov}
-                row.update(_policy_metrics(scenario, policy, args.cycles))
+                row.update(_policy_row(scenario, policy, args.cycles))
                 detail.append(row)
     io.write_comparison(detail, args.out, fmt=args.format, fields=(
         "seed", "fov", "policy", "max_relative_load", "worst_revisit_rotations",

@@ -15,12 +15,13 @@ number of rotations to drain.
 
 Mechanism and cost.  One window list holds the unassigned tasks of the homes
 in reach of the current sector as ``(duration, id, home)``, sorted
-ascending.  The own phase is :func:`maximal_subset` over the sector's own
-unassigned tasks, and its picks leave the window.  The field-of-view fill
-is first-fit in the order (-duration, distance, id) while the room left
+ascending.  One first-fit routine makes both fills: the own phase runs it
+on the sector's unassigned own tasks, sorted the same way, and its picks
+then leave the window; the field-of-view phase runs it on the window.  The
+fill is first-fit in the order (-duration, distance, id) while the room left
 only shrinks, so the task it takes next is the longest one that fits, ties
 going to the nearer home, then the lower id.  ``used + duration`` rises
-with the duration, so the tasks that fit form a prefix of the window, and
+with the duration, so the tasks that fit form a prefix of the pool, and
 one binary search on ``cap - used``, corrected a step at a time against
 the very comparison first-fit makes, ``used + duration <= cap``, finds its
 end: a rearranged form can round differently.  Moving to the next sector
@@ -51,7 +52,36 @@ from .loads import (
 from .model import CAP_SLACK, Scenario, SurveillanceTask, fov_offsets
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
-_duration = itemgetter(0)  # of a window entry (duration, id, home)
+_duration = itemgetter(0)  # of a pool entry (duration, id, home)
+
+
+def _first_fit(pool: list[tuple[float, int, int]], cap: float, used: float,
+               i: int, n: int) -> tuple[float, list[tuple[float, int, int]]]:
+    """Pop first-fit picks for sector ``i`` of ``n`` from a sorted pool, each
+    the longest entry with ``used + duration <= cap``, ties to the home nearer
+    ``i``, then the lower id.  Returns the new ``used`` and the picks in order."""
+    picks = []
+    k = len(pool)
+    while k:
+        # pool[:k] fits: the search's answer, stepped to agree with ``used + d <= cap``.
+        k = bisect_right(pool, cap - used, 0, k, key=_duration)
+        while k and not used + pool[k - 1][0] <= cap:
+            k -= 1
+        while k < len(pool) and used + pool[k][0] <= cap:
+            k += 1
+        if not k:
+            break
+        d = pool[k - 1][0]
+        pick = k - 1
+        if pick and pool[pick - 1][0] == d:
+            # Tied durations: the nearer home wins, then the lower id.
+            first = bisect_left(pool, d, 0, k, key=_duration)
+            pick = min(range(first, k), key=lambda j: (
+                min((pool[j][2] - i) % n, (i - pool[j][2]) % n), pool[j][1]))
+        picks.append(pool.pop(pick))
+        used += d
+        k -= 1
+    return used, picks
 
 
 def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
@@ -60,16 +90,11 @@ def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
 
     Returns ids whose durations, on top of ``already_used``, stay within the
     budget, and such that no rejected candidate would still fit: the pick is
-    maximal.  An empty pick is valid (and maximal) whenever the budget is
-    already exhausted, since durations are strictly positive.
+    maximal, and empty when the budget is already exhausted (durations are
+    strictly positive).  Both phases of :func:`equalize` run this fill.
     """
-    chosen: list[int] = []
-    used = already_used
-    for task in sorted(candidates, key=lambda t: (-t.duration, t.id)):
-        if used + task.duration <= budget + CAP_SLACK:
-            chosen.append(task.id)
-            used += task.duration
-    return chosen
+    pool = sorted((t.duration, t.id, 0) for t in candidates)
+    return [tid for _, tid, _ in _first_fit(pool, budget + CAP_SLACK, already_used, 0, 1)[1]]
 
 
 def equalize(scenario: Scenario) -> SchedulePartition:
@@ -83,7 +108,6 @@ def equalize(scenario: Scenario) -> SchedulePartition:
     targets = sector_targets(scenario).targets
     offsets = fov_offsets(scenario.fov_half_width, n)
     lo, hi = offsets[0], offsets[-1]
-    by_id = scenario.task_by_id()
     by_home: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
     for task in scenario.tasks:
         h = scenario.home[task.id]
@@ -104,39 +128,15 @@ def equalize(scenario: Scenario) -> SchedulePartition:
                 if entry[1] not in sector_of_task:
                     insort(window, entry)
         cap = targets[i] + CAP_SLACK
-        own = maximal_subset([by_id[tid] for _, tid, _ in by_home[i]
-                              if tid not in sector_of_task], targets[i])
-        used = 0.0
-        for tid in own:
-            d = by_id[tid].duration
-            used += d
-            sector_of_task[tid] = i
-            provenance[tid] = PROVENANCE_OWN
-            del window[bisect_left(window, (d, tid, i))]
-
-        k = len(window)
-        while k:
-            # Entries up to k - 1 fit: the search's answer, stepped back or
-            # forward until it agrees with ``used + d <= cap``.
-            k = bisect_right(window, cap - used, 0, k, key=_duration)
-            while k and used + window[k - 1][0] > cap:
-                k -= 1
-            while k < len(window) and used + window[k][0] <= cap:
-                k += 1
-            if not k:
-                break
-            d = window[k - 1][0]
-            pick = k - 1
-            if pick and window[pick - 1][0] == d:
-                # Tied durations: the nearer home wins, then the lower id.
-                first = bisect_left(window, d, 0, k, key=_duration)
-                pick = min(range(first, k), key=lambda j: (
-                    min((window[j][2] - i) % n, (i - window[j][2]) % n), window[j][1]))
-            _, tid, _ = window.pop(pick)
-            used += d
-            sector_of_task[tid] = i
-            provenance[tid] = PROVENANCE_FOV
-            k -= 1
+        used, own = _first_fit(sorted(e for e in by_home[i] if e[1] not in sector_of_task),
+                               cap, 0.0, i, n)
+        for entry in own:
+            del window[bisect_left(window, entry)]
+        used, fov = _first_fit(window, cap, used, i, n)
+        for tag, picks in ((PROVENANCE_OWN, own), (PROVENANCE_FOV, fov)):
+            for _, tid, _ in picks:
+                sector_of_task[tid] = i
+                provenance[tid] = tag
         loads[i] = used
 
     leftovers = sorted((-d, tid, h) for entries in by_home

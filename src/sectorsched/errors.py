@@ -22,7 +22,8 @@ class InsufficientDataError(SectorSchedError):
 
 
 class ScenarioFormatError(InvalidInputError):
-    """A scenario or partition file could not be parsed."""
+    """A scenario, partition, trace or load-report file could not be parsed;
+    the message names the file, or the field path or row at fault."""
 
 
 class ScenarioValidationError(InvalidInputError):

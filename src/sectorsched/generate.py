@@ -78,14 +78,14 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_sectors < 1:
-            raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be >= 1")
+        if type(self.n_sectors) is not int or self.n_sectors < 1:  # a bool is no count
+            raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
         if self.fov_half_width < 0:
             raise InvalidInputError("fov_half_width must be >= 0")
         if self.dt <= 0:
             raise InvalidInputError(f"dt={self.dt!r} must be positive")
         lo, hi = self.tasks_per_sector
-        if lo < 0 or hi < lo:
+        if type(lo) is not int or type(hi) is not int or lo < 0 or hi < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
         lo, hi = self.duration
         if lo <= 0 or hi < lo:
@@ -94,10 +94,11 @@ class GenParams:
         if lo < 0 or hi < lo:
             raise InvalidInputError(f"bad resources range {self.resources!r}")
         for sector, res_mult, task_mult in self.hotspots:
-            if not 0 <= sector < self.n_sectors:
+            if type(sector) is not int or not 0 <= sector < self.n_sectors:
                 raise InvalidInputError(f"hotspot sector {sector!r} out of range")
-            if res_mult < 0 or task_mult < 0:
-                raise InvalidInputError("hotspot multipliers must be >= 0")
+            if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):
+                raise InvalidInputError(
+                    f"hotspot multipliers ({res_mult!r}, {task_mult!r}) must be finite and >= 0")
 
 
 def generate(params: GenParams) -> Scenario:

@@ -160,13 +160,29 @@ def write_load_report(report: LoadReport, path: str | Path) -> None:
             report.absolute_load, report.target, report.relative_load, strict=True))))
 
 
-def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
-    rows = []
+def _read_csv(path: str | Path, parse) -> list:
+    """``parse`` applied to each data row of a CSV file, a dict by column name.
+    A missing column, a short row or a bad cell raises
+    :class:`ScenarioFormatError` naming the file and the row (1 = first after
+    the header)."""
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            rows.append((int(row["sector"]), float(row["absolute_load"]),
-                         float(row["target"]), float(row["relative_load"])))
-    return rows
+        reader = csv.DictReader(handle)
+        try:
+            return [parse(row) for row in reader]
+        except KeyError as exc:
+            raise ScenarioFormatError(
+                f"{path}: row {reader.line_num - 1}: missing column {exc}") from exc
+        except TypeError as exc:  # a short row's missing cells read as None
+            raise ScenarioFormatError(
+                f"{path}: row {reader.line_num - 1}: missing cell") from exc
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{path}: row {reader.line_num - 1}: {exc}") from exc
+
+
+def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
+    return _read_csv(path, lambda row: (
+        int(row["sector"]), float(row["absolute_load"]),
+        float(row["target"]), float(row["relative_load"])))
 
 
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
@@ -179,14 +195,10 @@ def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) ->
 
 
 def read_trace(path: str | Path) -> list[ExecutionRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            records.append(ExecutionRecord(
-                task_id=int(row["task_id"]), sector=int(row["sector"]),
-                pass_index=int(row["pass"]), start_offset=float(row["start_offset"]),
-                timestamp=float(row["timestamp"])))
-    return records
+    return _read_csv(path, lambda row: ExecutionRecord(
+        task_id=int(row["task_id"]), sector=int(row["sector"]),
+        pass_index=int(row["pass"]), start_offset=float(row["start_offset"]),
+        timestamp=float(row["timestamp"])))
 
 
 def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:

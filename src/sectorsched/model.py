@@ -152,8 +152,8 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
     result has min(2w + 1, n_sectors) distinct entries, w being the clamped
     half-width, and always contains m.
     """
-    if n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
+    if type(n_sectors) is not int or n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not 0 <= m < n_sectors:
         raise InvalidInputError(f"main sector {m!r} outside [0, {n_sectors})")
     if fov_half_width < 0:
@@ -163,8 +163,8 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
 
 def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
     """Cyclic distance between two sector indices, in sectors."""
-    if n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
+    if type(n_sectors) is not int or n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not (0 <= a < n_sectors and 0 <= b < n_sectors):
         raise InvalidInputError(f"sector pair ({a!r}, {b!r}) outside [0, {n_sectors})")
     d = (a - b) % n_sectors

@@ -407,8 +407,8 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha={alpha!r} outside (0, 1]")
-    if n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be >= 1")
+    if type(n_sectors) is not int or n_sectors < 1:
+        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInputError(f"dt={dt!r} must be positive and finite")
     estimates = [0.0] * n_sectors

@@ -339,6 +339,16 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("hotspot, message", [
+        (("1", "1", "nan"), "must be finite"), (("1", "1", "inf"), "must be finite"),
+        (("nan", "1", "1"), "hotspot sector nan"), (("1.5", "1", "1"), "hotspot sector 1.5")])
+    def test_gen_refuses_a_bad_hotspot(self, tmp_path, capsys, hotspot, message):
+        out = tmp_path / "s.json"
+        assert run("gen", "--hotspot", *hotspot, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_infeasible_scenario(self, tmp_path):
         s = scenario_from(3, 0, 1.0, (0.0, 5.0, 5.0), [(0, 1.0)])
         path = tmp_path / "dead.json"

@@ -59,6 +59,18 @@ def exhaustive_is_maximal(durations, chosen_ids, budget, used):
     return True
 
 
+def reference_maximal_subset(candidates, budget, already_used=0.0):
+    """The sort-based ``maximal_subset``, kept verbatim as the oracle for the
+    one first-fit routine both phases of the equalizer run."""
+    chosen: list[int] = []
+    used = already_used
+    for task in sorted(candidates, key=lambda t: (-t.duration, t.id)):
+        if used + task.duration <= budget + CAP_SLACK:
+            chosen.append(task.id)
+            used += task.duration
+    return chosen
+
+
 def reference_equalize(scenario):
     """The sort-based equalizer, kept as the oracle for the sliding window.
 

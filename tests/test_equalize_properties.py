@@ -8,21 +8,24 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sectorsched import (  # noqa: E402
+    CAP_SLACK,
     GenParams,
     InfeasibleScenarioError,
     PROVENANCE_OWN,
     ScenarioValidationError,
+    SurveillanceTask,
     check_partition,
     equalize,
     generate,
     load_report,
+    maximal_subset,
 )
 from conftest import dedup_active_sectors, scenario_from  # noqa: E402
-from test_equalize import assert_matches_reference  # noqa: E402
+from test_equalize import assert_matches_reference, reference_maximal_subset  # noqa: E402
 
 NO_RESOURCES = "all sector resources are zero but the task set is non-empty"
 
@@ -65,6 +68,28 @@ def tied_scenarios(draw):
     if not any(resources):
         resources[0] = 1.0
     return scenario_from(n, w, 1.0, resources, homes)
+
+
+@st.composite
+def fill_inputs(draw):
+    """``maximal_subset`` arguments: tied or quantized durations under ids in
+    any order, prior use from none up, and often a budget whose cap,
+    ``budget + CAP_SLACK``, lies on or an ulp beside the prior use plus the
+    longest durations."""
+    durations = draw(st.lists(draw(st.sampled_from((
+        st.sampled_from((0.5, 1.0, 1.5, 2.0)), st.just(1.0),
+        st.sampled_from((0.1, 0.2, 0.3, 1 / 3)), st.floats(0.05, 3.0)))), max_size=12))
+    ids = draw(st.permutations(range(3 * len(durations))))[:len(durations)]
+    tasks = [SurveillanceTask(tid, 0.0, 0.0, d) for tid, d in zip(ids, durations)]
+    used = draw(st.one_of(st.just(0.0), st.sampled_from((0.1, 0.5, 1.0, 1 / 3)),
+                          st.floats(0.0, 5.0)))
+    longest = sorted(durations, reverse=True)[:draw(st.integers(0, len(durations)))]
+    edge = used + sum(longest) - CAP_SLACK
+    edge = draw(st.sampled_from((math.nextafter(edge, -math.inf), edge,
+                                 math.nextafter(edge, math.inf))))
+    budget = draw(st.one_of(st.just(edge), st.sampled_from((0.0, 1.0, 2.5)),
+                            st.floats(0.0, 20.0)))
+    return tasks, budget, used
 
 
 def window_bound(scenario):
@@ -130,3 +155,15 @@ class TestEqualizeProperties:
     @given(tied_scenarios())
     def test_matches_reference_equalizer(self, s):
         assert_matches_reference(s)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(fill_inputs())
+    # used + d <= cap and d <= cap - used round apart: fits as a sum only,
+    # then as a difference only.
+    @example(([SurveillanceTask(0, 0.0, 0.0, 0.93), SurveillanceTask(1, 0.0, 0.0, 0.5)],
+              1.0 - CAP_SLACK, 0.07))
+    @example(([SurveillanceTask(0, 0.0, 0.0, 0.51), SurveillanceTask(1, 0.0, 0.0, 0.5)],
+              0.57 - CAP_SLACK, 0.06))
+    def test_maximal_subset_matches_reference(self, fill):
+        tasks, budget, used = fill
+        assert maximal_subset(tasks, budget, used) == reference_maximal_subset(tasks, budget, used)

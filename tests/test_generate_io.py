@@ -100,6 +100,27 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             GenParams(hotspots=((99, 1.0, 1.0),))
 
+    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            GenParams(n_sectors=n_sectors)
+
+    @pytest.mark.parametrize("tasks", [(1.5, 3), (1, 3.0), (False, 3)])
+    def test_non_integer_task_count(self, tasks):
+        with pytest.raises(InvalidInputError, match="tasks_per_sector"):
+            GenParams(tasks_per_sector=tasks)
+
+    @pytest.mark.parametrize("sector", [1.5, 1.0, True])
+    def test_non_integer_hotspot_sector(self, sector):
+        with pytest.raises(InvalidInputError, match="hotspot sector"):
+            GenParams(hotspots=((sector, 0.0, 1.0),))
+
+    @pytest.mark.parametrize("mults", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_non_finite_hotspot_multiplier(self, mults):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            GenParams(hotspots=((1, *mults),))
+
 
 class TestScenarioRoundTrip:
     def test_write_read_identity(self, tmp_path):
@@ -271,6 +292,31 @@ class TestArtifactRoundTrips:
         text = path.read_text(encoding="utf-8").splitlines()
         assert text[0] == "task_id,home_sector,exec_sector,interval_s,interval_rot"
         assert len(text) == 1 + len(stats.per_task)
+
+    @pytest.mark.parametrize("reader, header", [
+        (sio.read_trace, "pass,rotation,sector,task_id,start_offset,duration"),
+        (sio.read_load_report, "sector,absolute_load,target")], ids=["trace", "loads"])
+    def test_missing_column(self, tmp_path, reader, header):
+        path = tmp_path / "short.csv"
+        path.write_text(header + "\r\n" + ",".join(["0"] * 6) + "\r\n", encoding="utf-8")
+        with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: row 1: missing column")):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, text", [
+        (sio.read_trace, "pass,rotation,sector,task_id,start_offset,duration,timestamp\r\n"
+                         "0,0,0,1,0.0,1.0,0.0\r\n1,0,1,x,0.0,1.0,25.0\r\n"),
+        (sio.read_trace, "pass,rotation,sector,task_id,start_offset,duration,timestamp\r\n"
+                         "0,0,0,1,0.0,1.0,0.0\r\n1,0,1,2,0.0\r\n"),
+        (sio.read_load_report, "sector,absolute_load,target,relative_load\r\n"
+                               "0,1.0,1.0,1.0\r\n1,1.0,one,1.0\r\n"),
+        (sio.read_load_report, "sector,absolute_load,target,relative_load\r\n"
+                               "0,1.0,1.0,1.0\r\n1,1.0\r\n")],
+        ids=["trace-bad-cell", "trace-short-row", "loads-bad-cell", "loads-short-row"])
+    def test_bad_cell(self, tmp_path, reader, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: row 2: ")):
+            reader(path)
 
     def test_infinite_relative_load_round_trips(self, tmp_path):
         from conftest import scenario_from

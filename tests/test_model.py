@@ -124,6 +124,11 @@ class TestActiveSectors:
         with pytest.raises(InvalidInputError):
             active_sectors(5, 1, 5)
 
+    @pytest.mark.parametrize("n_sectors", [4.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            active_sectors(0, 1, n_sectors)
+
     def test_matches_dedup_definition(self):
         for n_sectors in range(1, 13):
             for m in range(n_sectors):
@@ -160,6 +165,11 @@ class TestAngularSectorDistance:
             d = angular_sector_distance(a, b, n)
             assert d == angular_sector_distance(b, a, n)
             assert (d == 0) == (a == b)
+
+    @pytest.mark.parametrize("n_sectors", [4.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            angular_sector_distance(0, 1, n_sectors)
 
 
 class TestSurveillanceTask:

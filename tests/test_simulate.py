@@ -306,6 +306,11 @@ class TestMeasureResources:
         with pytest.raises(InvalidInputError):
             measure_resources([0.1], 1, 0.0, 0.5)
 
+    @pytest.mark.parametrize("n_sectors", [2.5, 2.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            measure_resources([0.1], n_sectors, 1.0, 0.5)
+
     @pytest.mark.parametrize("used, dt", [
         ([1.0, math.nan, 2.0], 5.0), ([0.1], math.nan), ([0.1], math.inf)])
     def test_non_finite_input(self, used, dt):

@@ -43,6 +43,25 @@ class TestSimulateProperties:
                 assert problem.kind == "overload" and problem.pass_index in overfilled, problem
 
     @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(gen_params(), st.integers(1, 3))
+    def test_partition_policy_runs_each_task_in_its_assigned_sector(self, params, cycles):
+        # The CLI measures a row's loads on each task's first executing sector.
+        s = generated(params)
+        if s is None:
+            return
+        partitions = [broadside_baseline(s)]
+        try:
+            partitions.append(equalize(s))
+        except InfeasibleScenarioError:
+            pass
+        for partition in partitions:
+            sector_of = partition.sector_index()
+            trace = simulate(s, POLICY_PARTITION, partition, cycles=cycles)
+            assert {rec.task_id for rec in trace.records} == set(sector_of)
+            for rec in trace.records:
+                assert rec.sector == sector_of[rec.task_id], rec
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.sampled_from(sorted(INVALID_FIELDS)))
     def test_one_broken_field_is_rejected(self, params, breakage):
         s = generated(params)
