@@ -24,16 +24,9 @@ from .errors import (
     InvalidInputError,
     LimitsExceededError,
 )
-from .exact import SearchLimits, exact_min_passes
+from .exact import exact_min_passes
 from .generate import GenParams, generate
-from .loads import (
-    PROVENANCE_FOV,
-    PROVENANCE_OWN,
-    SchedulePartition,
-    broadside_baseline,
-    build_partition,
-    load_report,
-)
+from .loads import SchedulePartition, broadside_baseline, build_partition, load_report
 from .model import Scenario
 from .simulate import POLICY_EDF, POLICY_PARTITION, SimulationTrace, revisit_stats, simulate
 
@@ -49,6 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _derived_path(out: str, tag: str) -> Path:
     return Path(out).with_suffix(f".{tag}.csv")
+
+
+def _need_revisit_cycles(cycles: int) -> None:
+    if cycles < 2:  # a compare / report row holds revisit intervals
+        raise InvalidInputError(f"--cycles {cycles}: revisit intervals need >= 2 completed cycles")
 
 
 def _gen_params(args, seed: int, fov: int) -> GenParams:
@@ -85,9 +83,7 @@ def _row(policy: str, scenario: Scenario, trace: SimulationTrace, completion_pas
     """A ``compare`` / ``report`` row, loads on each task's first executing
     sector: under the partition policy, the partition the trace ran."""
     sector_of_task = {rec.task_id: rec.sector for rec in reversed(trace.records)}
-    partition = build_partition(scenario.n_sectors, sector_of_task, {
-        tid: PROVENANCE_OWN if sector == scenario.home[tid] else PROVENANCE_FOV
-        for tid, sector in sector_of_task.items()})
+    partition = build_partition(scenario.n_sectors, sector_of_task)
     return {
         "policy": policy,
         "max_relative_load": load_report(scenario, partition).max_relative_load,
@@ -141,20 +137,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _need_revisit_cycles(args.cycles)
     scenario = io.read_scenario(args.scenario)
     rows = [_policy_row(scenario, policy, args.cycles) for policy in _POLICIES]
     if args.exact:
-        limits = SearchLimits()
-        if (len(scenario.tasks) > limits.max_tasks
-                or scenario.n_sectors > limits.max_sectors):
-            print("note: scenario exceeds exact-search limits, skipping exact row",
-                  file=sys.stderr)
+        try:
+            solution = exact_min_passes(scenario)
+        except LimitsExceededError as exc:
+            print(f"note: {exc}, skipping exact row", file=sys.stderr)
         else:
-            solution = exact_min_passes(scenario, limits)
-            sector_of_task = {tid: sector for tid, (sector, _) in solution.assignments.items()}
-            partition = build_partition(scenario.n_sectors, sector_of_task, {
-                tid: PROVENANCE_OWN if sector == scenario.home[tid] else PROVENANCE_FOV
-                for tid, sector in sector_of_task.items()})
+            partition = build_partition(scenario.n_sectors, {
+                tid: sector for tid, (sector, _) in solution.assignments.items()})
             trace = simulate(scenario, POLICY_PARTITION, partition, cycles=args.cycles)
             rows.append(_row("exact" if solution.optimal else "exact(limit)",
                              scenario, trace, solution.objective))
@@ -168,6 +161,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _need_revisit_cycles(args.cycles)
     detail: list[dict] = []
     for offset in range(args.runs):
         seed = args.seed + offset
@@ -280,8 +274,7 @@ def main(argv=None) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, InsufficientDataError, LimitsExceededError,
-            OSError) as exc:
+    except (InvalidInputError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

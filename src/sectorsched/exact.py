@@ -13,6 +13,9 @@ sector with bitwise-equal residual capacity are interchangeable within a
 fixed horizon, so only the first of each such group is tried.  The first
 horizon that admits a schedule is optimal provided no smaller horizon search
 was cut short by the node budget.
+
+Module constants cap the instance (``MAX_TASKS``, ``MAX_SECTORS``) and the
+horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
 """
 
 from __future__ import annotations
@@ -22,23 +25,23 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance
+from .model import CAP_SLACK, Scenario, SurveillanceTask, active_sectors, angular_sector_distance
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
+
+MAX_TASKS = 12
+MAX_SECTORS = 8
+MAX_ROTATIONS = 5
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Instance-size guardrails for the exponential search."""
+    """Node budget of the exponential search: a positive int."""
 
-    max_tasks: int = 12
-    max_sectors: int = 8
-    max_rotations: int = 5
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("max_tasks", "max_sectors", "max_rotations", "node_budget"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be positive")
+        if type(self.node_budget) is not int or self.node_budget < 1:  # a bool is no count
+            raise InvalidInputError(f"node_budget={self.node_budget!r} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -64,28 +67,23 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     """Branch-and-bound minimum of the last used pass index.
 
     The scenario is valid by construction, so only its size is checked.
-    Raises :class:`LimitsExceededError` when the instance is larger than
-    ``limits`` allow (or the budget dies with no schedule in hand), and
-    :class:`InfeasibleScenarioError` when some task fits no pass at all or
-    nothing completes within ``limits.max_rotations`` rotations.
+    Raises :class:`LimitsExceededError` past ``MAX_TASKS`` tasks or
+    ``MAX_SECTORS`` sectors, or when the node budget dies with no schedule in
+    hand, and :class:`InfeasibleScenarioError` when some task fits no pass
+    at all or nothing completes within ``MAX_ROTATIONS`` rotations.
     """
-    if len(scenario.tasks) > limits.max_tasks:
-        raise LimitsExceededError(
-            f"{len(scenario.tasks)} tasks exceed max_tasks={limits.max_tasks}")
-    if scenario.n_sectors > limits.max_sectors:
-        raise LimitsExceededError(
-            f"{scenario.n_sectors} sectors exceed max_sectors={limits.max_sectors}")
+    if len(scenario.tasks) > MAX_TASKS:
+        raise LimitsExceededError(f"{len(scenario.tasks)} tasks exceed max_tasks={MAX_TASKS}")
+    if scenario.n_sectors > MAX_SECTORS:
+        raise LimitsExceededError(f"{scenario.n_sectors} sectors exceed max_sectors={MAX_SECTORS}")
     if not scenario.tasks:
         return ExactSolution(assignments={}, objective=-1, optimal=True)
 
     n = scenario.n_sectors
-    horizon = limits.max_rotations * n
-    caps = [scenario.resources[p % n] for p in range(horizon)]
+    caps = [scenario.resources[p % n] for p in range(MAX_ROTATIONS * n)]
 
     tasks = sorted(scenario.tasks, key=lambda t: (-t.duration, t.id))
-    reach = {h: {j for j in range(n)
-                 if angular_sector_distance(j, h, n) <= scenario.fov_half_width}
-             for h in set(scenario.home.values())}
+    reach = [set(active_sectors(h, scenario.fov_half_width, n)) for h in range(n)]
     feasible_sectors = {tid: reach[h] for tid, h in scenario.home.items()}
     for task in tasks:
         sectors = feasible_sectors[task.id]
@@ -98,22 +96,20 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     incumbent = _first_fit_schedule(tasks, feasible_sectors, caps, n)
 
     budget = [limits.node_budget]
-    aborted = False
-    top = max(incumbent.values()) if incumbent else horizon
+    top = max(incumbent.values()) if incumbent else len(caps)
     for bound in range(lower, top):
         try:
             found = _fits_within(tasks, feasible_sectors, caps[: bound + 1], n, budget)
         except _BudgetExhausted:
-            aborted = True
-            break
+            if incumbent is None:
+                raise LimitsExceededError(
+                    "node budget exhausted before any schedule was found") from None
+            return _solution(incumbent, n, optimal=False)
         if found is not None:
-            return _solution(found, n, optimal=not aborted)
-    if incumbent is not None:
-        return _solution(incumbent, n, optimal=not aborted)
-    if aborted:
-        raise LimitsExceededError("node budget exhausted before any schedule was found")
-    raise InfeasibleScenarioError(
-        f"no schedule exists within {limits.max_rotations} rotations")
+            return _solution(found, n, optimal=True)
+    if incumbent is None:
+        raise InfeasibleScenarioError(f"no schedule exists within {MAX_ROTATIONS} rotations")
+    return _solution(incumbent, n, optimal=True)
 
 
 def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolution:
@@ -126,8 +122,7 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
 def _lower_bound(scenario, tasks, reach, caps) -> int:
     """Smallest pass index worth testing: capacity and FOV-group necessities.
 
-    ``reach`` maps each home sector to the sectors in its field of view."""
-    horizon = len(caps)
+    ``reach[h]`` is the set of sectors in sector ``h``'s field of view."""
     total = math.fsum(t.duration for t in tasks)
     bounds = [_prefix_passes(caps, range(scenario.n_sectors), scenario.n_sectors, total)]
     demand_by_home: dict[int, float] = {}
@@ -136,12 +131,11 @@ def _lower_bound(scenario, tasks, reach, caps) -> int:
         demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
     for home, demand in demand_by_home.items():
         bounds.append(_prefix_passes(caps, reach[home], scenario.n_sectors, demand))
-    return min(max(bounds), horizon)
+    return max(bounds)
 
 
 def _prefix_passes(caps, sectors, n, demand) -> int:
     """First pass index whose prefix capacity over ``sectors`` covers ``demand``."""
-    sectors = set(sectors)
     acc = 0.0
     for p, cap in enumerate(caps):
         if p % n in sectors:

@@ -54,9 +54,19 @@ class Xorshift64Star:
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], both ends inclusive."""
+        if type(lo) is not int or type(hi) is not int:
+            raise InvalidInputError(f"integer range ends ({lo!r}, {hi!r}) must be ints")
         if hi < lo:
             raise InvalidInputError(f"empty integer range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
+
+
+def _numbers(value, arity: int, what: str) -> tuple:
+    """``value`` as a tuple of ``arity`` ints or floats, else InvalidInputError."""
+    if not (isinstance(value, (tuple, list)) and len(value) == arity
+            and all(isinstance(x, (int, float)) for x in value)):
+        raise InvalidInputError(f"{what} {value!r} must be {arity} numbers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -80,20 +90,24 @@ class GenParams:
     def __post_init__(self):
         if type(self.n_sectors) is not int or self.n_sectors < 1:  # a bool is no count
             raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
-        if self.fov_half_width < 0:
-            raise InvalidInputError("fov_half_width must be >= 0")
-        if self.dt <= 0:
+        if type(self.fov_half_width) is not int or self.fov_half_width < 0:
+            raise InvalidInputError(
+                f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
+        if not isinstance(self.dt, (int, float)) or self.dt <= 0:
             raise InvalidInputError(f"dt={self.dt!r} must be positive")
-        lo, hi = self.tasks_per_sector
+        if type(self.seed) is not int:
+            raise InvalidInputError(f"seed={self.seed!r} must be an integer")
+        lo, hi = _numbers(self.tasks_per_sector, 2, "tasks_per_sector range")
         if type(lo) is not int or type(hi) is not int or lo < 0 or hi < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
-        lo, hi = self.duration
+        lo, hi = _numbers(self.duration, 2, "duration range")
         if lo <= 0 or hi < lo:
             raise InvalidInputError(f"bad duration range {self.duration!r}")
-        lo, hi = self.resources
+        lo, hi = _numbers(self.resources, 2, "resources range")
         if lo < 0 or hi < lo:
             raise InvalidInputError(f"bad resources range {self.resources!r}")
-        for sector, res_mult, task_mult in self.hotspots:
+        for hotspot in self.hotspots:
+            sector, res_mult, task_mult = _numbers(hotspot, 3, "hotspot")
             if type(sector) is not int or not 0 <= sector < self.n_sectors:
                 raise InvalidInputError(f"hotspot sector {sector!r} out of range")
             if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):

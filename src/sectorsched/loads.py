@@ -37,8 +37,8 @@ class SchedulePartition:
     """Assignment of every task id to exactly one executing sector.
 
     ``assignments[i]`` holds the ids of the tasks sector ``i`` executes,
-    sorted ascending so serialization is canonical.  ``provenance`` maps each
-    task id to the phase tag that placed it (one of ``PROVENANCE_TAGS``).
+    sorted ascending so serialization is canonical.  ``provenance`` maps a task
+    id to the equalizer phase that placed it (one of ``PROVENANCE_TAGS``), if any.
     """
 
     assignments: tuple[tuple[int, ...], ...]
@@ -50,14 +50,14 @@ class SchedulePartition:
 
 
 def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
-                    provenance: Mapping[int, str]) -> SchedulePartition:
-    """Canonical SchedulePartition from a task-id -> sector mapping."""
+                    provenance: Mapping[int, str] = {}) -> SchedulePartition:
+    """Canonical SchedulePartition from task id -> sector, tagging the tasks ``provenance`` has."""
     buckets: list[list[int]] = [[] for _ in range(n_sectors)]
     for tid, sector in sector_of_task.items():
         buckets[sector].append(tid)
     return SchedulePartition(
         assignments=tuple(tuple(sorted(ids)) for ids in buckets),
-        provenance={tid: provenance[tid] for tid in sorted(sector_of_task)},
+        provenance={tid: provenance[tid] for tid in sorted(sector_of_task) if tid in provenance},
     )
 
 

@@ -156,8 +156,9 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
     if not 0 <= m < n_sectors:
         raise InvalidInputError(f"main sector {m!r} outside [0, {n_sectors})")
-    if fov_half_width < 0:
-        raise InvalidInputError(f"fov_half_width={fov_half_width!r} must be >= 0")
+    if type(fov_half_width) is not int or fov_half_width < 0:
+        raise InvalidInputError(
+            f"fov_half_width={fov_half_width!r} must be a non-negative integer")
     return tuple((m + c) % n_sectors for c in fov_offsets(fov_half_width, n_sectors))
 
 

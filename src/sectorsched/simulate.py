@@ -113,7 +113,7 @@ def simulate(scenario: Scenario, policy: str,
     if policy not in POLICY_VARIANTS:
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
-    if not isinstance(cycles, int) or cycles < 1:
+    if type(cycles) is not int or cycles < 1:  # a bool is no count
         raise InvalidInputError(f"cycles={cycles!r} must be a positive integer")
     if policy != POLICY_EDF:
         if partition is None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sectorsched
+from sectorsched import SearchLimits, cli
 from sectorsched.cli import build_parser, main
 from sectorsched import io as sio
 from conftest import scenario_from
@@ -212,6 +213,37 @@ class TestCompare:
         assert run("compare", "--scenario", str(scenario), "--out", str(out),
                    "--exact") == 0
         assert not any(r["policy"].startswith("exact") for r in read_csv(out))
+        assert "exceed max_tasks=12, skipping exact row" in capsys.readouterr().err
+
+    def test_budget_out_skips_exact(self, tmp_path, capsys, monkeypatch):
+        # Six 3 s tasks in one 5 s sector need six passes: first-fit finds no
+        # plan within five, so one search node ends the search with none.
+        s = scenario_from(1, 0, 5.0, (5.0,), [(0, 3.0)] * 6)
+        scenario = tmp_path / "deep.json"
+        sio.write_scenario(s, scenario)
+        solve = cli.exact_min_passes
+        monkeypatch.setattr(cli, "exact_min_passes",
+                            lambda scenario, *_: solve(scenario, SearchLimits(node_budget=1)))
+        out = tmp_path / "cmp.csv"
+        assert run("compare", "--scenario", str(scenario), "--out", str(out),
+                   "--exact") == 0
+        assert [r["policy"] for r in read_csv(out)] == ["greedy", "broadside", "edf"]
+        assert ("note: node budget exhausted before any schedule was found, "
+                "skipping exact row") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--scenario", "missing.json", "--exact"), ("report", "--runs", "1")])
+    def test_one_cycle_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a policy ran")
+
+        monkeypatch.setattr(cli, "simulate", no_work)
+        out = tmp_path / "out.csv"
+        assert run(*command, "--cycles", "1", "--out", str(out)) == 1
+        assert ("error: --cycles 1: revisit intervals need >= 2 completed cycles"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestReport:

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import pytest
 
 from sectorsched import (
     CAP_SLACK,
+    GenParams,
     InfeasibleScenarioError,
     InvalidInputError,
     LimitsExceededError,
@@ -15,6 +17,7 @@ from sectorsched import (
     check_assignment,
     equalize,
     exact_min_passes,
+    generate,
     simulate,
 )
 from conftest import scenario_from
@@ -97,13 +100,18 @@ class TestExactMinPasses:
         with pytest.raises(InfeasibleScenarioError, match="task 0"):
             exact_min_passes(s)
 
-    def test_limits_enforced(self, tri_scenario):
-        with pytest.raises(LimitsExceededError):
-            exact_min_passes(tri_scenario, SearchLimits(max_tasks=2))
-        with pytest.raises(LimitsExceededError):
-            exact_min_passes(tri_scenario, SearchLimits(max_sectors=2))
-        with pytest.raises(InvalidInputError):
-            SearchLimits(max_rotations=0)
+    def test_limits_enforced(self):
+        thirteen_tasks = scenario_from(4, 1, 1.0, (9.0,) * 4, [(k % 4, 1.0) for k in range(13)])
+        with pytest.raises(LimitsExceededError, match="^13 tasks exceed max_tasks=12$"):
+            exact_min_passes(thirteen_tasks)
+        nine_sectors = scenario_from(9, 1, 1.0, (9.0,) * 9, [(0, 1.0)])
+        with pytest.raises(LimitsExceededError, match="^9 sectors exceed max_sectors=8$"):
+            exact_min_passes(nine_sectors)
+
+    @pytest.mark.parametrize("budget", [math.nan, 1.5, True, 0])
+    def test_node_budget_is_a_positive_int(self, budget):
+        with pytest.raises(InvalidInputError, match="node_budget"):
+            SearchLimits(node_budget=budget)
 
     def test_needs_second_rotation(self):
         # Two tasks of 2 on a single sector of capacity 2: passes 0 and 1.
@@ -217,3 +225,40 @@ def test_total_demand_preserved_by_reduction():
     sizes = [4.0, 3.0, 2.0, 1.0]
     s = bin_packing_reduce(sizes, [5.0, 5.0])
     assert math.fsum(t.duration for t in s.tasks) == pytest.approx(10.0)
+
+
+# SHA-256 of the outcomes below, recorded from the solver before its search
+# limits became module constants; any change to a plan, an objective, the
+# optimality flag or an error message shows here.
+EXACT_CORPUS_SHA256 = "203cfe57b179b6bac0209f897aaac345168268cab23de1db0bde6c011fad658a"
+
+
+def test_exact_corpus_matches_recorded_digest():
+    """600 seeded instances under budgets of 1 to 100,000 nodes: random bin
+    packings, one- or two-sector instances that need up to and past five
+    rotations, and generated instances inside and past the size limits.  Every outcome kind occurs: proven, budget-out with a plan,
+    budget-out with none, too many tasks or sectors, infeasible."""
+    rng = Xorshift64Star(2024)
+    digest = hashlib.sha256()
+    for k in range(600):
+        if k % 3 == 0:
+            caps = [3.0 + rng.uniform() * 5.0 for _ in range(rng.randint(2, 6))]
+            sizes = [0.5 + rng.uniform() * 3.5 for _ in range(rng.randint(1, 12))]
+            scenario = bin_packing_reduce(sizes, caps)
+        elif k % 5 == 1:
+            scenario = generate(GenParams(
+                n_sectors=rng.randint(1, 2), fov_half_width=0, tasks_per_sector=(3, 6),
+                duration=(3.0, 5.0), resources=(4.0, 6.0), seed=rng.randint(0, 10**6)))
+        else:
+            scenario = generate(GenParams(
+                n_sectors=rng.randint(1, 9), fov_half_width=rng.randint(0, 3),
+                tasks_per_sector=(0, 3), duration=(1.0, 5.0), resources=(3.0, 7.0),
+                seed=rng.randint(0, 10**6)))
+        budget = (1, 50, 5_000, 100_000)[rng.randint(0, 3)]
+        try:
+            s = exact_min_passes(scenario, SearchLimits(node_budget=budget))
+            outcome = (sorted(s.assignments.items()), s.objective, s.optimal)
+        except (LimitsExceededError, InfeasibleScenarioError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == EXACT_CORPUS_SHA256

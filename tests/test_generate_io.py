@@ -50,6 +50,11 @@ class TestXorshift:
         with pytest.raises(InvalidInputError):
             r.randint(5, 4)
 
+    @pytest.mark.parametrize("lo, hi", [(0, 2.5), (0.5, 2), (False, 3)])
+    def test_randint_needs_int_ends(self, lo, hi):
+        with pytest.raises(InvalidInputError, match="must be ints"):
+            Xorshift64Star(1).randint(lo, hi)
+
 
 class TestGenerate:
     def test_same_seed_same_scenario(self):
@@ -114,6 +119,20 @@ class TestGenerate:
     def test_non_integer_hotspot_sector(self, sector):
         with pytest.raises(InvalidInputError, match="hotspot sector"):
             GenParams(hotspots=((sector, 0.0, 1.0),))
+
+    @pytest.mark.parametrize("knobs", [
+        {"seed": math.nan}, {"seed": math.inf}, {"seed": 1.5}, {"seed": "7"},
+        {"seed": True}, {"tasks_per_sector": (1, 2, 3)}, {"tasks_per_sector": (4,)},
+        {"duration": (1.0,)}, {"duration": (1.0, 2.0, 3.0)}, {"resources": 5.0},
+        {"hotspots": ((1, 2.0),)}, {"hotspots": ((1, 2.0, 1.0, 0.0),)},
+        {"hotspots": ((1, "a", 1.0),)}, {"duration": ("a", "b")},
+        {"fov_half_width": "a"}, {"fov_half_width": 1.5}, {"dt": "x"}])
+    def test_malformed_knob_is_a_typed_error(self, knobs):
+        with pytest.raises(InvalidInputError):
+            GenParams(**knobs)
+
+    def test_negative_seed_is_valid(self):
+        assert generate(GenParams(seed=-3)) == generate(GenParams(seed=-3))
 
     @pytest.mark.parametrize("mults", [
         (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])

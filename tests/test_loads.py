@@ -5,6 +5,7 @@ import pytest
 from sectorsched import (
     GenParams,
     InvalidInputError,
+    PROVENANCE_FOV,
     PROVENANCE_OWN,
     ScenarioValidationError,
     SchedulePartition,
@@ -16,6 +17,7 @@ from sectorsched import (
     load_report,
     sector_targets,
 )
+from sectorsched import io as sio
 from conftest import mutated, scenario_from
 
 
@@ -155,6 +157,17 @@ class TestCheckPartition:
         dup = SchedulePartition(assignments=((0,), (0, 1), (), ()),
                                 provenance={0: PROVENANCE_OWN, 1: PROVENANCE_OWN})
         assert any("assigned to sectors" in p for p in check_partition(s, dup))
+
+    def test_partial_tags_are_kept(self, tmp_path):
+        s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (1, 1.0), (2, 1.0)])
+        part = build_partition(3, {0: 0, 1: 2, 2: 2}, {1: PROVENANCE_FOV, 7: PROVENANCE_OWN})
+        assert part.assignments == ((0,), (), (1, 2))
+        assert part.provenance == {1: PROVENANCE_FOV}
+        assert build_partition(3, {0: 0, 1: 2, 2: 2}).provenance == {}
+        assert check_partition(s, part) == []
+        assert load_report(s, part).absolute_load == (1.0, 0.0, 2.0)
+        sio.write_partition(part, tmp_path / "p.json")
+        assert sio.read_partition(tmp_path / "p.json") == part
 
     def test_sector_of(self):
         part = build_partition(3, {5: 2, 6: 0}, {5: PROVENANCE_OWN, 6: PROVENANCE_OWN})

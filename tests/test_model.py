@@ -129,6 +129,11 @@ class TestActiveSectors:
         with pytest.raises(InvalidInputError, match="must be a positive integer"):
             active_sectors(0, 1, n_sectors)
 
+    @pytest.mark.parametrize("fov", [1.5, 1.0, True])
+    def test_non_integer_fov(self, fov):
+        with pytest.raises(InvalidInputError, match="must be a non-negative integer"):
+            active_sectors(0, fov, 8)
+
     def test_matches_dedup_definition(self):
         for n_sectors in range(1, 13):
             for m in range(n_sectors):

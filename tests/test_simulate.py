@@ -127,6 +127,12 @@ class TestSimulateValidation:
             simulate(tri_scenario, POLICY_PARTITION,
                      broadside_baseline(tri_scenario), cycles=0)
 
+    def test_cycles_is_an_int(self, tri_scenario):
+        for cycles in (True, 2.0):
+            with pytest.raises(InvalidInputError, match="must be a positive integer"):
+                simulate(tri_scenario, POLICY_PARTITION,
+                         broadside_baseline(tri_scenario), cycles=cycles)
+
     def test_unknown_variant(self, tri_scenario):
         # broadside is the partition variant fed the home-sector partition,
         # not a variant of its own
