@@ -5,13 +5,18 @@ import pytest
 
 from sectorsched import (
     CAP_SLACK,
+    ExecutionRecord,
     GenParams,
     InsufficientDataError,
     InvalidInputError,
     POLICY_EDF,
     POLICY_PARTITION,
+    RevisitStats,
     Scenario,
     ScenarioValidationError,
+    SimulationTrace,
+    TaskRevisit,
+    TraceProblem,
     angular_sector_distance,
     broadside_baseline,
     build_partition,
@@ -349,10 +354,10 @@ def reference_simulate(scenario, variant, partition, cycles):
     Each pass filters the eligible tasks not yet run this cycle, sorts them
     oldest first with id as the tie-break, and runs them until the first one
     that does not fit; a head task larger than every pass it is eligible for
-    runs alone instead.  Returns (records, overfilled passes, completion
-    pass, passes, cycles).
+    runs alone instead, with an ``overfill`` warning.  Returns the whole
+    :class:`SimulationTrace`.
     """
-    n = scenario.n_sectors
+    n, dt = scenario.n_sectors, scenario.dt
     by_id = scenario.task_by_id()
     if variant == POLICY_EDF:
         def eligible(sector, tid):
@@ -363,9 +368,12 @@ def reference_simulate(scenario, variant, partition, cycles):
 
         def eligible(sector, tid):
             return sector_of[tid] == sector
+    warnings = [TraceProblem("resources", None, None,
+                             f"sector {j}: resources {r} exceed pass duration {dt}")
+                for j, r in enumerate(scenario.resources) if r > dt]
     last = {tid: -math.inf for tid in by_id}
     done = set()
-    records, overfilled = [], []
+    records = []
     completion, cycles_done, pass_index = -1, 0, 0
     while by_id and cycles_done < cycles:
         sector = pass_index % n
@@ -382,20 +390,52 @@ def reference_simulate(scenario, variant, partition, cycles):
                     for j in range(n) if eligible(j, tid))
                 if not oversized:
                     break
-            timestamp = pass_index * scenario.dt + used
-            records.append((tid, sector, pass_index, used, timestamp))
+            timestamp = pass_index * dt + used
+            records.append(ExecutionRecord(tid, sector, pass_index, used, timestamp))
             last[tid] = timestamp
             done.add(tid)
             used += duration
             if oversized:
-                overfilled.append(pass_index)
+                warnings.append(TraceProblem(
+                    "overfill", pass_index, tid, f"task {tid} (duration {duration}) "
+                    f"overfills sector {sector} (resources {budget}) in pass {pass_index}"))
                 break
-        if by_id and len(done) == len(by_id):
+        if len(done) == len(by_id):
             completion = pass_index if completion < 0 else completion
             cycles_done += 1
             done = set()
         pass_index += 1
-    return records, overfilled, completion, pass_index, cycles_done
+    return SimulationTrace(records=tuple(records), completion_pass=completion,
+                           n_passes=pass_index, cycles_completed=cycles_done,
+                           warnings=tuple(warnings))
+
+
+def reference_revisit_stats(trace, scenario):
+    """Revisit statistics by their definition: each task's intervals are the
+    differences of its ``trace.illumination`` timestamps, taken task by task
+    in id order."""
+    home = scenario.home
+    if not home:
+        return RevisitStats(per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
+                            mean_interval_s=0.0, mean_interval_rot=0.0,
+                            per_sector_max_rot=(0.0,) * scenario.n_sectors)
+    rotation = scenario.rotation_time
+    last_sector = {rec.task_id: rec.sector for rec in trace.records}
+    per_task, all_intervals = [], []
+    per_sector = [0.0] * scenario.n_sectors
+    for tid, h in sorted(home.items()):
+        times = trace.illumination[tid]
+        intervals = [b - a for a, b in zip(times, times[1:])]
+        worst = max(intervals)
+        per_task.append(TaskRevisit(tid, h, last_sector[tid], worst, worst / rotation))
+        all_intervals.extend(intervals)
+        per_sector[h] = max(per_sector[h], worst / rotation)
+    worst = max(all_intervals)
+    mean = math.fsum(all_intervals) / len(all_intervals)
+    return RevisitStats(per_task=tuple(per_task), max_interval_s=worst,
+                        max_interval_rot=worst / rotation, mean_interval_s=mean,
+                        mean_interval_rot=mean / rotation,
+                        per_sector_max_rot=tuple(per_sector))
 
 
 def _equivalence_scenario(n, fov, seed, resources, dead, dt):
@@ -448,14 +488,9 @@ def test_bucket_drain_matches_brute_force(case, seed):
     for variant, partition in runs:
         cycles = 1 + seed
         trace = simulate(s, variant, partition, cycles=cycles)
-        records, overfilled, completion, passes, done = reference_simulate(
-            s, variant, partition, cycles)
-        assert list(trace.records) == records
-        assert [w.pass_index for w in trace.warnings if w.kind == "overfill"] == overfilled
-        assert (trace.completion_pass, trace.n_passes, trace.cycles_completed) == \
-            (completion, passes, done)
+        assert trace == reference_simulate(s, variant, partition, cycles)
         assert trace.illumination == {
-            tid: tuple(r[4] for r in records if r[0] == tid) for tid in s.task_by_id()}
+            tid: tuple(r[4] for r in trace.records if r[0] == tid) for tid in s.task_by_id()}
 
 
 def test_equivalence_cases_reach_every_branch():

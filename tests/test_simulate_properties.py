@@ -3,13 +3,16 @@
 Needs hypothesis; the module is skipped where it is not installed.
 """
 
+import dataclasses
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sectorsched import (  # noqa: E402
+    GenParams,
     InfeasibleScenarioError,
     POLICY_EDF,
     POLICY_PARTITION,
@@ -17,10 +20,30 @@ from sectorsched import (  # noqa: E402
     broadside_baseline,
     check_trace,
     equalize,
+    revisit_stats,
     simulate,
 )
 from conftest import INVALID_FIELDS, mutated  # noqa: E402
 from test_equalize_properties import gen_params, generated  # noqa: E402
+from test_simulate import reference_revisit_stats, reference_simulate  # noqa: E402
+
+# dt 2 s puts every sector's resources (5-20 s) beyond the pass, so record
+# timestamps interleave across passes; a dead or starved hotspot under a
+# narrow field of view holds tasks larger than every pass that reaches them.
+INTERLEAVED = (GenParams(n_sectors=7, fov_half_width=1, seed=3), 2.0)
+OVERSIZED = (GenParams(n_sectors=6, fov_half_width=0, hotspots=((2, 0.0, 1.0), (4, 0.3, 4.0)),
+                       seed=5), 25.0)
+
+
+def _runs(s):
+    """Both policies: edf, the broadside partition and, where one exists, the
+    equalized partition."""
+    runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s))]
+    try:
+        runs.append((POLICY_PARTITION, equalize(s)))
+    except InfeasibleScenarioError:
+        pass  # a task whose whole field of view is dead sectors
+    return runs
 
 
 class TestSimulateProperties:
@@ -30,17 +53,38 @@ class TestSimulateProperties:
         s = generated(params)
         if s is None:
             return
-        runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s))]
-        try:
-            runs.append((POLICY_PARTITION, equalize(s)))
-        except InfeasibleScenarioError:
-            pass  # a task whose whole field of view is dead sectors
-        for policy, partition in runs:
+        for policy, partition in _runs(s):
             trace = simulate(s, policy, partition, cycles=cycles)
             assert trace.cycles_completed == (cycles if s.tasks else 0)
             overfilled = {w.pass_index for w in trace.warnings if w.kind == "overfill"}
             for problem in check_trace(s, trace):
                 assert problem.kind == "overload" and problem.pass_index in overfilled, problem
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(gen_params(), st.sampled_from((25.0, 2.0)), st.integers(1, 3))
+    @example(*INTERLEAVED, 3)
+    @example(*OVERSIZED, 2)
+    def test_matches_the_reference_simulator(self, params, dt, cycles):
+        s = generated(dataclasses.replace(params, dt=dt))
+        if s is None:
+            return
+        for policy, partition in _runs(s):
+            trace = simulate(s, policy, partition, cycles=cycles)
+            assert trace == reference_simulate(s, policy, partition, cycles)
+            if cycles >= 2:
+                assert revisit_stats(trace, s) == reference_revisit_stats(trace, s)
+
+    @pytest.mark.parametrize("params, dt", [INTERLEAVED, OVERSIZED],
+                             ids=["interleaved", "oversized"])
+    def test_reference_examples_reach_their_branches(self, params, dt):
+        s = generated(dataclasses.replace(params, dt=dt))
+        for policy, partition in _runs(s):
+            trace = simulate(s, policy, partition, cycles=2)
+            stamps = [rec.timestamp for rec in trace.records]
+            if dt == 2.0:
+                assert stamps != sorted(stamps)
+            else:
+                assert any(w.kind == "overfill" for w in trace.warnings)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.integers(1, 3))
