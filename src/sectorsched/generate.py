@@ -106,6 +106,8 @@ class GenParams:
         lo, hi = _numbers(self.resources, 2, "resources range")
         if lo < 0 or hi < lo:
             raise InvalidInputError(f"bad resources range {self.resources!r}")
+        if not isinstance(self.hotspots, (tuple, list)):
+            raise InvalidInputError(f"hotspots {self.hotspots!r} must be a sequence of hotspots")
         for hotspot in self.hotspots:
             sector, res_mult, task_mult = _numbers(hotspot, 3, "hotspot")
             if type(sector) is not int or not 0 <= sector < self.n_sectors:

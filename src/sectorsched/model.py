@@ -85,7 +85,7 @@ class Scenario:
             raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
         if type(self.fov_half_width) is not int or self.fov_half_width < 0:
             raise InvalidInputError(f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        if not (isinstance(self.dt, (int, float)) and self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidInputError(f"dt={self.dt!r} must be positive and finite")
         object.__setattr__(self, "resources", tuple(float(r) for r in self.resources))
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -154,8 +154,8 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
     """
     if type(n_sectors) is not int or n_sectors < 1:
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
-    if not 0 <= m < n_sectors:
-        raise InvalidInputError(f"main sector {m!r} outside [0, {n_sectors})")
+    if type(m) is not int or not 0 <= m < n_sectors:  # a bool is no sector
+        raise InvalidInputError(f"main sector {m!r} is not an integer in [0, {n_sectors})")
     if type(fov_half_width) is not int or fov_half_width < 0:
         raise InvalidInputError(
             f"fov_half_width={fov_half_width!r} must be a non-negative integer")
@@ -166,6 +166,8 @@ def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
     """Cyclic distance between two sector indices, in sectors."""
     if type(n_sectors) is not int or n_sectors < 1:
         raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
+    if not type(a) is type(b) is int:  # a bool is no sector
+        raise InvalidInputError(f"sector pair ({a!r}, {b!r}) must be integers")
     if not (0 <= a < n_sectors and 0 <= b < n_sectors):
         raise InvalidInputError(f"sector pair ({a!r}, {b!r}) outside [0, {n_sectors})")
     d = (a - b) % n_sectors

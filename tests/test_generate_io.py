@@ -126,7 +126,8 @@ class TestGenerate:
         {"duration": (1.0,)}, {"duration": (1.0, 2.0, 3.0)}, {"resources": 5.0},
         {"hotspots": ((1, 2.0),)}, {"hotspots": ((1, 2.0, 1.0, 0.0),)},
         {"hotspots": ((1, "a", 1.0),)}, {"duration": ("a", "b")},
-        {"fov_half_width": "a"}, {"fov_half_width": 1.5}, {"dt": "x"}])
+        {"fov_half_width": "a"}, {"fov_half_width": 1.5}, {"dt": "x"},
+        {"hotspots": 5}, {"hotspots": None}])
     def test_malformed_knob_is_a_typed_error(self, knobs):
         with pytest.raises(InvalidInputError):
             GenParams(**knobs)

@@ -129,6 +129,11 @@ class TestActiveSectors:
         with pytest.raises(InvalidInputError, match="must be a positive integer"):
             active_sectors(0, 1, n_sectors)
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, True])
+    def test_non_integer_main_sector(self, m):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            active_sectors(m, 1, 8)
+
     @pytest.mark.parametrize("fov", [1.5, 1.0, True])
     def test_non_integer_fov(self, fov):
         with pytest.raises(InvalidInputError, match="must be a non-negative integer"):
@@ -176,6 +181,11 @@ class TestAngularSectorDistance:
         with pytest.raises(InvalidInputError, match="must be a positive integer"):
             angular_sector_distance(0, 1, n_sectors)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 1), (1, 1.0), (True, 1), (0, False)])
+    def test_non_integer_sector_index(self, a, b):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            angular_sector_distance(a, b, 4)
+
 
 class TestSurveillanceTask:
     def test_ranges(self):
@@ -209,6 +219,11 @@ class TestScenario:
         for dt in (math.inf, math.nan):
             with pytest.raises(InvalidInputError):
                 Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
+
+    @pytest.mark.parametrize("dt", ["x", None, (1.0,)])
+    def test_non_numeric_dt(self, dt):
+        with pytest.raises(InvalidInputError, match="dt="):
+            Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
 
     def test_bool_counts_rejected(self):
         # True and False are ints, but a scenario file cannot hold them as counts.
