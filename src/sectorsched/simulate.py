@@ -26,18 +26,20 @@ A trace is its records: illumination histories and a record's rotation,
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
 buckets (j + c) mod N for c in a window of offsets: ``0..0`` for
-partition, ``model.fov_offsets`` for edf.  A task's
-priority ``(last illumination, id)`` changes only when it runs, and it runs
-once per cycle, so each bucket is sorted once at the start of a cycle and a
-pass runs a prefix of the merge of its reachable buckets, popping a heap of
-bucket heads until the first task that does not fit.  That heap lasts the
-whole cycle.  Moving from sector j to j + 1 retires bucket (j + lo) mod N
-by bumping its generation stamp, so its entry is dropped when it reaches
-the top, and pushes the head of bucket (j + 1 + hi) mod N; a window that
-covers all N sectors never rolls.  A pass costs O(log k + r log k) for k
-reachable buckets and r tasks run, a cycle adds O(T log T) for T tasks and
-the heap rebuild, and "larger than every pass" is one comparison against
-the bucket's largest reachable resources.
+partition, ``model.fov_offsets`` for edf.  A task's priority
+``(last illumination, id)`` changes only when it runs, and it runs once per
+cycle, so at the start of a cycle all T tasks are sorted once and each gets
+its rank, 0 the oldest; a bucket holds its ranks in order.  A pass runs a
+prefix of the merge of its reachable buckets, popping a heap of plain int
+ranks, the bucket heads, until the first task that does not fit.  That heap
+lasts the whole cycle.  Moving from sector j to j + 1 marks bucket
+(j + lo) mod N out of the window and pushes the head of bucket
+(j + 1 + hi) mod N; an entry whose bucket is out of the window, or which is
+no longer its bucket's head, is stale and dropped when it reaches the top.
+A window that covers all N sectors never rolls.  A pass costs
+O(log k + r log k) for k reachable buckets and r tasks run, a cycle adds
+O(T log T) for the ranking and the heap rebuild, and "larger than every
+pass" is one comparison against the bucket's largest reachable resources.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
-from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
@@ -137,12 +138,10 @@ def simulate(scenario: Scenario, policy: str,
                                warnings=tuple(warnings))
 
     if policy != POLICY_EDF:
-        members = [list(ids) for ids in partition.assignments]
+        bucket_of = partition.sector_index()
         window = range(0, 1)
     else:
-        members = [[] for _ in range(n)]
-        for tid, home in scenario.home.items():
-            members[home].append(tid)
+        bucket_of = scenario.home
         window = fov_offsets(scenario.fov_half_width, n)
     lo, hi = window[0], window[-1]
     # A pass over j reaches buckets j + lo .. j + hi.  The window is
@@ -151,13 +150,14 @@ def simulate(scenario: Scenario, policy: str,
     ring = scenario.resources * 3
     reach_max = [max(ring[n + h + lo:n + h + hi + 1]) for h in range(n)]
     rolls = len(window) < n
-    duration_of = {tid: task.duration for tid, task in by_id.items()}
+    ids = sorted(by_id)
 
-    last_time: dict[int, float] = {tid: -math.inf for tid in by_id}
+    last_time = dict.fromkeys(ids, -math.inf)
     records: list[ExecutionRecord] = []
+    new_record = tuple.__new__  # a namedtuple's own __new__ is a Python call per record
     completion_pass = -1
     cycles_done = 0
-    n_tasks = len(by_id)
+    n_tasks = len(ids)
     pass_cap = cycles * n * (n_tasks + 2)  # progress guard, never reached in practice
 
     remaining = 0
@@ -168,44 +168,55 @@ def simulate(scenario: Scenario, policy: str,
         sector = pass_index % n
         if not remaining:
             # New cycle: priorities hold until each task runs once more, so
-            # every bucket is sorted once, head (oldest) at the end, and the
-            # heap of the window's heads is built once.  Entries are
-            # (head, bucket, generation).
-            buckets = [sorted(((last_time[tid], tid) for tid in ids), reverse=True)
-                       for ids in members]
-            generation = [0] * n
-            heads = [(buckets[h][-1], h, 0)
-                     for h in ((sector + c) % n for c in window) if buckets[h]]
+            # the tasks are ranked once, oldest first (a stable sort of the
+            # ids), and each bucket holds its ranks, head (oldest) at the end.
+            order = sorted(ids, key=last_time.__getitem__)
+            duration_of = [by_id[tid].duration for tid in order]
+            home_of = [bucket_of[tid] for tid in order]
+            buckets = [[] for _ in range(n)]
+            for rank in range(n_tasks - 1, -1, -1):
+                buckets[home_of[rank]].append(rank)
+            in_window = bytearray(n)
+            heads = []
+            for c in window:
+                h = (sector + c) % n
+                in_window[h] = 1
+                if buckets[h]:
+                    heads.append(buckets[h][-1])
             heapify(heads)
             remaining = n_tasks
         elif rolls:
             # One sector on: bucket (sector - 1 + lo) leaves the window and
             # its entry goes stale; bucket (sector + hi) enters it.
-            generation[(sector - 1 + lo) % n] += 1
+            in_window[(sector - 1 + lo) % n] = 0
             h = (sector + hi) % n
+            in_window[h] = 1
             if bucket := buckets[h]:
-                heappush(heads, (bucket[-1], h, generation[h]))
+                heappush(heads, bucket[-1])
         budget = scenario.resources[sector]
+        limit = budget + CAP_SLACK
         start = pass_index * dt
         used = 0.0
         ran = 0
         while heads:
-            (_, tid), h, stamp = heads[0]
-            if stamp != generation[h]:
-                heappop(heads)
+            rank = heads[0]
+            h = home_of[rank]
+            bucket = buckets[h]
+            if not (in_window[h] and bucket and bucket[-1] == rank):
+                heappop(heads)  # out of the window, or a head already run
                 continue
-            duration = duration_of[tid]
-            oversized = used + duration > budget + CAP_SLACK
+            duration = duration_of[rank]
+            oversized = used + duration > limit
             if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
                 break
-            bucket = buckets[h]
             bucket.pop()
             if bucket:
-                heapreplace(heads, (bucket[-1], h, stamp))
+                heapreplace(heads, bucket[-1])
             else:
                 heappop(heads)
+            tid = order[rank]
             timestamp = start + used
-            records.append(ExecutionRecord(tid, sector, pass_index, used, timestamp))
+            records.append(new_record(ExecutionRecord, (tid, sector, pass_index, used, timestamp)))
             last_time[tid] = timestamp
             used += duration
             ran += 1
@@ -243,36 +254,44 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     """Independent trace validator.
 
     Re-derives pass loads, field-of-view feasibility, once-per-cycle coverage
-    and the passes where cycles close straight from the records, sharing no
-    state with the simulator; a record of an unknown task is reported once,
-    then left out.  A record's timestamp must be its pass start,
-    ``pass_index * dt``, plus its offset, as :func:`revisit_stats` assumes.
+    and the passes where cycles close straight from the records, in one walk
+    over them, sharing no state with the simulator; a record of an unknown
+    task is reported once, then left out.  A record's timestamp must be its
+    pass start, ``pass_index * dt``, plus its offset, as
+    :func:`revisit_stats` assumes.
     One ``cycles`` problem reports closes that disagree with
     ``cycles_completed`` or ``completion_pass``, or records after the last.
-    Kinds: ``order``, ``timestamp``, ``unknown-task``, ``sector``, ``fov``,
-    ``overload``, ``repeat``, ``cycles``.
+    Problems come by kind in this order: per record ``order``,
+    ``timestamp``, ``unknown-task``, ``sector``, ``fov``; then ``overload``
+    by pass, ``repeat`` by record, and ``cycles`` last.
     """
     problems: list[TraceProblem] = []
+    repeats: list[TraceProblem] = []
     duration = {t.id: t.duration for t in scenario.tasks}
     home = scenario.home
+    n_tasks = len(home)
     n = scenario.n_sectors
     w = scenario.fov_half_width
     dt = scenario.dt
 
     load_by_pass: dict[int, float] = {}
-    previous = (-1, -math.inf)
+    # Once-per-cycle coverage, cycle boundaries re-derived from the records.
+    current: set[int] = set()
+    closes: list[int] = []
+    previous_p, previous_offset = -1, -math.inf
     for tid, sector, p, offset, timestamp in trace.records:
         # Execution order is (pass, offset); raw timestamps may interleave
         # when a sector's resources exceed the kinematic pass duration.
-        if (p, offset) < previous:
+        if p < previous_p or (p == previous_p and offset < previous_offset):
             problems.append(TraceProblem(
                 "order", p, tid, f"records out of execution order at pass {p}"))
-        previous = (p, offset)
+        previous_p, previous_offset = p, offset
         if timestamp != p * dt + offset:
             problems.append(TraceProblem(
                 "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
                 f"pass {p} start {p * dt} plus offset {offset}"))
-        if tid not in home:
+        h = home.get(tid)
+        if h is None:
             problems.append(TraceProblem(
                 "unknown-task", p, tid, f"record references unknown task {tid}"))
             continue
@@ -280,32 +299,26 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
             problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
                                          f"sector {sector} does not match pass {p}"))
         # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
-        d = (sector - home[tid]) % n
+        d = (sector - h) % n
         if w < d < n - w:
             problems.append(TraceProblem(
                 "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
                 f"home in pass {p} (fov half-width {w})"))
         load_by_pass[p] = load_by_pass.get(p, 0.0) + duration[tid]
+        if tid in current:
+            repeats.append(TraceProblem(
+                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
+            continue
+        current.add(tid)
+        if len(current) == n_tasks:
+            closes.append(p)
+            current = set()
     for p, used in sorted(load_by_pass.items()):
         cap = scenario.resources[p % n]
         if used > cap + CAP_SLACK:
             problems.append(TraceProblem(
                 "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
-
-    # Once-per-cycle coverage, cycle boundaries re-derived from the records.
-    current: set[int] = set()
-    closes: list[int] = []
-    for tid, _, p, _, _ in trace.records:
-        if tid not in home:
-            continue
-        if tid in current:
-            problems.append(TraceProblem(
-                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
-            continue
-        current.add(tid)
-        if len(current) == len(home):
-            closes.append(p)
-            current = set()
+    problems += repeats
     first = closes[0] if closes else -1
     if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
         problems.append(TraceProblem(
@@ -342,6 +355,10 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     illuminations of the same direction.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
+    One walk over the records keeps each task's latest timestamp and
+    sector and its worst interval so far; an interval is the difference of
+    consecutive timestamps of a task, as in ``trace.illumination``, and the
+    mean is an ``fsum`` over all of them.
     """
     home = scenario.home
     if not home:
@@ -354,23 +371,33 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             f"revisit intervals need >= 2 completed cycles, trace has "
             f"{trace.cycles_completed}")
     rotation = scenario.rotation_time
-    last_sector = {tid: sector for tid, sector, _, _, _ in trace.records}
+    # One walk: each task's latest [timestamp, sector, worst interval so far].
+    state = {tid: [None, None, None] for tid in home}
+    all_intervals: list[float] = []
+    for tid, sector, _, _, timestamp in trace.records:
+        seen = state.get(tid)
+        if seen is None:
+            continue  # not a task of this scenario
+        previous, _, worst = seen
+        if previous is not None:
+            interval = timestamp - previous
+            all_intervals.append(interval)
+            if worst is None or interval > worst:  # as max() keeps the first of equals
+                seen[2] = interval
+        seen[0] = timestamp
+        seen[1] = sector
 
     per_task = []
-    all_intervals: list[float] = []
     per_sector = [0.0] * scenario.n_sectors
     for tid, h in sorted(home.items()):
-        times = trace.illumination.get(tid, ())
-        intervals = tuple(map(sub, times[1:], times))
-        if not intervals:
+        _, last_sector, worst = state[tid]
+        if worst is None:
             raise InsufficientDataError(f"task {tid} was illuminated fewer than twice")
-        worst = max(intervals)
         worst_rot = worst / rotation
-        per_task.append(TaskRevisit(tid, h, last_sector[tid], worst, worst_rot))
-        all_intervals.extend(intervals)
+        per_task.append(TaskRevisit(tid, h, last_sector, worst, worst_rot))
         if worst_rot > per_sector[h]:
             per_sector[h] = worst_rot
-    worst = max(all_intervals)
+    worst = max(t.max_interval_s for t in per_task)
     mean = math.fsum(all_intervals) / len(all_intervals)
     return RevisitStats(
         per_task=tuple(per_task),
