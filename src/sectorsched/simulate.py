@@ -171,11 +171,11 @@ def simulate(scenario: Scenario, policy: str,
             # the tasks are ranked once, oldest first (a stable sort of the
             # ids), and each bucket holds its ranks, head (oldest) at the end.
             order = sorted(ids, key=last_time.__getitem__)
-            duration_of = [by_id[tid].duration for tid in order]
-            home_of = [bucket_of[tid] for tid in order]
+            rank_duration = [by_id[tid].duration for tid in order]
+            rank_bucket = [bucket_of[tid] for tid in order]
             buckets = [[] for _ in range(n)]
             for rank in range(n_tasks - 1, -1, -1):
-                buckets[home_of[rank]].append(rank)
+                buckets[rank_bucket[rank]].append(rank)
             in_window = bytearray(n)
             heads = []
             for c in window:
@@ -200,12 +200,12 @@ def simulate(scenario: Scenario, policy: str,
         ran = 0
         while heads:
             rank = heads[0]
-            h = home_of[rank]
+            h = rank_bucket[rank]
             bucket = buckets[h]
             if not (in_window[h] and bucket and bucket[-1] == rank):
                 heappop(heads)  # out of the window, or a head already run
                 continue
-            duration = duration_of[rank]
+            duration = rank_duration[rank]
             oversized = used + duration > limit
             if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
                 break

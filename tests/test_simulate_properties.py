@@ -74,17 +74,16 @@ class TestSimulateProperties:
             if cycles >= 2:
                 assert revisit_stats(trace, s) == reference_revisit_stats(trace, s)
 
-    @pytest.mark.parametrize("params, dt", [INTERLEAVED, OVERSIZED],
-                             ids=["interleaved", "oversized"])
-    def test_reference_examples_reach_their_branches(self, params, dt):
+    @pytest.mark.parametrize("case, reached", [
+        (INTERLEAVED, lambda trace: [r.timestamp for r in trace.records]
+         != sorted(r.timestamp for r in trace.records)),
+        (OVERSIZED, lambda trace: any(w.kind == "overfill" for w in trace.warnings)),
+    ], ids=["interleaved", "oversized"])
+    def test_reference_examples_reach_their_branches(self, case, reached):
+        params, dt = case
         s = generated(dataclasses.replace(params, dt=dt))
         for policy, partition in _runs(s):
-            trace = simulate(s, policy, partition, cycles=2)
-            stamps = [rec.timestamp for rec in trace.records]
-            if dt == 2.0:
-                assert stamps != sorted(stamps)
-            else:
-                assert any(w.kind == "overfill" for w in trace.warnings)
+            assert reached(simulate(s, policy, partition, cycles=2))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(gen_params(), st.integers(1, 3))
