@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -27,6 +28,34 @@ def scenario_from(n_sectors, fov, dt, resources, homed_durations):
         tasks.append(SurveillanceTask(task_id, phi, 0.0, duration))
     return Scenario(n_sectors=n_sectors, fov_half_width=fov, dt=dt,
                     resources=tuple(resources), tasks=tuple(tasks))
+
+
+def scenario_payload(scenario):
+    """The JSON object of a scenario file, as a ``json.dumps`` payload."""
+    return {
+        "n_sectors": scenario.n_sectors,
+        "fov_half_width": scenario.fov_half_width,
+        "dt": scenario.dt,
+        "resources": list(scenario.resources),
+        "tasks": [
+            {"id": t.id, "phi": t.phi, "theta": t.theta, "duration": t.duration}
+            for t in scenario.tasks
+        ],
+    }
+
+
+def partition_payload(partition):
+    """The JSON object of a partition file, as a ``json.dumps`` payload."""
+    return {
+        "assignments": [list(ids) for ids in partition.assignments],
+        "provenance": {str(tid): tag
+                       for tid, tag in sorted(partition.provenance.items())},
+    }
+
+
+def reference_json(payload):
+    """The text ``write_scenario`` and ``write_partition`` must write for ``payload``."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # One-field breakages that validate_scenario reports, as (field, value) for

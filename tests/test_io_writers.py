@@ -1,14 +1,18 @@
-"""The CSV writers pinned byte for byte to ``csv.writer`` references.
+"""The CSV and JSON writers pinned byte for byte to their references.
 
-The writers in ``sectorsched.io`` format each row with an f-string; the
-references below are the ``csv.writer`` versions they replaced.  Both must
-write the same bytes for every trace, revisit table, load report and
-comparison table, including overfilled traces, N=1, an empty trace and
-floats whose ``repr`` uses an exponent.
+The writers in ``sectorsched.io`` format each row or object with an
+f-string; the references are the versions they replaced: ``csv.writer``
+for the CSV files below, ``json.dumps(payload, indent=2)`` for the scenario
+and partition files (in ``conftest``, shared with the property tests).
+Both must write the same bytes for every trace, revisit table, load report,
+comparison table, scenario and partition, including overfilled traces, N=1,
+an empty trace, no tasks, int-valued numbers, float subclasses, tags outside
+``PROVENANCE_TAGS`` and floats whose ``repr`` uses an exponent.
 """
 
 import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,10 @@ from sectorsched import (
     GenParams,
     POLICY_EDF,
     POLICY_PARTITION,
+    PROVENANCE_LEFTOVER,
     Scenario,
+    SchedulePartition,
+    SurveillanceTask,
     broadside_baseline,
     equalize,
     generate,
@@ -25,7 +32,7 @@ from sectorsched import (
     simulate,
 )
 from sectorsched import io as sio
-from conftest import scenario_from
+from conftest import partition_payload, reference_json, scenario_from, scenario_payload
 
 
 def reference_write_load_report(report, path):
@@ -69,6 +76,14 @@ def reference_write_comparison(rows, path, fields):
                 repr(v) if isinstance(v, float) else v for v in row.values()])
 
 
+def reference_write_scenario(scenario, path):
+    Path(path).write_text(reference_json(scenario_payload(scenario)), encoding="utf-8")
+
+
+def reference_write_partition(partition, path):
+    Path(path).write_text(reference_json(partition_payload(partition)), encoding="utf-8")
+
+
 def _generated(n, fov, tasks, resources, seed, dead=0):
     s = generate(GenParams(n_sectors=n, fov_half_width=fov, tasks_per_sector=tasks,
                            duration=(0.5, 3.0), resources=resources, seed=seed))
@@ -96,6 +111,54 @@ SCENARIOS = {
 }
 
 
+
+
+class OddFloat(float):
+    """A float whose ``repr`` and ``str`` are not its number's."""
+
+    def __repr__(self):
+        return "odd"
+
+    __str__ = __repr__
+
+
+class OddInt(int):
+    """An int whose ``repr`` and ``str`` are not its number's."""
+
+    def __repr__(self):
+        return "odd"
+
+    __str__ = __repr__
+
+
+# Numbers that ``json`` spells by ``int.__repr__`` or ``float.__repr__``, not
+# by the value's own ``repr``: ints where the scenario allows a float, and
+# number subclasses.  Resources are floats in every scenario.
+INT_VALUED = Scenario(n_sectors=4, fov_half_width=1, dt=25, resources=(3, 2.0, 0, 1e-05),
+                      tasks=(SurveillanceTask(0, 0, 0, 1), SurveillanceTask(1, 3, -3, 2),
+                             SurveillanceTask(7, 1.5, 0.25, 1e-05)))
+SUBCLASSED = Scenario(n_sectors=3, fov_half_width=1, dt=OddFloat(2.5), resources=(1.0,) * 3,
+                      tasks=(SurveillanceTask(0, OddFloat(0.5), OddFloat(-1.0), OddFloat(1e-05)),
+                             SurveillanceTask(1, OddInt(2), OddInt(1), OddInt(3))))
+
+JSON_SCENARIOS = {**SCENARIOS, "int-valued": INT_VALUED, "subclassed": SUBCLASSED,
+                  "int-dt-subclass": Scenario(n_sectors=1, fov_half_width=0, dt=OddInt(4),
+                                              resources=(2.0,))}
+
+# Partitions no scenario above yields: no sectors, sectors with no tasks and
+# no provenance, and tags outside PROVENANCE_TAGS, one needing JSON escapes,
+# in a dict not sorted by id.
+PARTITIONS = {
+    "no-sectors": SchedulePartition(assignments=(), provenance={}),
+    "empty-sectors": SchedulePartition(assignments=((), (), ()), provenance={}),
+    "partly-tagged": SchedulePartition(assignments=((), (3, 5), ()), provenance={5: "own-sector"}),
+    "foreign-tags": SchedulePartition(
+        assignments=((0, 2, 10), (), (1,)),
+        provenance={10: "hand placed", 2: 'quote " slash \\ \u00e9 \n',
+                    0: PROVENANCE_LEFTOVER, 1: ""}),
+}
+
+
 def _runs(scenario):
     """Traces of the three CLI policies."""
     return {"greedy": simulate(scenario, POLICY_PARTITION, equalize(scenario), cycles=3),
@@ -105,7 +168,7 @@ def _runs(scenario):
 
 
 def _same_bytes(tmp_path, write, reference, *args):
-    ours, theirs = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    ours, theirs = tmp_path / "ours", tmp_path / "reference"
     write(*args, ours)
     reference(*args, theirs)
     assert ours.read_bytes() == theirs.read_bytes()
@@ -160,3 +223,41 @@ def test_cases_reach_what_they_claim(tmp_path):
 def test_comparison_writer_matches_csv_writer(tmp_path, rows, fields):
     _same_bytes(tmp_path, lambda r, p: sio.write_comparison(r, p, fields=fields),
                 lambda r, p: reference_write_comparison(r, p, fields), rows)
+
+
+@pytest.mark.parametrize("name", JSON_SCENARIOS)
+def test_scenario_and_partition_writers_match_json_dumps(tmp_path, name):
+    scenario = JSON_SCENARIOS[name]
+    _same_bytes(tmp_path, sio.write_scenario, reference_write_scenario, scenario)
+    for partition in (equalize(scenario), broadside_baseline(scenario)):
+        _same_bytes(tmp_path, sio.write_partition, reference_write_partition, partition)
+
+
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_partition_writer_matches_json_dumps(tmp_path, name):
+    _same_bytes(tmp_path, sio.write_partition, reference_write_partition, PARTITIONS[name])
+
+
+def test_json_cases_reach_what_they_claim(tmp_path):
+    def scenario_text(name):
+        return _same_bytes(tmp_path, sio.write_scenario, reference_write_scenario,
+                           JSON_SCENARIOS[name])
+
+    def partition_text(partition):
+        return _same_bytes(tmp_path, sio.write_partition, reference_write_partition, partition)
+
+    assert '"tasks": []' in scenario_text("empty")
+    assert partition_text(equalize(SCENARIOS["empty"])).endswith(
+        '  ],\n  "provenance": {}\n}\n')
+    text = scenario_text("exponent")
+    assert '"dt": 1e+16,' in text and '"resources": [\n    2e-05,' in text
+    assert '"duration": 1e-05\n' in text
+    text = scenario_text("int-valued")
+    assert '"dt": 25,' in text and '"phi": 0,' in text and '"duration": 1\n' in text
+    text = scenario_text("subclassed")
+    assert "odd" not in text and '"dt": 2.5,' in text and '"duration": 3\n' in text
+    assert '"dt": 4,' in scenario_text("int-dt-subclass")
+    assert len(SCENARIOS["n1"].resources) == 1 and SCENARIOS["n1"].tasks
+    assert partition_text(PARTITIONS["no-sectors"]) == \
+        '{\n  "assignments": [],\n  "provenance": {}\n}\n'
+    assert '\\u00e9' in partition_text(PARTITIONS["foreign-tags"])

@@ -1,12 +1,15 @@
 """Property tests of the scenario JSON format.
 
 ``read_scenario(write_scenario(s)) == s`` on generated scenarios, also when
-integer-valued numbers are written as JSON integers; and a single malformed
-field raises only the package's format error, naming the field's parent.
+integer-valued numbers are written as JSON integers; ``write_scenario`` and
+``write_partition`` write the bytes ``json.dumps(indent=2)`` writes; and a
+single malformed field raises only the package's format error, naming the
+field's parent.
 
 Needs hypothesis; the module is skipped where it is not installed.
 """
 
+import contextlib
 import json
 import math
 
@@ -16,8 +19,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sectorsched import Scenario, ScenarioFormatError, SurveillanceTask  # noqa: E402
+from sectorsched import (  # noqa: E402
+    InfeasibleScenarioError,
+    Scenario,
+    ScenarioFormatError,
+    SurveillanceTask,
+    broadside_baseline,
+    equalize,
+)
 from sectorsched import io as sio  # noqa: E402
+from conftest import partition_payload, reference_json, scenario_payload  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 HUGE = 10 ** 400  # a JSON integer beyond float range
@@ -79,12 +90,20 @@ class TestRoundTrip:
         assert all(type(x) is float for x in numbers)
 
 
-def _payload(s):
-    return {
-        "n_sectors": s.n_sectors, "fov_half_width": s.fov_half_width, "dt": s.dt,
-        "resources": list(s.resources),
-        "tasks": [{"id": t.id, "phi": t.phi, "theta": t.theta, "duration": t.duration}
-                  for t in s.tasks]}
+class TestWriterBytes:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_json_dumps_bytes(self, tmp_path_factory, s):
+        path = tmp_path_factory.mktemp("bytes") / "out.json"
+        sio.write_scenario(s, path)
+        assert path.read_bytes() == reference_json(scenario_payload(s)).encode("utf-8")
+        partitions = [broadside_baseline(s)]
+        with contextlib.suppress(InfeasibleScenarioError):  # a task with no live sector
+            partitions.append(equalize(s))
+        for partition in partitions:
+            sio.write_partition(partition, path)
+            assert path.read_bytes() == \
+                reference_json(partition_payload(partition)).encode("utf-8")
 
 
 # A single task field broken: its key dropped, a value of the wrong JSON
@@ -92,7 +111,7 @@ def _payload(s):
 @st.composite
 def task_mutations(draw):
     """(payload, index of the broken task, whether only its id is huge)."""
-    payload = _payload(draw(scenarios().filter(lambda s: s.tasks)))
+    payload = scenario_payload(draw(scenarios().filter(lambda s: s.tasks)))
     k = draw(st.integers(0, len(payload["tasks"]) - 1))
     kind = draw(st.sampled_from(["drop", "value", "not-an-object"]))
     if kind == "not-an-object":
@@ -110,7 +129,7 @@ def task_mutations(draw):
 @st.composite
 def scenario_mutations(draw):
     """(payload with one top-level field broken, the path the error names)."""
-    payload = _payload(draw(scenarios()))
+    payload = scenario_payload(draw(scenarios()))
     key = draw(st.sampled_from(["n_sectors", "fov_half_width", "dt", "resources",
                                 "tasks"]))
     if draw(st.booleans()):
