@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI
+from .model import Scenario, SurveillanceTask, TWO_PI, check_number
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,7 +93,9 @@ class GenParams:
         if type(self.fov_half_width) is not int or self.fov_half_width < 0:
             raise InvalidInputError(
                 f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if not isinstance(self.dt, (int, float)) or self.dt <= 0:
+        if type(self.dt) is not float:
+            check_number(self.dt, "dt")
+        if self.dt <= 0:
             raise InvalidInputError(f"dt={self.dt!r} must be positive")
         if type(self.seed) is not int:
             raise InvalidInputError(f"seed={self.seed!r} must be an integer")

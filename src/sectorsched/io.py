@@ -137,14 +137,18 @@ def read_partition(path: str | Path) -> SchedulePartition:
                 isinstance(t, int) and not isinstance(t, bool) for t in ids):
             raise ScenarioFormatError(
                 f"partition.assignments[{i}]: expected a list of integer task ids")
-    for key in provenance:
-        if not (key.isascii() and key.isdigit()):
-            raise ScenarioFormatError(
-                f"partition.provenance: task id {key!r} is not an integer")
-    return SchedulePartition(
-        assignments=tuple(tuple(ids) for ids in assignments),
-        provenance={int(key): tag for key, tag in provenance.items()},
-    )
+    for key, tag in provenance.items():
+        # The form write_partition writes, str(int(key)): no sign, no leading zero.
+        if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
+            raise ScenarioFormatError(f"partition.provenance: task id {key!r} is not an "
+                                      "integer without sign or leading zero")
+        _typed(tag, (str,), "partition.provenance", key=key)
+    try:
+        tags = {int(key): tag for key, tag in provenance.items()}
+    except ValueError as exc:  # a key beyond the int-to-str digit limit
+        raise ScenarioFormatError(f"partition.provenance: {exc}") from exc
+    return SchedulePartition(assignments=tuple(tuple(ids) for ids in assignments),
+                             provenance=tags)
 
 
 def _write_csv(path: str | Path, fields: Sequence[str], lines: Iterable[str]) -> None:

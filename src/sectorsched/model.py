@@ -38,9 +38,25 @@ def _floor_ratio(ratio: float) -> int:
     return math.floor(ratio + _FLOOR_EPS)
 
 
+def check_number(value, name: str) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is a number a scenario
+    file can hold: an int or a float, not a bool, and an int within the float
+    range.  Callers test ``type(value) is float`` first, the common case."""
+    if type(value) is bool or not isinstance(value, (int, float)):  # a bool is no number
+        raise InvalidInputError(f"{name}={value!r} must be an int or a float")
+    try:
+        float(value)
+    except OverflowError as exc:  # its repr may exceed the int-to-str digit limit
+        raise InvalidInputError(f"{name}: an int beyond the float range") from exc
+
+
 @dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
 class SurveillanceTask:
-    """One beam pointing direction (radians) to refresh every update cycle."""
+    """One beam pointing direction (radians) to refresh every update cycle.
+
+    ``phi``, ``theta`` and ``duration`` are ints or floats (a bool or another
+    number type raises :class:`InvalidInputError`), so a scenario file holds them.
+    """
 
     id: int
     phi: float
@@ -48,6 +64,12 @@ class SurveillanceTask:
     duration: float
 
     def __post_init__(self):
+        if type(self.phi) is not float:
+            check_number(self.phi, "phi")
+        if type(self.theta) is not float:
+            check_number(self.theta, "theta")
+        if type(self.duration) is not float:
+            check_number(self.duration, "duration")
         if not 0.0 <= self.phi < TWO_PI:
             raise InvalidInputError(f"phi={self.phi!r} outside [0, 2*pi)")
         if not -math.pi <= self.theta <= math.pi:
@@ -85,7 +107,9 @@ class Scenario:
             raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
         if type(self.fov_half_width) is not int or self.fov_half_width < 0:
             raise InvalidInputError(f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0 and math.isfinite(self.dt)):
+        if type(self.dt) is not float:
+            check_number(self.dt, "dt")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidInputError(f"dt={self.dt!r} must be positive and finite")
         object.__setattr__(self, "resources", tuple(float(r) for r in self.resources))
         object.__setattr__(self, "tasks", tuple(self.tasks))

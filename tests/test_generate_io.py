@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -127,7 +128,8 @@ class TestGenerate:
         {"hotspots": ((1, 2.0),)}, {"hotspots": ((1, 2.0, 1.0, 0.0),)},
         {"hotspots": ((1, "a", 1.0),)}, {"duration": ("a", "b")},
         {"fov_half_width": "a"}, {"fov_half_width": 1.5}, {"dt": "x"},
-        {"hotspots": 5}, {"hotspots": None}])
+        {"hotspots": 5}, {"hotspots": None}, {"dt": True}, {"dt": Fraction(1, 2)},
+        {"dt": 10 ** 400}])
     def test_malformed_knob_is_a_typed_error(self, knobs):
         with pytest.raises(InvalidInputError):
             GenParams(**knobs)
@@ -259,14 +261,32 @@ class TestReadPartitionFormat:
         ({"assignments": [3], "provenance": {}}, r"assignments\[0\]"),
         ({"assignments": [[0]], "provenance": {"x": "own-sector"}}, "provenance"),
         ({"assignments": [[0]], "provenance": {"-1": "own-sector"}}, "provenance"),
+        ({"assignments": [[1]], "provenance": {"01": "own-sector"}}, "'01'"),
+        ({"assignments": [[1]], "provenance": {"1": "fov-equalized", "01": "own-sector"}},
+         "'01'"),
+        ({"assignments": [[0]], "provenance": {"00": "own-sector"}}, "'00'"),
+        ({"assignments": [[0]], "provenance": {"1" * 5000: "own-sector"}}, "provenance"),
+        ({"assignments": [[0]], "provenance": {"0": 5}}, r"provenance\.0: .* int"),
+        ({"assignments": [[0]], "provenance": {"0": None}}, r"provenance\.0: .* NoneType"),
+        ({"assignments": [[0, 1]], "provenance": {"0": "leftover", "1": ["x"]}},
+         r"provenance\.1: .* list"),
         ([[0]], "top level"),
     ], ids=["string-id", "float-id", "bool-id", "row-not-list",
-            "provenance-key", "negative-key", "not-an-object"])
+            "provenance-key", "negative-key", "leading-zero", "leading-zero-twin",
+            "double-zero", "key-beyond-digit-limit", "int-tag", "null-tag", "list-tag",
+            "not-an-object"])
     def test_malformed(self, tmp_path, payload, field):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ScenarioFormatError, match=field):
             sio.read_partition(path)
+
+
+    def test_zero_key_is_canonical(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"assignments": [[0, 10]], "provenance": {"0": "x", "10": "y"}}',
+                        encoding="utf-8")
+        assert sio.read_partition(path).provenance == {0: "x", 10: "y"}
 
 
 class TestArtifactRoundTrips:

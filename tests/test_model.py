@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -204,6 +206,29 @@ class TestSurveillanceTask:
                 SurveillanceTask(id=0, phi=phi, theta=theta, duration=1.0)
 
 
+    @pytest.mark.parametrize("field", ["phi", "theta", "duration"])
+    @pytest.mark.parametrize("value", [True, False, Fraction(1, 2), Decimal("0.5"), "0.5",
+                                       None, 10 ** 400],
+                             ids=["true", "false", "fraction", "decimal", "str", "none",
+                                  "huge-int"])
+    def test_field_that_a_file_cannot_hold(self, field, value):
+        # write_scenario would write true, a Fraction would not serialize, and
+        # read_scenario refuses an int beyond the float range.
+        fields = {"id": 0, "phi": 1.0, "theta": 0.0, "duration": 1.0, field: value}
+        with pytest.raises(InvalidInputError, match=field):
+            SurveillanceTask(**fields)
+
+    def test_int_and_float_subclass_fields(self):
+        class Half(float):
+            pass
+
+        class Two(int):
+            pass
+
+        task = SurveillanceTask(0, Half(0.5), 0, Two(2))
+        assert (task.phi, task.theta, task.duration) == (0.5, 0, 2)
+
+
 class TestScenario:
     def test_fov_clamped(self):
         s = Scenario(n_sectors=6, fov_half_width=10, dt=1.0, resources=(1.0,) * 6)
@@ -220,10 +245,14 @@ class TestScenario:
             with pytest.raises(InvalidInputError):
                 Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
 
-    @pytest.mark.parametrize("dt", ["x", None, (1.0,)])
+    @pytest.mark.parametrize("dt", ["x", None, (1.0,), True, Fraction(1, 2)])
     def test_non_numeric_dt(self, dt):
         with pytest.raises(InvalidInputError, match="dt="):
             Scenario(n_sectors=2, fov_half_width=0, dt=dt, resources=(1.0, 1.0))
+
+    def test_dt_beyond_float_range(self):
+        with pytest.raises(InvalidInputError, match="dt: an int beyond the float range"):
+            Scenario(n_sectors=2, fov_half_width=0, dt=10 ** 400, resources=(1.0, 1.0))
 
     def test_bool_counts_rejected(self):
         # True and False are ints, but a scenario file cannot hold them as counts.
