@@ -4,6 +4,13 @@ Floats are serialized with Python's shortest round-trip representation, so
 ``read(write(x)) == x`` holds bit for bit, and identical inputs always
 produce byte-identical files.
 
+The scenario and partition writers format their JSON directly, with
+f-strings: the bytes ``json.dumps(payload, indent=2)`` writes, plus a final
+newline.  An object or list puts one member a line, indented two spaces a
+level (an empty one is ``[]`` or ``{}``); an int is spelled by
+``int.__repr__``, a float by ``float.__repr__`` (``1e-05``), and a
+provenance tag by ``json.dumps``.
+
 A CSV file is a header row, then one row per record.  Values are joined by
 ``,`` with no quoting (none holds a comma, quote or line break), every row
 ends in ``\r\n``, and floats are written as their ``repr`` (``1e-05``,
@@ -25,18 +32,34 @@ from .model import validate_scenario  # noqa: F401  perfbench's tracer patches i
 from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
 
 
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """``items``, each already JSON text, as ``json.dumps(indent=2)`` writes a
+    list (or with ``brackets="{}"`` an object) whose line starts at ``indent``:
+    one item a line, or the bare brackets when there is none."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _number(x) -> str:
+    """An int or float as ``json`` spells it: by ``int.__repr__`` or
+    ``float.__repr__``, whatever ``repr`` a subclass defines."""
+    return float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+
+
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    payload = {
-        "n_sectors": scenario.n_sectors,
-        "fov_half_width": scenario.fov_half_width,
-        "dt": scenario.dt,
-        "resources": list(scenario.resources),
-        "tasks": [
-            {"id": t.id, "phi": t.phi, "theta": t.theta, "duration": t.duration}
-            for t in scenario.tasks
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # A scenario holds ids and counts of type int and resources of type float,
+    # whose str is their repr; the other numbers may be ints or subclasses.
+    tasks = [f'{{\n      "id": {t.id},\n      "phi": {_number(t.phi)},'
+             f'\n      "theta": {_number(t.theta)},\n      "duration": {_number(t.duration)}'
+             f'\n    }}' for t in scenario.tasks]
+    text = (f'{{\n  "n_sectors": {scenario.n_sectors},\n'
+            f'  "fov_half_width": {scenario.fov_half_width},\n'
+            f'  "dt": {_number(scenario.dt)},\n'
+            f'  "resources": {_block(list(map(repr, scenario.resources)), "  ")},\n'
+            f'  "tasks": {_block(tasks, "  ")}\n}}\n')
+    Path(path).write_text(text, encoding="utf-8")
 
 
 _NUMBER = (int, float)
@@ -119,12 +142,13 @@ def read_scenario(path: str | Path) -> Scenario:
 
 
 def write_partition(partition: SchedulePartition, path: str | Path) -> None:
-    payload = {
-        "assignments": [list(ids) for ids in partition.assignments],
-        "provenance": {str(tid): tag
-                       for tid, tag in sorted(partition.provenance.items())},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    quoted = {tag: json.dumps(tag) for tag in set(partition.provenance.values())}
+    assignments = [_block(list(map(int.__repr__, ids)), "    ")
+                   for ids in partition.assignments]
+    provenance = [f'"{tid}": {quoted[tag]}' for tid, tag in sorted(partition.provenance.items())]
+    text = (f'{{\n  "assignments": {_block(assignments, "  ")},\n'
+            f'  "provenance": {_block(provenance, "  ", "{}")}\n}}\n')
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_partition(path: str | Path) -> SchedulePartition:

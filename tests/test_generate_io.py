@@ -282,13 +282,6 @@ class TestReadPartitionFormat:
             sio.read_partition(path)
 
 
-    def test_zero_key_is_canonical(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text('{"assignments": [[0, 10]], "provenance": {"0": "x", "10": "y"}}',
-                        encoding="utf-8")
-        assert sio.read_partition(path).provenance == {0: "x", 10: "y"}
-
-
 class TestArtifactRoundTrips:
     def test_partition(self, tmp_path):
         s = generate(GenParams(seed=31, n_sectors=8, fov_half_width=2,

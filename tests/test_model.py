@@ -218,16 +218,6 @@ class TestSurveillanceTask:
         with pytest.raises(InvalidInputError, match=field):
             SurveillanceTask(**fields)
 
-    def test_int_and_float_subclass_fields(self):
-        class Half(float):
-            pass
-
-        class Two(int):
-            pass
-
-        task = SurveillanceTask(0, Half(0.5), 0, Two(2))
-        assert (task.phi, task.theta, task.duration) == (0.5, 0, 2)
-
 
 class TestScenario:
     def test_fov_clamped(self):
