@@ -42,7 +42,7 @@ def check_number(value, name: str) -> None:
     """Raise :class:`InvalidInputError` unless ``value`` is a number a scenario
     file can hold: an int or a float, not a bool, and an int within the float
     range.  Callers test ``type(value) is float`` first, the common case."""
-    if type(value) is bool or not isinstance(value, (int, float)):  # a bool is no number
+    if type(value) is bool or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{name}={value!r} must be an int or a float")
     try:
         float(value)
