@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import CAP_SLACK, Scenario, SurveillanceTask, active_sectors, angular_sector_distance
+from .model import (CAP_SLACK, Scenario, SurveillanceTask, active_sectors,
+                    angular_sector_distance, check_count)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 MAX_TASKS = 12
@@ -40,8 +41,7 @@ class SearchLimits:
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        if type(self.node_budget) is not int or self.node_budget < 1:  # a bool is no count
-            raise InvalidInputError(f"node_budget={self.node_budget!r} must be a positive integer")
+        check_count(self.node_budget, "node_budget")
 
 
 @dataclass(frozen=True)

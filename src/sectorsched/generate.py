@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI, check_number
+from .model import Scenario, SurveillanceTask, TWO_PI, check_count, check_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,15 +88,9 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.n_sectors) is not int or self.n_sectors < 1:  # a bool is no count
-            raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
-        if type(self.fov_half_width) is not int or self.fov_half_width < 0:
-            raise InvalidInputError(
-                f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if type(self.dt) is not float:
-            check_number(self.dt, "dt")
-        if self.dt <= 0:
-            raise InvalidInputError(f"dt={self.dt!r} must be positive")
+        check_count(self.n_sectors, "n_sectors")
+        check_count(self.fov_half_width, "fov_half_width", least=0)
+        check_positive(self.dt, "dt")
         if type(self.seed) is not int:
             raise InvalidInputError(f"seed={self.seed!r} must be an integer")
         lo, hi = _numbers(self.tasks_per_sector, 2, "tasks_per_sector range")

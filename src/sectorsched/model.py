@@ -50,6 +50,23 @@ def check_number(value, name: str) -> None:
         raise InvalidInputError(f"{name}: an int beyond the float range") from exc
 
 
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is an int >= ``least``
+    (1 or 0); a bool is no count."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise InvalidInputError(f"{name}={value!r} must be a {kind} integer")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` passes
+    :func:`check_number` and is positive and finite, as a pass time must be."""
+    if type(value) is not float:
+        check_number(value, name)
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidInputError(f"{name}={value!r} must be positive and finite")
+
+
 @dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
 class SurveillanceTask:
     """One beam pointing direction (radians) to refresh every update cycle.
@@ -103,14 +120,9 @@ class Scenario:
     home: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.n_sectors) is not int or self.n_sectors < 1:  # a bool is no count
-            raise InvalidInputError(f"n_sectors={self.n_sectors!r} must be a positive integer")
-        if type(self.fov_half_width) is not int or self.fov_half_width < 0:
-            raise InvalidInputError(f"fov_half_width={self.fov_half_width!r} must be a non-negative integer")
-        if type(self.dt) is not float:
-            check_number(self.dt, "dt")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise InvalidInputError(f"dt={self.dt!r} must be positive and finite")
+        check_count(self.n_sectors, "n_sectors")
+        check_count(self.fov_half_width, "fov_half_width", least=0)
+        check_positive(self.dt, "dt")
         object.__setattr__(self, "resources", tuple(float(r) for r in self.resources))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if len(self.resources) != self.n_sectors:
@@ -135,8 +147,7 @@ class Scenario:
 
 def sector_of_direction(phi: float, n_sectors: int) -> int:
     """Sector index owning azimuth ``phi``: floor(phi / (2*pi) * n_sectors)."""
-    if type(n_sectors) is not int or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
+    check_count(n_sectors, "n_sectors")
     if not 0.0 <= phi < TWO_PI:
         raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
     idx = _floor_ratio(phi / TWO_PI * n_sectors)
@@ -145,10 +156,8 @@ def sector_of_direction(phi: float, n_sectors: int) -> int:
 
 def main_sector(t: float, n_sectors: int, dt: float) -> int:
     """Sector the boresight points at time ``t``, wrapped into [0, n_sectors)."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvalidInputError(f"dt={dt!r} must be positive and finite")
-    if type(n_sectors) is not int or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
+    check_positive(dt, "dt")
+    check_count(n_sectors, "n_sectors")
     if not (t >= 0 and math.isfinite(t)):
         raise InvalidInputError(f"t={t!r} must be non-negative and finite")
     ratio = t / dt
@@ -176,20 +185,16 @@ def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ..
     result has min(2w + 1, n_sectors) distinct entries, w being the clamped
     half-width, and always contains m.
     """
-    if type(n_sectors) is not int or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
+    check_count(n_sectors, "n_sectors")
     if type(m) is not int or not 0 <= m < n_sectors:  # a bool is no sector
         raise InvalidInputError(f"main sector {m!r} is not an integer in [0, {n_sectors})")
-    if type(fov_half_width) is not int or fov_half_width < 0:
-        raise InvalidInputError(
-            f"fov_half_width={fov_half_width!r} must be a non-negative integer")
+    check_count(fov_half_width, "fov_half_width", least=0)
     return tuple((m + c) % n_sectors for c in fov_offsets(fov_half_width, n_sectors))
 
 
 def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
     """Cyclic distance between two sector indices, in sectors."""
-    if type(n_sectors) is not int or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
+    check_count(n_sectors, "n_sectors")
     if not type(a) is type(b) is int:  # a bool is no sector
         raise InvalidInputError(f"sector pair ({a!r}, {b!r}) must be integers")
     if not (0 <= a < n_sectors and 0 <= b < n_sectors):

@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, fov_offsets
+from .model import CAP_SLACK, Scenario, check_count, check_positive, fov_offsets
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -114,8 +114,7 @@ def simulate(scenario: Scenario, policy: str,
     if policy not in POLICY_VARIANTS:
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
-    if type(cycles) is not int or cycles < 1:  # a bool is no count
-        raise InvalidInputError(f"cycles={cycles!r} must be a positive integer")
+    check_count(cycles, "cycles")
     if policy != POLICY_EDF:
         if partition is None:
             raise InvalidInputError(f"policy {policy!r} requires a partition")
@@ -434,10 +433,8 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha={alpha!r} outside (0, 1]")
-    if type(n_sectors) is not int or n_sectors < 1:
-        raise InvalidInputError(f"n_sectors={n_sectors!r} must be a positive integer")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvalidInputError(f"dt={dt!r} must be positive and finite")
+    check_count(n_sectors, "n_sectors")
+    check_positive(dt, "dt")
     estimates = [0.0] * n_sectors
     seeded = [False] * n_sectors
     for p, used in enumerate(used_per_pass):
