@@ -36,11 +36,12 @@ tied.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import InfeasibleScenarioError
+from .errors import InfeasibleScenarioError, InvalidInputError
 from .loads import (
     PROVENANCE_FOV,
     PROVENANCE_LEFTOVER,
@@ -49,7 +50,7 @@ from .loads import (
     build_partition,
     sector_targets,
 )
-from .model import CAP_SLACK, Scenario, SurveillanceTask, fov_offsets
+from .model import CAP_SLACK, Scenario, SurveillanceTask, check_number, fov_offsets
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 _duration = itemgetter(0)  # of a pool entry (duration, id, home)
@@ -92,7 +93,12 @@ def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
     budget, and such that no rejected candidate would still fit: the pick is
     maximal, and empty when the budget is already exhausted (durations are
     strictly positive).  Both phases of :func:`equalize` run this fill.
+    ``budget`` and ``already_used`` must be finite numbers.
     """
+    for value, name in ((budget, "budget"), (already_used, "already_used")):
+        check_number(value, name)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name}={value!r} must be finite")
     pool = sorted((t.duration, t.id, 0) for t in candidates)
     return [tid for _, tid, _ in _first_fit(pool, budget + CAP_SLACK, already_used, 0, 1)[1]]
 

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
 from .model import (CAP_SLACK, Scenario, SurveillanceTask, active_sectors,
-                    angular_sector_distance, check_count)
+                    angular_sector_distance, check_count, check_number)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 MAX_TASKS = 12
@@ -250,7 +250,10 @@ def bin_packing_reduce(item_sizes: Sequence[float],
     """
     if not item_sizes or not bin_capacities:
         raise InvalidInputError("item sizes and bin capacities must be non-empty")
+    for size in item_sizes:
+        check_number(size, "item size")
     for cap in bin_capacities:
+        check_number(cap, "bin capacity")
         if not cap > 0:
             raise InvalidInputError(f"non-positive bin capacity {cap!r}")
     n = len(bin_capacities)

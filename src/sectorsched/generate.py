@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI, check_count, check_positive
+from .model import Scenario, SurveillanceTask, TWO_PI, check_count, check_number, check_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,7 +31,9 @@ class Xorshift64Star:
     """Minimal deterministic PRNG; see module docstring for the constants."""
 
     def __init__(self, seed: int):
-        z = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
+        if type(seed) is not int:
+            raise InvalidInputError(f"seed={seed!r} must be an integer")
+        z = (seed + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         z ^= z >> 31
@@ -62,10 +64,12 @@ class Xorshift64Star:
 
 
 def _numbers(value, arity: int, what: str) -> tuple:
-    """``value`` as a tuple of ``arity`` ints or floats, else InvalidInputError."""
-    if not (isinstance(value, (tuple, list)) and len(value) == arity
-            and all(isinstance(x, (int, float)) for x in value)):
+    """``value`` as a tuple of ``arity`` numbers (see :func:`check_number`),
+    else InvalidInputError."""
+    if not (isinstance(value, (tuple, list)) and len(value) == arity):
         raise InvalidInputError(f"{what} {value!r} must be {arity} numbers")
+    for x in value:
+        check_number(x, what)
     return tuple(value)
 
 
@@ -94,7 +98,9 @@ class GenParams:
         if type(self.seed) is not int:
             raise InvalidInputError(f"seed={self.seed!r} must be an integer")
         lo, hi = _numbers(self.tasks_per_sector, 2, "tasks_per_sector range")
-        if type(lo) is not int or type(hi) is not int or lo < 0 or hi < lo:
+        check_count(lo, "tasks_per_sector range", least=0)
+        check_count(hi, "tasks_per_sector range", least=0)
+        if hi < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
         lo, hi = _numbers(self.duration, 2, "duration range")
         if lo <= 0 or hi < lo:
@@ -105,9 +111,12 @@ class GenParams:
         if not isinstance(self.hotspots, (tuple, list)):
             raise InvalidInputError(f"hotspots {self.hotspots!r} must be a sequence of hotspots")
         for hotspot in self.hotspots:
-            sector, res_mult, task_mult = _numbers(hotspot, 3, "hotspot")
+            if not (isinstance(hotspot, (tuple, list)) and len(hotspot) == 3):
+                raise InvalidInputError(f"hotspot {hotspot!r} must be 3 numbers")
+            sector, res_mult, task_mult = hotspot
             if type(sector) is not int or not 0 <= sector < self.n_sectors:
                 raise InvalidInputError(f"hotspot sector {sector!r} out of range")
+            _numbers((res_mult, task_mult), 2, "hotspot multipliers")
             if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):
                 raise InvalidInputError(
                     f"hotspot multipliers ({res_mult!r}, {task_mult!r}) must be finite and >= 0")

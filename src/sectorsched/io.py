@@ -25,7 +25,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ScenarioFormatError, ScenarioValidationError
+from .errors import InvalidInputError, ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
 from .model import Scenario, SurveillanceTask
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
@@ -156,23 +156,21 @@ def read_partition(path: str | Path) -> SchedulePartition:
     payload = _read_object(path)
     assignments = _require(payload, "assignments", (list,), "partition")
     provenance = _require(payload, "provenance", (dict,), "partition")
-    for i, ids in enumerate(assignments):
-        if not isinstance(ids, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in ids):
-            raise ScenarioFormatError(
-                f"partition.assignments[{i}]: expected a list of integer task ids")
-    for key, tag in provenance.items():
+    for key in provenance:
         # The form write_partition writes, str(int(key)): no sign, no leading zero.
         if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
             raise ScenarioFormatError(f"partition.provenance: task id {key!r} is not an "
                                       "integer without sign or leading zero")
-        _typed(tag, (str,), "partition.provenance", key=key)
     try:
         tags = {int(key): tag for key, tag in provenance.items()}
     except ValueError as exc:  # a key beyond the int-to-str digit limit
         raise ScenarioFormatError(f"partition.provenance: {exc}") from exc
-    return SchedulePartition(assignments=tuple(tuple(ids) for ids in assignments),
-                             provenance=tags)
+    try:  # the partition checks its rows and tags
+        return SchedulePartition(
+            assignments=tuple(tuple(ids) if type(ids) is list else ids for ids in assignments),
+            provenance=tags)
+    except InvalidInputError as exc:
+        raise ScenarioFormatError(f"partition.{exc}") from exc
 
 
 def _write_csv(path: str | Path, fields: Sequence[str], lines: Iterable[str]) -> None:

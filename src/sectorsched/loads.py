@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .model import Scenario, angular_sector_distance
+from .model import Scenario
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -39,10 +39,25 @@ class SchedulePartition:
     ``assignments[i]`` holds the ids of the tasks sector ``i`` executes,
     sorted ascending so serialization is canonical.  ``provenance`` maps a task
     id to the equalizer phase that placed it (one of ``PROVENANCE_TAGS``), if any.
+    A row that is not a tuple of non-negative int ids (a bool is no id), or a
+    tag that is not a ``str``, raises :class:`InvalidInputError`.
     """
 
     assignments: tuple[tuple[int, ...], ...]
     provenance: Mapping[int, str]
+
+    def __post_init__(self):
+        for i, ids in enumerate(self.assignments):
+            if type(ids) is not tuple or not all(type(t) is int and t >= 0 for t in ids):
+                raise InvalidInputError(
+                    f"assignments[{i}]: expected a row of non-negative integer task ids")
+        for tid, tag in self.provenance.items():
+            if type(tid) is not int or tid < 0:
+                raise InvalidInputError(
+                    f"provenance: task id {tid!r} is not a non-negative integer")
+            if type(tag) is not str:
+                raise InvalidInputError(
+                    f"provenance.{tid}: unexpected type {type(tag).__name__}")
 
     def sector_index(self) -> dict[int, int]:
         """Task id -> executing sector, for the whole partition."""
@@ -133,6 +148,7 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
             f"scenario has {scenario.n_sectors}")
         return problems
     home = scenario.home
+    n, w = scenario.n_sectors, scenario.fov_half_width
     seen: dict[int, int] = {}
     for sector, ids in enumerate(partition.assignments):
         for tid in ids:
@@ -143,11 +159,10 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
             if tid not in home:
                 problems.append(f"task {tid} not part of the scenario")
                 continue
-            dist = angular_sector_distance(sector, home[tid], scenario.n_sectors)
-            if dist > scenario.fov_half_width:
-                problems.append(
-                    f"task {tid} executed {dist} sectors from home "
-                    f"(fov half-width {scenario.fov_half_width})")
+            d = (sector - home[tid]) % n  # the cyclic distance is min(d, n - d)
+            if w < d < n - w:
+                problems.append(f"task {tid} executed {min(d, n - d)} sectors from home "
+                                f"(fov half-width {w})")
     missing = sorted(set(home) - set(seen))
     if missing:
         problems.append(f"tasks never assigned: {missing}")

@@ -18,6 +18,7 @@ functions that produce them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,11 +52,14 @@ def check_number(value, name: str) -> None:
 
 
 def check_count(value, name: str, least: int = 1) -> None:
-    """Raise :class:`InvalidInputError` unless ``value`` is an int >= ``least``
-    (1 or 0); a bool is no count."""
-    if type(value) is not int or value < least:
-        kind = "positive" if least == 1 else "non-negative"
-        raise InvalidInputError(f"{name}={value!r} must be a {kind} integer")
+    """Raise :class:`InvalidInputError` unless ``value`` is an int from
+    ``least`` (1 or 0) up to the float range; a bool is no count."""
+    if type(value) is int and least <= value <= sys.float_info.max:
+        return
+    if type(value) is int and abs(value) > sys.float_info.max:  # its repr may be too long
+        raise InvalidInputError(f"{name}: an int beyond the float range")
+    kind = "positive" if least == 1 else "non-negative"
+    raise InvalidInputError(f"{name}={value!r} must be a {kind} integer")
 
 
 def check_positive(value, name: str) -> None:
@@ -98,7 +102,8 @@ class Scenario:
     """A full problem instance.
 
     An invalid scenario cannot be built.  Structural problems (bad sector
-    count, bad dt, resource vector of the wrong length) raise
+    count, bad dt, a resource that is no number, resource vector of the
+    wrong length) raise
     :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
     checks the data (non-finite or non-positive durations, non-finite or
     negative resources, ids that are not non-negative ints, duplicate ids,
@@ -123,7 +128,11 @@ class Scenario:
         check_count(self.n_sectors, "n_sectors")
         check_count(self.fov_half_width, "fov_half_width", least=0)
         check_positive(self.dt, "dt")
-        object.__setattr__(self, "resources", tuple(float(r) for r in self.resources))
+        resources = tuple(self.resources)
+        for i, r in enumerate(resources):
+            if type(r) is not float:
+                check_number(r, f"resources[{i}]")
+        object.__setattr__(self, "resources", tuple(map(float, resources)))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if len(self.resources) != self.n_sectors:
             raise InvalidInputError(
@@ -148,6 +157,8 @@ class Scenario:
 def sector_of_direction(phi: float, n_sectors: int) -> int:
     """Sector index owning azimuth ``phi``: floor(phi / (2*pi) * n_sectors)."""
     check_count(n_sectors, "n_sectors")
+    if type(phi) is not float:
+        check_number(phi, "phi")
     if not 0.0 <= phi < TWO_PI:
         raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
     idx = _floor_ratio(phi / TWO_PI * n_sectors)
@@ -158,6 +169,8 @@ def main_sector(t: float, n_sectors: int, dt: float) -> int:
     """Sector the boresight points at time ``t``, wrapped into [0, n_sectors)."""
     check_positive(dt, "dt")
     check_count(n_sectors, "n_sectors")
+    if type(t) is not float:
+        check_number(t, "t")
     if not (t >= 0 and math.isfinite(t)):
         raise InvalidInputError(f"t={t!r} must be non-negative and finite")
     ratio = t / dt

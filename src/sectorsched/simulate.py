@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InsufficientDataError, InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, check_count, check_positive, fov_offsets
+from .model import CAP_SLACK, Scenario, check_count, check_number, check_positive, fov_offsets
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -431,6 +431,7 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
     estimate, later ones blend in with weight ``alpha``.  Estimates are
     clamped at zero, so usage beyond ``dt`` never drives them negative.
     """
+    check_number(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha={alpha!r} outside (0, 1]")
     check_count(n_sectors, "n_sectors")
@@ -438,6 +439,8 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
     estimates = [0.0] * n_sectors
     seeded = [False] * n_sectors
     for p, used in enumerate(used_per_pass):
+        if type(used) is not float:
+            check_number(used, f"used_per_pass[{p}]")
         if not used >= 0:
             raise InvalidInputError(f"usage {used!r} in pass {p} is not a non-negative number")
         j = p % n_sectors

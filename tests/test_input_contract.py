@@ -1,0 +1,117 @@
+"""The argument contract of the public entry points, by example.
+
+Every row is a call with one malformed argument: text, a bool, ``None``,
+NaN, inf or an int beyond the float range where a number is due, a float
+where an int is due.  Each must raise :class:`InvalidInputError`, never a
+bare ``TypeError``/``ValueError``/``OverflowError`` and never a result.
+Counts follow one rule (an ``int`` >= 1, or >= 0 for a half-width, within
+the float range, never a bool) and pass times another (a number, positive
+and finite).
+"""
+
+import math
+
+import pytest
+
+from sectorsched import (
+    GenParams,
+    InvalidInputError,
+    Scenario,
+    ScenarioFormatError,
+    SchedulePartition,
+    SurveillanceTask,
+    Xorshift64Star,
+    bin_packing_reduce,
+    main_sector,
+    maximal_subset,
+    measure_resources,
+    sector_of_direction,
+)
+from sectorsched import io as sio
+
+TASKS = [SurveillanceTask(0, 0.1, 0.0, 1.0), SurveillanceTask(1, 0.2, 0.0, 2.0)]
+
+
+def scenario(resources):
+    return Scenario(n_sectors=len(resources), fov_half_width=0, dt=1.0, resources=resources)
+
+
+# (entry point, positional arguments, keyword arguments)
+CASES = {
+    # A pass time is positive and finite wherever it is taken.
+    "GenParams-dt-nan": (GenParams, (), {"dt": math.nan}),
+    "GenParams-dt-inf": (GenParams, (), {"dt": math.inf}),
+    "main_sector-dt-bool": (main_sector, (0.0, 4, True), {}),
+    "main_sector-dt-text": (main_sector, (0.0, 4, "x"), {}),
+    "measure_resources-dt-text": (measure_resources, ([1.0], 1, "x", 0.5), {}),
+    # The other numbers of the geometry and resource helpers.
+    "main_sector-t-text": (main_sector, ("x", 4, 1.0), {}),
+    "sector_of_direction-phi-text": (sector_of_direction, ("x", 4), {}),
+    "measure_resources-alpha-text": (measure_resources, ([1.0], 1, 1.0, "x"), {}),
+    "measure_resources-usage-text": (measure_resources, (["x"], 1, 1.0, 0.5), {}),
+    # A resource is a number, as dt, phi, theta and duration are.
+    "Scenario-resource-text": (scenario, (("5",),), {}),
+    "Scenario-resource-bool": (scenario, ((True,),), {}),
+    "Scenario-resource-None": (scenario, ((None,),), {}),
+    "Scenario-resource-huge": (scenario, ((10 ** 400,),), {}),
+    # Bin packing sizes and capacities.
+    "bin_packing-capacity-text": (bin_packing_reduce, ([1.0], ["7"]), {}),
+    "bin_packing-size-text": (bin_packing_reduce, (["x"], [5.0]), {}),
+    "bin_packing-size-numeric-text": (bin_packing_reduce, (["3"], [5.0]), {}),
+    "bin_packing-size-bool": (bin_packing_reduce, ([True], [5.0]), {}),
+    # The first-fit fill's budget and prior use.
+    "maximal_subset-budget-text": (maximal_subset, (TASKS, "x"), {}),
+    "maximal_subset-budget-nan": (maximal_subset, (TASKS, math.nan), {}),
+    "maximal_subset-used-nan": (maximal_subset, (TASKS, 5.0, math.nan), {}),
+    # A partition checks its ids and tags when it is built.
+    "SchedulePartition-float-id": (SchedulePartition, (((1.5,),), {}), {}),
+    "SchedulePartition-bool-id": (SchedulePartition, (((True,),), {}), {}),
+    "SchedulePartition-negative-id": (SchedulePartition, (((-1,),), {}), {}),
+    "SchedulePartition-list-row": (SchedulePartition, (([0],), {}), {}),
+    "SchedulePartition-bool-tagged-id": (SchedulePartition, (((1,),), {True: "leftover"}), {}),
+    "SchedulePartition-int-tag": (SchedulePartition, (((0,),), {0: 5}), {}),
+    # A seed is an int.
+    "Xorshift64Star-seed-numeric-text": (Xorshift64Star, ("12",), {}),
+    "Xorshift64Star-seed-float": (Xorshift64Star, (1.5,), {}),
+    "Xorshift64Star-seed-text": (Xorshift64Star, ("x",), {}),
+    # A generator range entry is a number, not a bool or an int beyond floats.
+    "GenParams-duration-huge": (GenParams, (), {"duration": (0.5, 10 ** 400)}),
+    "GenParams-resources-bool": (GenParams, (), {"resources": (True, 2.0)}),
+    "GenParams-multiplier-huge": (GenParams, (), {"hotspots": ((0, 10 ** 400, 1.0),)}),
+    # A count is within the float range.
+    "sector_of_direction-n-huge": (sector_of_direction, (0.1, 10 ** 400), {}),
+    "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
+    "GenParams-task-count-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 400)}),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bad_argument_is_an_invalid_input_error(name):
+    entry, args, kwargs = CASES[name]
+    with pytest.raises(InvalidInputError):
+        entry(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GenParams(dt=math.nan), "dt=nan must be positive and finite"),
+    (lambda: main_sector(0.0, 2.5, 1.0), "n_sectors=2.5 must be a positive integer"),
+    (lambda: GenParams(fov_half_width=-1), "fov_half_width=-1 must be a non-negative integer"),
+    (lambda: scenario((None,)), "resources[0]=None must be an int or a float"),
+    (lambda: scenario((10 ** 400,)), "resources[0]: an int beyond the float range"),
+])
+def test_messages_name_the_argument(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_int_resources_become_floats():
+    resources = scenario((5, 2.5)).resources
+    assert resources == (5.0, 2.5) and all(type(r) is float for r in resources)
+
+
+def test_read_partition_refuses_a_negative_id(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"assignments": [[-1]], "provenance": {}}', encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=r"partition\.assignments\[0\]"):
+        sio.read_partition(path)

@@ -9,6 +9,7 @@ from sectorsched import (
     PROVENANCE_OWN,
     ScenarioValidationError,
     SchedulePartition,
+    angular_sector_distance,
     broadside_baseline,
     build_partition,
     check_partition,
@@ -149,6 +150,19 @@ class TestCheckPartition:
         s = scenario_from(8, 1, 1.0, (1.0,) * 8, [(0, 1.0)])
         part = build_partition(8, {0: 4}, {0: PROVENANCE_OWN})
         assert any("sectors from home" in p for p in check_partition(s, part))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_fov_check_is_the_cyclic_distance(self, n):
+        # Every (sector, home) pair and half-width: a problem exactly when the
+        # cyclic distance exceeds the half-width, naming that distance.
+        for w in range(n // 2 + 1):
+            for home in range(n):
+                s = scenario_from(n, w, 1.0, (1.0,) * n, [(home, 1.0)])
+                for sector in range(n):
+                    dist = angular_sector_distance(sector, home, n)
+                    expected = [] if dist <= w else [
+                        f"task 0 executed {dist} sectors from home (fov half-width {w})"]
+                    assert check_partition(s, build_partition(n, {0: sector})) == expected
 
     def test_detects_missing_and_duplicate(self):
         s = scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 1.0), (1, 1.0)])
