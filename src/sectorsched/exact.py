@@ -164,20 +164,18 @@ def _fits_within(tasks, feasible_sectors, caps, n, budget) -> dict[int, int] | N
     """Decision search: schedule all tasks into the given passes, or prove none exists."""
     residual = list(caps)
     assignment: dict[int, int] = {}
-    suffix_demand = [0.0] * (len(tasks) + 1)
-    for i in range(len(tasks) - 1, -1, -1):
-        suffix_demand[i] = suffix_demand[i + 1] + tasks[i].duration
 
+    # No total-capacity test: deepening starts at _lower_bound, so ``caps``
+    # hold the whole demand (less CAP_SLACK), and each placement takes the
+    # same duration from the residual and from the demand left.  Room minus
+    # demand never drops below -CAP_SLACK beyond rounding; inside that band
+    # such a test would only refuse what the per-pass rule accepts.
     def recurse(index: int) -> bool:
         budget[0] -= 1
         if budget[0] < 0:
             raise _BudgetExhausted
         if index == len(tasks):
             return True
-        remaining = suffix_demand[index]
-        room = math.fsum(max(r, 0.0) for r in residual)
-        if room + CAP_SLACK < remaining:
-            return False
         task = tasks[index]
         sectors = feasible_sectors[task.id]
         tried: set[tuple[int, float]] = set()
