@@ -92,7 +92,8 @@ def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
     Returns ids whose durations, on top of ``already_used``, stay within the
     budget, and such that no rejected candidate would still fit: the pick is
     maximal, and empty when the budget is already exhausted (durations are
-    strictly positive).  Both phases of :func:`equalize` run this fill.
+    strictly positive).  Both phases of :func:`equalize` run the same
+    ``_first_fit`` this function wraps, not this function itself.
     ``budget`` and ``already_used`` must be finite numbers.
     """
     for value, name in ((budget, "budget"), (already_used, "already_used")):

@@ -79,7 +79,9 @@ class GenParams:
 
     ``hotspots`` maps chosen sectors to (resource multiplier, task-count
     multiplier) pairs to create deliberately overloaded or starved sectors;
-    a resource multiplier of 0 yields a dead sector.
+    a resource multiplier of 0 yields a dead sector.  The ``duration`` and
+    ``resources`` ranges are finite, ordered, and positive (non-negative for
+    resources).
     """
 
     n_sectors: int = 30
@@ -103,10 +105,10 @@ class GenParams:
         if hi < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
         lo, hi = _numbers(self.duration, 2, "duration range")
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:
             raise InvalidInputError(f"bad duration range {self.duration!r}")
         lo, hi = _numbers(self.resources, 2, "resources range")
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi < math.inf:
             raise InvalidInputError(f"bad resources range {self.resources!r}")
         if not isinstance(self.hotspots, (tuple, list)):
             raise InvalidInputError(f"hotspots {self.hotspots!r} must be a sequence of hotspots")

@@ -436,7 +436,10 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
         raise InvalidInputError(f"alpha={alpha!r} outside (0, 1]")
     check_count(n_sectors, "n_sectors")
     check_positive(dt, "dt")
-    estimates = [0.0] * n_sectors
+    try:
+        estimates = [0.0] * n_sectors
+    except (OverflowError, MemoryError):  # past sys.maxsize, or past any memory
+        raise InvalidInputError(f"n_sectors={n_sectors} is more sectors than a list holds") from None
     seeded = [False] * n_sectors
     for p, used in enumerate(used_per_pass):
         if type(used) is not float:

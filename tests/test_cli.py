@@ -308,6 +308,16 @@ def test_simulate_warning_text(tmp_path, capsys):
         "warning: task 0 (duration 5.0) overfills sector 0 (resources 4.0) in pass 2\n")
 
 
+def test_simulate_one_cycle_skips_revisit_stats(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    sio.write_scenario(scenario_from(2, 0, 1.0, (1.0, 1.0), [(0, 0.5), (1, 0.5)]), path)
+    trace = tmp_path / "t.csv"
+    assert run("simulate", "--scenario", str(path), "--cycles", "1", "--out", str(trace)) == 0
+    assert [row["task_id"] for row in read_csv(trace)] == ["0", "1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
+    assert capsys.readouterr().err == "note: revisit stats need --cycles >= 2, skipped\n"
+
+
 class TestEmptyScenario:
     @pytest.mark.parametrize("policy", ["greedy", "broadside", "edf"])
     def test_simulate(self, tmp_path, policy):

@@ -175,6 +175,18 @@ class TestCheckAssignment:
         assert any("never assigned" in p
                    for p in check_assignment(tri_scenario, {0: (0, 0)}))
 
+    def test_detects_unknown_task(self, tri_scenario):
+        good = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+        assert check_assignment(tri_scenario, good) == []
+        assert check_assignment(tri_scenario, {**good, 7: (0, 1)}) == [
+            "task 7 not part of the scenario"]
+
+    @pytest.mark.parametrize("sector, rotation", [(3, 0), (-1, 0), (0, -1)])
+    def test_detects_out_of_range_pass(self, tri_scenario, sector, rotation):
+        bad = {0: (sector, rotation), 1: (1, 0), 2: (2, 0)}
+        assert check_assignment(tri_scenario, bad) == [
+            f"task 0: pass (sector={sector}, rotation={rotation}) out of range"]
+
 
 class TestBinPackingReduce:
     def test_classic_feasible_pair(self):

@@ -78,9 +78,15 @@ CASES = {
     "GenParams-duration-huge": (GenParams, (), {"duration": (0.5, 10 ** 400)}),
     "GenParams-resources-bool": (GenParams, (), {"resources": (True, 2.0)}),
     "GenParams-multiplier-huge": (GenParams, (), {"hotspots": ((0, 10 ** 400, 1.0),)}),
+    # A generator range is finite.
+    "GenParams-duration-nan": (GenParams, (), {"duration": (math.nan, 3.0)}),
+    "GenParams-duration-inf": (GenParams, (), {"duration": (0.5, math.inf)}),
+    "GenParams-resources-nan": (GenParams, (), {"resources": (math.nan, 2.0)}),
+    "GenParams-resources-inf": (GenParams, (), {"resources": (1.0, math.inf)}),
     # A count is within the float range.
     "sector_of_direction-n-huge": (sector_of_direction, (0.1, 10 ** 400), {}),
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
+    "measure_resources-n-past-maxsize": (measure_resources, ([1.0], 10 ** 20, 1.0, 0.5), {}),
     "GenParams-task-count-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 400)}),
 }
 
@@ -98,6 +104,11 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: GenParams(fov_half_width=-1), "fov_half_width=-1 must be a non-negative integer"),
     (lambda: scenario((None,)), "resources[0]=None must be an int or a float"),
     (lambda: scenario((10 ** 400,)), "resources[0]: an int beyond the float range"),
+    (lambda: GenParams(duration=(math.nan, 3.0)), "bad duration range (nan, 3.0)"),
+    (lambda: GenParams(resources=(1.0, math.inf)), "bad resources range (1.0, inf)"),
+    (lambda: GenParams(resources=(5.0, 1.0)), "bad resources range (5.0, 1.0)"),
+    (lambda: measure_resources([1.0], 10 ** 20, 1.0, 0.5),
+     "n_sectors=100000000000000000000 is more sectors than a list holds"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:

@@ -183,6 +183,16 @@ class TestCheckPartition:
         sio.write_partition(part, tmp_path / "p.json")
         assert sio.read_partition(tmp_path / "p.json") == part
 
+    def test_wrong_sector_count_stops_the_check(self):
+        s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0)])
+        part = build_partition(2, {0: 0}, {0: PROVENANCE_OWN})
+        assert check_partition(s, part) == ["partition covers 2 sectors, scenario has 3"]
+
+    def test_detects_unknown_provenance_tag(self):
+        s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (1, 1.0)])
+        part = build_partition(3, {0: 0, 1: 1}, {0: PROVENANCE_OWN, 1: "borrowed"})
+        assert check_partition(s, part) == ["task 1 has unknown provenance tag 'borrowed'"]
+
     def test_sector_of(self):
         part = build_partition(3, {5: 2, 6: 0}, {5: PROVENANCE_OWN, 6: PROVENANCE_OWN})
         assert part.sector_index() == {5: 2, 6: 0}

@@ -271,6 +271,26 @@ class TestRevisitStats:
         assert stats.per_sector_max_rot[1] == pytest.approx(2.0)
         assert stats.per_sector_max_rot[2] == 0.0  # no tasks live there
 
+    def test_skips_a_record_of_an_unknown_task(self, tri_scenario):
+        import dataclasses
+
+        trace = simulate(tri_scenario, POLICY_PARTITION, broadside_baseline(tri_scenario),
+                         cycles=3)
+        stray = trace.records[0]._replace(task_id=9, timestamp=0.5)
+        with_stray = dataclasses.replace(trace, records=(stray, *trace.records))
+        assert revisit_stats(with_stray, tri_scenario) == revisit_stats(trace, tri_scenario)
+
+    def test_task_run_once_in_two_cycles(self, tri_scenario):
+        import dataclasses
+
+        trace = simulate(tri_scenario, POLICY_PARTITION, equalize(tri_scenario), cycles=2)
+        assert trace.cycles_completed == 2
+        first = next(k for k, r in enumerate(trace.records) if r.task_id == 0)
+        rest = tuple(r for k, r in enumerate(trace.records) if k == first or r.task_id != 0)
+        with pytest.raises(InsufficientDataError) as info:
+            revisit_stats(dataclasses.replace(trace, records=rest), tri_scenario)
+        assert str(info.value) == "task 0 was illuminated fewer than twice"
+
     def test_exec_sector_recorded(self, tri_scenario):
         part = equalize(tri_scenario)
         trace = simulate(tri_scenario, POLICY_PARTITION, part, cycles=2)
