@@ -8,7 +8,10 @@ pass.  The objective is the largest pass index used, so an objective below
 
 The search runs iterative deepening on the objective: for each candidate
 horizon it asks whether all tasks fit into passes 0..P, branching on tasks
-in descending duration and on passes in ascending index.  Passes of the same
+in descending duration and on passes in ascending index.  Each task's
+candidate passes, those whose sector lies in its field of view, are fixed
+for the whole search, so they are listed once per call and each horizon
+walks them up to its last pass.  Passes of the same
 sector with bitwise-equal residual capacity are interchangeable within a
 fixed horizon, so only the first of each such group is tried.  The first
 horizon that admits a schedule is optimal provided no smaller horizon search
@@ -72,6 +75,8 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     hand, and :class:`InfeasibleScenarioError` when some task fits no pass
     at all or nothing completes within ``MAX_ROTATIONS`` rotations.
     """
+    if not isinstance(limits, SearchLimits):
+        raise InvalidInputError(f"limits must be a SearchLimits, not {type(limits).__name__}")
     if len(scenario.tasks) > MAX_TASKS:
         raise LimitsExceededError(f"{len(scenario.tasks)} tasks exceed max_tasks={MAX_TASKS}")
     if scenario.n_sectors > MAX_SECTORS:
@@ -93,13 +98,16 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
                 f"sector resource in its field of view")
 
     lower = _lower_bound(scenario, tasks, reach, caps)
-    incumbent = _first_fit_schedule(tasks, feasible_sectors, caps, n)
+    # Each task's eligible passes (p, p mod N), ascending, over the whole horizon.
+    passes = [[(p, p % n) for p in range(len(caps)) if p % n in feasible_sectors[t.id]]
+              for t in tasks]
+    incumbent = _first_fit_schedule(tasks, passes, caps)
 
     budget = [limits.node_budget]
     top = max(incumbent.values()) if incumbent else len(caps)
     for bound in range(lower, top):
         try:
-            found = _fits_within(tasks, feasible_sectors, caps[: bound + 1], n, budget)
+            found = _fits_within(tasks, passes, caps, bound, budget)
         except _BudgetExhausted:
             if incumbent is None:
                 raise LimitsExceededError(
@@ -145,13 +153,13 @@ def _prefix_passes(caps, sectors, n, demand) -> int:
     return len(caps)
 
 
-def _first_fit_schedule(tasks, feasible_sectors, caps, n) -> dict[int, int] | None:
+def _first_fit_schedule(tasks, passes, caps) -> dict[int, int] | None:
     """Quick incumbent: first fitting pass per task, longest tasks first."""
     residual = list(caps)
     out: dict[int, int] = {}
-    for task in tasks:
-        for p, room in enumerate(residual):
-            if p % n in feasible_sectors[task.id] and task.duration <= room + CAP_SLACK:
+    for task, eligible in zip(tasks, passes):
+        for p, _ in eligible:
+            if task.duration <= residual[p] + CAP_SLACK:
                 residual[p] -= task.duration
                 out[task.id] = p
                 break
@@ -160,10 +168,12 @@ def _first_fit_schedule(tasks, feasible_sectors, caps, n) -> dict[int, int] | No
     return out
 
 
-def _fits_within(tasks, feasible_sectors, caps, n, budget) -> dict[int, int] | None:
-    """Decision search: schedule all tasks into the given passes, or prove none exists."""
-    residual = list(caps)
-    assignment: dict[int, int] = {}
+def _fits_within(tasks, passes, caps, bound, budget) -> dict[int, int] | None:
+    """Decision search: schedule all tasks into passes 0..bound, or prove none exists."""
+    residual = caps[: bound + 1]
+    durations = [t.duration for t in tasks]
+    eligible = [[(p, sector) for p, sector in ps if p <= bound] for ps in passes]
+    placed = [0] * len(tasks)
 
     # No total-capacity test: deepening starts at _lower_bound, so ``caps``
     # hold the whole demand (less CAP_SLACK), and each placement takes the
@@ -174,29 +184,26 @@ def _fits_within(tasks, feasible_sectors, caps, n, budget) -> dict[int, int] | N
         budget[0] -= 1
         if budget[0] < 0:
             raise _BudgetExhausted
-        if index == len(tasks):
+        if index == len(durations):
             return True
-        task = tasks[index]
-        sectors = feasible_sectors[task.id]
+        duration = durations[index]
         tried: set[tuple[int, float]] = set()
-        for p, room_p in enumerate(residual):
-            if p % n not in sectors:
+        for p, sector in eligible[index]:
+            room_p = residual[p]
+            if duration > room_p + CAP_SLACK:
                 continue
-            if task.duration > room_p + CAP_SLACK:
-                continue
-            key = (p % n, room_p)
+            key = (sector, room_p)
             if key in tried:
                 continue
             tried.add(key)
-            residual[p] = room_p - task.duration
-            assignment[task.id] = p
+            residual[p] = room_p - duration
+            placed[index] = p
             if recurse(index + 1):
                 return True
             residual[p] = room_p
-            del assignment[task.id]
         return False
 
-    return dict(assignment) if recurse(0) else None
+    return {t.id: p for t, p in zip(tasks, placed)} if recurse(0) else None
 
 
 def check_assignment(scenario: Scenario,

@@ -274,3 +274,66 @@ def test_exact_corpus_matches_recorded_digest():
             outcome = (type(exc).__name__, str(exc))
         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == EXACT_CORPUS_SHA256
+
+
+# SHA-256 of the least node budget that proves each instance below optimal,
+# recorded from the solver before each task's candidate passes were fixed
+# once per search; any change to the nodes a proof visits shows here.
+NODE_COUNT_SHA256 = "9ebdec97b511dd78d4dd5e165f19e4ab559eb83ef264d8858c035bee470425af"
+
+
+def least_proving_budget(scenario, cap=20_000):
+    """Smallest node budget whose search returns ``optimal=True``, by bisection.
+
+    A proof visits a fixed number of nodes and a budget only cuts the search
+    short, so the outcome is monotone in the budget.  Returns the error's
+    name when the search raises at ``cap``, and None when ``cap`` proves
+    nothing."""
+    def proven(budget):
+        try:
+            return exact_min_passes(scenario, SearchLimits(node_budget=budget)).optimal
+        except LimitsExceededError:
+            return False
+
+    try:
+        exact_min_passes(scenario, SearchLimits(node_budget=cap))
+    except (LimitsExceededError, InfeasibleScenarioError) as exc:
+        return type(exc).__name__
+    if not proven(cap):
+        return None
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if proven(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_node_counts_match_recorded_digest():
+    """400 seeded instances, drawn as the exact corpus is, plus four-sector
+    instances of up to 12 tasks with durations close to the resources, which
+    need proofs of up to about 12,000 nodes."""
+    rng = Xorshift64Star(2025)
+    budgets = []
+    for k in range(400):
+        if k % 4 == 3:
+            scenario = generate(GenParams(
+                n_sectors=4, fov_half_width=rng.randint(1, 2), tasks_per_sector=(1, 3),
+                duration=(2.0, 5.0), resources=(4.0, 7.0), seed=rng.randint(0, 10**6)))
+        elif k % 3 == 0:
+            caps = [3.0 + rng.uniform() * 5.0 for _ in range(rng.randint(2, 6))]
+            sizes = [0.5 + rng.uniform() * 3.5 for _ in range(rng.randint(1, 12))]
+            scenario = bin_packing_reduce(sizes, caps)
+        elif k % 5 == 1:
+            scenario = generate(GenParams(
+                n_sectors=rng.randint(1, 2), fov_half_width=0, tasks_per_sector=(3, 6),
+                duration=(3.0, 5.0), resources=(4.0, 6.0), seed=rng.randint(0, 10**6)))
+        else:
+            scenario = generate(GenParams(
+                n_sectors=rng.randint(1, 9), fov_half_width=rng.randint(0, 3),
+                tasks_per_sector=(0, 3), duration=(1.0, 5.0), resources=(3.0, 7.0),
+                seed=rng.randint(0, 10**6)))
+        budgets.append(least_proving_budget(scenario))
+    assert hashlib.sha256(repr(budgets).encode()).hexdigest() == NODE_COUNT_SHA256

@@ -22,6 +22,7 @@ from sectorsched import (
     SurveillanceTask,
     Xorshift64Star,
     bin_packing_reduce,
+    exact_min_passes,
     main_sector,
     maximal_subset,
     measure_resources,
@@ -34,6 +35,9 @@ TASKS = [SurveillanceTask(0, 0.1, 0.0, 1.0), SurveillanceTask(1, 0.2, 0.0, 2.0)]
 
 def scenario(resources):
     return Scenario(n_sectors=len(resources), fov_half_width=0, dt=1.0, resources=resources)
+
+
+DESK = Scenario(n_sectors=1, fov_half_width=0, dt=1.0, resources=(5.0,), tasks=tuple(TASKS))
 
 
 # (entry point, positional arguments, keyword arguments)
@@ -88,6 +92,10 @@ CASES = {
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
     "measure_resources-n-past-maxsize": (measure_resources, ([1.0], 10 ** 20, 1.0, 0.5), {}),
     "GenParams-task-count-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 400)}),
+    # The search's limits are a SearchLimits, not a bare node budget.
+    "exact_min_passes-limits-int": (exact_min_passes, (DESK, 5000), {}),
+    "exact_min_passes-limits-None": (exact_min_passes, (DESK, None), {}),
+    "exact_min_passes-limits-text": (exact_min_passes, (DESK, "x"), {}),
 }
 
 
@@ -109,6 +117,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: GenParams(resources=(5.0, 1.0)), "bad resources range (5.0, 1.0)"),
     (lambda: measure_resources([1.0], 10 ** 20, 1.0, 0.5),
      "n_sectors=100000000000000000000 is more sectors than a list holds"),
+    (lambda: exact_min_passes(DESK, 5000), "limits must be a SearchLimits, not int"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
