@@ -98,7 +98,6 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
                 f"sector resource in its field of view")
 
     lower = _lower_bound(scenario, tasks, reach, caps)
-    # Each task's eligible passes (p, p mod N), ascending, over the whole horizon.
     passes = [[(p, p % n) for p in range(len(caps)) if p % n in feasible_sectors[t.id]]
               for t in tasks]
     incumbent = _first_fit_schedule(tasks, passes, caps)
@@ -175,11 +174,11 @@ def _fits_within(tasks, passes, caps, bound, budget) -> dict[int, int] | None:
     eligible = [[(p, sector) for p, sector in ps if p <= bound] for ps in passes]
     placed = [0] * len(tasks)
 
-    # No total-capacity test: deepening starts at _lower_bound, so ``caps``
-    # hold the whole demand (less CAP_SLACK), and each placement takes the
-    # same duration from the residual and from the demand left.  Room minus
-    # demand never drops below -CAP_SLACK beyond rounding; inside that band
-    # such a test would only refuse what the per-pass rule accepts.
+    # No total-capacity test: deepening starts at _lower_bound, so passes
+    # 0..bound hold the whole demand (less CAP_SLACK), and each placement
+    # takes the same duration from the residual and from the demand left.
+    # Room minus demand never drops below -CAP_SLACK beyond rounding; inside
+    # that band such a test would only refuse what the per-pass rule accepts.
     def recurse(index: int) -> bool:
         budget[0] -= 1
         if budget[0] < 0:

@@ -287,8 +287,9 @@ def least_proving_budget(scenario, cap=20_000):
 
     A proof visits a fixed number of nodes and a budget only cuts the search
     short, so the outcome is monotone in the budget.  Returns the error's
-    name when the search raises at ``cap``, and None when ``cap`` proves
-    nothing."""
+    name when the search at ``cap`` raises (past a size limit, infeasible,
+    or out of budget with no plan), and None when it returns an unproven
+    plan."""
     def proven(budget):
         try:
             return exact_min_passes(scenario, SearchLimits(node_budget=budget)).optimal
