@@ -6,16 +6,16 @@ pass whose sector lies in the task's field of view, without overfilling any
 pass.  The objective is the largest pass index used, so an objective below
 ``N`` means everything fits into a single rotation.
 
-The search runs iterative deepening on the objective: for each candidate
-horizon it asks whether all tasks fit into passes 0..P, branching on tasks
-in descending duration and on passes in ascending index.  Each task's
-candidate passes, those whose sector lies in its field of view, are fixed
-for the whole search, so they are listed once per call and each horizon
-walks them up to its last pass.  Passes of the same
-sector with bitwise-equal residual capacity are interchangeable within a
-fixed horizon, so only the first of each such group is tried.  The first
-horizon that admits a schedule is optimal provided no smaller horizon search
-was cut short by the node budget.
+The field of view is one list per home sector of its candidate passes, those
+whose sector lies in the home's field of view, in ascending index, built once
+per call.  It drives the feasibility test, the deepening start, the first-fit
+incumbent and the search.  The search runs iterative deepening on the
+objective: for each horizon P it asks whether all tasks fit into passes
+0..P, branching on tasks in descending duration and on their candidate
+passes up to P.  Passes of one sector with bitwise-equal residual capacity
+are interchangeable within a horizon, so only the first of each such group
+is tried.  The first horizon that admits a schedule is optimal provided no
+smaller horizon search was cut short by the node budget.
 
 Module constants cap the instance (``MAX_TASKS``, ``MAX_SECTORS``) and the
 horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import (CAP_SLACK, Scenario, SurveillanceTask, active_sectors,
-                    angular_sector_distance, check_count, check_number)
+from .model import (CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance,
+                    as_tuple, check_count, check_number, fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 MAX_TASKS = 12
@@ -88,18 +88,18 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     caps = [scenario.resources[p % n] for p in range(MAX_ROTATIONS * n)]
 
     tasks = sorted(scenario.tasks, key=lambda t: (-t.duration, t.id))
-    reach = [set(active_sectors(h, scenario.fov_half_width, n)) for h in range(n)]
-    feasible_sectors = {tid: reach[h] for tid, h in scenario.home.items()}
-    for task in tasks:
-        sectors = feasible_sectors[task.id]
-        if task.duration > max(scenario.resources[j] for j in sectors) + CAP_SLACK:
+    offsets = fov_offsets(scenario.fov_half_width, n)
+    home_passes = {h: sorted((r * n + (h + c) % n, (h + c) % n)
+                             for r in range(MAX_ROTATIONS) for c in offsets)
+                   for h in set(scenario.home.values())}
+    passes = [home_passes[scenario.home[t.id]] for t in tasks]
+    for task, eligible in zip(tasks, passes):
+        if task.duration > max(caps[p] for p, _ in eligible) + CAP_SLACK:
             raise InfeasibleScenarioError(
                 f"task {task.id}: duration {task.duration} exceeds every "
                 f"sector resource in its field of view")
 
-    lower = _lower_bound(scenario, tasks, reach, caps)
-    passes = [[(p, p % n) for p in range(len(caps)) if p % n in feasible_sectors[t.id]]
-              for t in tasks]
+    lower = _lower_bound(scenario, tasks, home_passes, caps)
     incumbent = _first_fit_schedule(tasks, passes, caps)
 
     budget = [limits.node_budget]
@@ -126,27 +126,25 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
                          optimal=optimal)
 
 
-def _lower_bound(scenario, tasks, reach, caps) -> int:
-    """Smallest pass index worth testing: capacity and FOV-group necessities.
-
-    ``reach[h]`` is the set of sectors in sector ``h``'s field of view."""
-    total = math.fsum(t.duration for t in tasks)
-    bounds = [_prefix_passes(caps, range(scenario.n_sectors), scenario.n_sectors, total)]
+def _lower_bound(scenario, tasks, home_passes, caps) -> int:
+    """Smallest pass index worth testing: all passes must cover the total
+    demand, and each home's candidate passes that home's demand, less
+    ``CAP_SLACK``; a demand within it of zero is covered from pass 0 on."""
     demand_by_home: dict[int, float] = {}
     for t in tasks:
         home = scenario.home[t.id]
         demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
-    for home, demand in demand_by_home.items():
-        bounds.append(_prefix_passes(caps, reach[home], scenario.n_sectors, demand))
-    return max(bounds)
+    return max([_covering_pass(range(len(caps)), caps, math.fsum(t.duration for t in tasks)),
+                *(_covering_pass((p for p, _ in home_passes[h]), caps, demand)
+                  for h, demand in demand_by_home.items() if demand > CAP_SLACK)])
 
 
-def _prefix_passes(caps, sectors, n, demand) -> int:
-    """First pass index whose prefix capacity over ``sectors`` covers ``demand``."""
+def _covering_pass(pass_indices, caps, demand) -> int:
+    """First of the ascending ``pass_indices`` whose prefix capacity covers
+    ``demand`` less ``CAP_SLACK``."""
     acc = 0.0
-    for p, cap in enumerate(caps):
-        if p % n in sectors:
-            acc += cap
+    for p in pass_indices:
+        acc += caps[p]
         if acc >= demand - CAP_SLACK:
             return p
     return len(caps)
@@ -209,9 +207,10 @@ def check_assignment(scenario: Scenario,
                      assignments: Mapping[int, tuple[int, int]]) -> list[str]:
     """Independent validity check of a (sector, rotation) assignment.
 
-    Verifies coverage (every task exactly once), field of view at the
-    executing sector, and per-pass resource limits.  Kept separate from the
-    search so solver bugs cannot vouch for themselves.
+    Verifies coverage (every task exactly once), that each entry is a
+    (sector, rotation) pair of ints, field of view at the executing sector,
+    and per-pass resource limits.  Kept separate from the search so solver
+    bugs cannot vouch for themselves.
     """
     problems: list[str] = []
     by_id = scenario.task_by_id()
@@ -219,11 +218,16 @@ def check_assignment(scenario: Scenario,
     if missing:
         problems.append(f"tasks never assigned: {missing}")
     load: dict[tuple[int, int], float] = {}
-    for tid, (sector, rotation) in assignments.items():
+    for tid, entry in assignments.items():
         task = by_id.get(tid)
         if task is None:
             problems.append(f"task {tid} not part of the scenario")
             continue
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and type(entry[0]) is int and type(entry[1]) is int):  # a bool is no index
+            problems.append(f"task {tid}: pass {entry!r} is not a (sector, rotation) pair of ints")
+            continue
+        sector, rotation = entry
         if not (0 <= sector < scenario.n_sectors) or rotation < 0:
             problems.append(f"task {tid}: pass (sector={sector}, rotation={rotation}) out of range")
             continue
@@ -251,7 +255,10 @@ def bin_packing_reduce(item_sizes: Sequence[float],
     when the encoded scenario completes within one rotation, i.e. when
     ``exact_min_passes`` reports an objective below the bin count.  An item
     size the scenario rejects as a duration raises :class:`ScenarioValidationError`.
+    Each argument is read once, so an iterator serves as well as a list.
     """
+    item_sizes = as_tuple(item_sizes, "item sizes")
+    bin_capacities = as_tuple(bin_capacities, "bin capacities")
     if not item_sizes or not bin_capacities:
         raise InvalidInputError("item sizes and bin capacities must be non-empty")
     for size in item_sizes:

@@ -26,6 +26,11 @@ from .model import Scenario, SurveillanceTask, TWO_PI, check_count, check_number
 
 _MASK64 = (1 << 64) - 1
 
+# Most sectors, and most tasks, a GenParams may ask for: generate makes them
+# one by one, so a count that is finite but huge would run for as long.
+# Far above the largest benchmarked request (360 sectors x 15 x 4 = 21,600).
+MAX_GENERATED = 1_000_000
+
 
 class Xorshift64Star:
     """Minimal deterministic PRNG; see module docstring for the constants."""
@@ -81,7 +86,9 @@ class GenParams:
     multiplier) pairs to create deliberately overloaded or starved sectors;
     a resource multiplier of 0 yields a dead sector.  The ``duration`` and
     ``resources`` ranges are finite, ordered, and positive (non-negative for
-    resources).
+    resources).  Neither ``n_sectors`` nor ``n_sectors x tasks_per_sector[1]
+    x`` the largest hotspot task multiplier (at least 1), which sizes the
+    task count, may pass ``MAX_GENERATED``.
     """
 
     n_sectors: int = 30
@@ -95,14 +102,17 @@ class GenParams:
 
     def __post_init__(self):
         check_count(self.n_sectors, "n_sectors")
+        if self.n_sectors > MAX_GENERATED:
+            raise InvalidInputError(
+                f"n_sectors={self.n_sectors} exceeds MAX_GENERATED={MAX_GENERATED}")
         check_count(self.fov_half_width, "fov_half_width", least=0)
         check_positive(self.dt, "dt")
         if type(self.seed) is not int:
             raise InvalidInputError(f"seed={self.seed!r} must be an integer")
-        lo, hi = _numbers(self.tasks_per_sector, 2, "tasks_per_sector range")
+        lo, most_per_sector = _numbers(self.tasks_per_sector, 2, "tasks_per_sector range")
         check_count(lo, "tasks_per_sector range", least=0)
-        check_count(hi, "tasks_per_sector range", least=0)
-        if hi < lo:
+        check_count(most_per_sector, "tasks_per_sector range", least=0)
+        if most_per_sector < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
         lo, hi = _numbers(self.duration, 2, "duration range")
         if not 0 < lo <= hi < math.inf:
@@ -122,6 +132,12 @@ class GenParams:
             if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):
                 raise InvalidInputError(
                     f"hotspot multipliers ({res_mult!r}, {task_mult!r}) must be finite and >= 0")
+        most_mult = max((task_mult for _, _, task_mult in self.hotspots), default=1.0)
+        if (most_per_sector > MAX_GENERATED  # else the product may pass the float range
+                or self.n_sectors * most_per_sector * max(1.0, most_mult) > MAX_GENERATED):
+            raise InvalidInputError(
+                f"n_sectors x tasks_per_sector[1] x hotspot task multiplier "
+                f"exceeds MAX_GENERATED={MAX_GENERATED}")
 
 
 def generate(params: GenParams) -> Scenario:

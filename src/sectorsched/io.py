@@ -241,7 +241,10 @@ def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv",
     """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  The CSV header
     is the first row's keys, or ``fields`` for a table without rows.  JSON
     has no non-finite number, so there an infinite or NaN float is the
-    string of its ``repr`` (``"inf"``), the token the CSV form writes."""
+    string of its ``repr`` (``"inf"``), the token the CSV form writes.  Any
+    other ``fmt`` raises :class:`InvalidInputError`."""
+    if fmt not in ("csv", "json"):
+        raise InvalidInputError(f"fmt={fmt!r} must be 'csv' or 'json'")
     if fmt == "json":
         rows = [{k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]

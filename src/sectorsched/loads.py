@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .model import Scenario
+from .model import Scenario, check_count
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -66,9 +66,15 @@ class SchedulePartition:
 
 def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
                     provenance: Mapping[int, str] = {}) -> SchedulePartition:
-    """Canonical SchedulePartition from task id -> sector, tagging the tasks ``provenance`` has."""
+    """Canonical SchedulePartition from task id -> sector, tagging the tasks
+    ``provenance`` has.  A sector that is not an int in ``[0, n_sectors)``
+    (a bool is no sector) raises :class:`InvalidInputError`."""
+    check_count(n_sectors, "n_sectors")
     buckets: list[list[int]] = [[] for _ in range(n_sectors)]
     for tid, sector in sector_of_task.items():
+        if type(sector) is not int or not 0 <= sector < n_sectors:
+            raise InvalidInputError(
+                f"task {tid!r}: sector {sector!r} is not an integer in [0, {n_sectors})")
         buckets[sector].append(tid)
     return SchedulePartition(
         assignments=tuple(tuple(sorted(ids)) for ids in buckets),

@@ -62,6 +62,16 @@ def check_count(value, name: str, least: int = 1) -> None:
     raise InvalidInputError(f"{name}={value!r} must be a {kind} integer")
 
 
+def as_tuple(value, name: str) -> tuple:
+    """The items of the iterable ``value`` as a tuple, read once; anything
+    else raises :class:`InvalidInputError`."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be iterable, not {type(value).__name__}") from None
+    return tuple(items)
+
+
 def check_positive(value, name: str) -> None:
     """Raise :class:`InvalidInputError` unless ``value`` passes
     :func:`check_number` and is positive and finite, as a pass time must be."""
@@ -103,7 +113,8 @@ class Scenario:
 
     An invalid scenario cannot be built.  Structural problems (bad sector
     count, bad dt, a resource that is no number, resource vector of the
-    wrong length) raise
+    wrong length, ``resources`` or ``tasks`` not iterable, a task that is no
+    :class:`SurveillanceTask`) raise
     :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
     checks the data (non-finite or non-positive durations, non-finite or
     negative resources, ids that are not non-negative ints, duplicate ids,
@@ -128,12 +139,16 @@ class Scenario:
         check_count(self.n_sectors, "n_sectors")
         check_count(self.fov_half_width, "fov_half_width", least=0)
         check_positive(self.dt, "dt")
-        resources = tuple(self.resources)
+        resources = as_tuple(self.resources, "resources")
         for i, r in enumerate(resources):
             if type(r) is not float:
                 check_number(r, f"resources[{i}]")
         object.__setattr__(self, "resources", tuple(map(float, resources)))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        tasks = as_tuple(self.tasks, "tasks")
+        if not all(issubclass(kind, SurveillanceTask) for kind in set(map(type, tasks))):
+            i = next(i for i, t in enumerate(tasks) if not isinstance(t, SurveillanceTask))
+            raise InvalidInputError(f"tasks[{i}]={tasks[i]!r} is not a SurveillanceTask")
+        object.__setattr__(self, "tasks", tasks)
         if len(self.resources) != self.n_sectors:
             raise InvalidInputError(
                 f"resources has {len(self.resources)} entries, expected {self.n_sectors}")

@@ -181,6 +181,13 @@ class TestCheckAssignment:
         assert check_assignment(tri_scenario, {**good, 7: (0, 1)}) == [
             "task 7 not part of the scenario"]
 
+    @pytest.mark.parametrize("entry", [(0,), (0, 0, 0), ("a", 0), (0, "a"), 5, (True, 0),
+                                       (0, False), (0.0, 0), None])
+    def test_reports_an_entry_that_is_no_pair_of_ints(self, tri_scenario, entry):
+        bad = {0: entry, 1: (1, 0), 2: (2, 0)}
+        assert check_assignment(tri_scenario, bad) == [
+            f"task 0: pass {entry!r} is not a (sector, rotation) pair of ints"]
+
     @pytest.mark.parametrize("sector, rotation", [(3, 0), (-1, 0), (0, -1)])
     def test_detects_out_of_range_pass(self, tri_scenario, sector, rotation):
         bad = {0: (sector, rotation), 1: (1, 0), 2: (2, 0)}
@@ -213,6 +220,11 @@ class TestBinPackingReduce:
             bin_packing_reduce([1, -2], [3])
         with pytest.raises(InvalidInputError):
             bin_packing_reduce([1], [0])
+
+    def test_reads_each_argument_once(self):
+        s = bin_packing_reduce(iter([1.0, 2.0]), iter([2.0, 3.0]))
+        assert s == bin_packing_reduce([1.0, 2.0], [2.0, 3.0])
+        assert [t.duration for t in s.tasks] == [1.0, 2.0]
 
     def test_every_sector_reachable(self):
         for bins in (1, 2, 3, 6, 7):

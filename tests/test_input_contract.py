@@ -22,6 +22,7 @@ from sectorsched import (
     SurveillanceTask,
     Xorshift64Star,
     bin_packing_reduce,
+    build_partition,
     exact_min_passes,
     main_sector,
     maximal_subset,
@@ -92,6 +93,23 @@ CASES = {
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
     "measure_resources-n-past-maxsize": (measure_resources, ([1.0], 10 ** 20, 1.0, 0.5), {}),
     "GenParams-task-count-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 400)}),
+    # A generator request is small enough to make: generate builds each
+    # sector and task, so a finite but huge one would never end.
+    "GenParams-task-count-finite-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 15)}),
+    "GenParams-n-finite-huge": (GenParams, (), {"n_sectors": 10 ** 15}),
+    "GenParams-task-multiplier-finite-huge": (GenParams, (), {"hotspots": ((0, 1.0, 1e300),)}),
+    # A partition's sector is an int in [0, n_sectors).
+    "build_partition-sector-negative": (build_partition, (2, {0: -1}), {}),
+    "build_partition-sector-bool": (build_partition, (2, {0: True}), {}),
+    "build_partition-sector-past-n": (build_partition, (2, {0: 5}), {}),
+    "build_partition-sector-float": (build_partition, (2, {0: 1.0}), {}),
+    "build_partition-n-float": (build_partition, (2.0, {0: 1}), {}),
+    # Sequences are iterable, and a scenario's tasks are tasks.
+    "bin_packing-sizes-not-iterable": (bin_packing_reduce, (5, [1.0]), {}),
+    "bin_packing-capacities-not-iterable": (bin_packing_reduce, ([1.0], 5), {}),
+    "Scenario-resources-not-iterable": (Scenario, (1, 0, 1.0, 5), {}),
+    "Scenario-tasks-not-iterable": (Scenario, (1, 0, 1.0, (5.0,), 5), {}),
+    "Scenario-task-not-a-task": (Scenario, (1, 0, 1.0, (5.0,), (5,)), {}),
     # The search's limits are a SearchLimits, not a bare node budget.
     "exact_min_passes-limits-int": (exact_min_passes, (DESK, 5000), {}),
     "exact_min_passes-limits-None": (exact_min_passes, (DESK, None), {}),
@@ -118,6 +136,11 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: measure_resources([1.0], 10 ** 20, 1.0, 0.5),
      "n_sectors=100000000000000000000 is more sectors than a list holds"),
     (lambda: exact_min_passes(DESK, 5000), "limits must be a SearchLimits, not int"),
+    (lambda: GenParams(n_sectors=10 ** 15),
+     "n_sectors=1000000000000000 exceeds MAX_GENERATED=1000000"),
+    (lambda: build_partition(2, {0: True}), "task 0: sector True is not an integer in [0, 2)"),
+    (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
+    (lambda: Scenario(1, 0, 1.0, (5.0,), (5,)), "tasks[0]=5 is not a SurveillanceTask"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -135,3 +158,23 @@ def test_read_partition_refuses_a_negative_id(tmp_path):
     path.write_text('{"assignments": [[-1]], "provenance": {}}', encoding="utf-8")
     with pytest.raises(ScenarioFormatError, match=r"partition\.assignments\[0\]"):
         sio.read_partition(path)
+
+
+def test_generator_cap_admits_the_largest_request_it_names():
+    """The cap bounds sectors x the most tasks per sector x the largest
+    hotspot task multiplier (at least 1), not the tasks drawn."""
+    from sectorsched.generate import MAX_GENERATED
+    GenParams(n_sectors=360, tasks_per_sector=(5, 15), hotspots=((3, 1.0, 4.0),))
+    GenParams(n_sectors=MAX_GENERATED, tasks_per_sector=(0, 1), hotspots=((0, 1.0, 0.5),))
+    GenParams(n_sectors=4, tasks_per_sector=(0, 0), hotspots=((0, 1.0, 1e300),))
+    with pytest.raises(InvalidInputError, match="MAX_GENERATED"):
+        GenParams(n_sectors=MAX_GENERATED, tasks_per_sector=(0, 1), hotspots=((0, 1.0, 1.5),))
+    with pytest.raises(InvalidInputError, match="MAX_GENERATED"):
+        GenParams(n_sectors=MAX_GENERATED + 1, tasks_per_sector=(0, 0))
+
+
+def test_write_comparison_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "cmp.xml"
+    with pytest.raises(InvalidInputError, match="fmt='xml' must be 'csv' or 'json'"):
+        sio.write_comparison([{"policy": "edf"}], path, fmt="xml")
+    assert not path.exists()
