@@ -257,13 +257,13 @@ def test_total_demand_preserved_by_reduction():
 EXACT_CORPUS_SHA256 = "203cfe57b179b6bac0209f897aaac345168268cab23de1db0bde6c011fad658a"
 
 
-def test_exact_corpus_matches_recorded_digest():
-    """600 seeded instances under budgets of 1 to 100,000 nodes: random bin
-    packings, one- or two-sector instances that need up to and past five
-    rotations, and generated instances inside and past the size limits.  Every outcome kind occurs: proven, budget-out with a plan,
+def exact_corpus():
+    """600 seeded (instance, node budget) pairs under budgets of 1 to 100,000
+    nodes: random bin packings, one- or two-sector instances that need up to
+    and past five rotations, and generated instances inside and past the size
+    limits.  Every outcome kind occurs: proven, budget-out with a plan,
     budget-out with none, too many tasks or sectors, infeasible."""
     rng = Xorshift64Star(2024)
-    digest = hashlib.sha256()
     for k in range(600):
         if k % 3 == 0:
             caps = [3.0 + rng.uniform() * 5.0 for _ in range(rng.randint(2, 6))]
@@ -278,13 +278,22 @@ def test_exact_corpus_matches_recorded_digest():
                 n_sectors=rng.randint(1, 9), fov_half_width=rng.randint(0, 3),
                 tasks_per_sector=(0, 3), duration=(1.0, 5.0), resources=(3.0, 7.0),
                 seed=rng.randint(0, 10**6)))
-        budget = (1, 50, 5_000, 100_000)[rng.randint(0, 3)]
-        try:
-            s = exact_min_passes(scenario, SearchLimits(node_budget=budget))
-            outcome = (sorted(s.assignments.items()), s.objective, s.optimal)
-        except (LimitsExceededError, InfeasibleScenarioError) as exc:
-            outcome = (type(exc).__name__, str(exc))
-        digest.update(repr(outcome).encode())
+        yield scenario, (1, 50, 5_000, 100_000)[rng.randint(0, 3)]
+
+
+def outcome_of(solve, scenario, budget):
+    """A search's plan, objective and flag, or its error's type and message."""
+    try:
+        s = solve(scenario, SearchLimits(node_budget=budget))
+        return sorted(s.assignments.items()), s.objective, s.optimal
+    except (LimitsExceededError, InfeasibleScenarioError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_exact_corpus_matches_recorded_digest():
+    digest = hashlib.sha256()
+    for scenario, budget in exact_corpus():
+        digest.update(repr(outcome_of(exact_min_passes, scenario, budget)).encode())
     assert digest.hexdigest() == EXACT_CORPUS_SHA256
 
 
@@ -324,29 +333,31 @@ def least_proving_budget(scenario, cap=20_000):
     return lo
 
 
-def test_node_counts_match_recorded_digest():
+def node_count_corpus():
     """400 seeded instances, drawn as the exact corpus is, plus four-sector
     instances of up to 12 tasks with durations close to the resources, which
     need proofs of up to about 12,000 nodes."""
     rng = Xorshift64Star(2025)
-    budgets = []
     for k in range(400):
         if k % 4 == 3:
-            scenario = generate(GenParams(
+            yield generate(GenParams(
                 n_sectors=4, fov_half_width=rng.randint(1, 2), tasks_per_sector=(1, 3),
                 duration=(2.0, 5.0), resources=(4.0, 7.0), seed=rng.randint(0, 10**6)))
         elif k % 3 == 0:
             caps = [3.0 + rng.uniform() * 5.0 for _ in range(rng.randint(2, 6))]
             sizes = [0.5 + rng.uniform() * 3.5 for _ in range(rng.randint(1, 12))]
-            scenario = bin_packing_reduce(sizes, caps)
+            yield bin_packing_reduce(sizes, caps)
         elif k % 5 == 1:
-            scenario = generate(GenParams(
+            yield generate(GenParams(
                 n_sectors=rng.randint(1, 2), fov_half_width=0, tasks_per_sector=(3, 6),
                 duration=(3.0, 5.0), resources=(4.0, 6.0), seed=rng.randint(0, 10**6)))
         else:
-            scenario = generate(GenParams(
+            yield generate(GenParams(
                 n_sectors=rng.randint(1, 9), fov_half_width=rng.randint(0, 3),
                 tasks_per_sector=(0, 3), duration=(1.0, 5.0), resources=(3.0, 7.0),
                 seed=rng.randint(0, 10**6)))
-        budgets.append(least_proving_budget(scenario))
+
+
+def test_node_counts_match_recorded_digest():
+    budgets = [least_proving_budget(scenario) for scenario in node_count_corpus()]
     assert hashlib.sha256(repr(budgets).encode()).hexdigest() == NODE_COUNT_SHA256
