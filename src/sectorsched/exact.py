@@ -14,8 +14,12 @@ objective: for each horizon P it asks whether all tasks fit into passes
 0..P, branching on tasks in descending duration and on their candidate
 passes up to P.  Passes of one sector with bitwise-equal residual capacity
 are interchangeable within a horizon, so only the first of each such group
-is tried.  The first horizon that admits a schedule is optimal provided no
-smaller horizon search was cut short by the node budget.
+is tried.  A branch is cut when its passes cannot hold, by count, as many
+tasks as are left: a pass takes at most as many more tasks as the shortest
+durations that fit its residual.  The cut leaves the branching order as it
+is, so each horizon finds the same first schedule as an unpruned search.
+The first horizon that admits a schedule is optimal provided no smaller
+horizon search was cut short by the node budget.
 
 Module constants cap the instance (``MAX_TASKS``, ``MAX_SECTORS``) and the
 horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
@@ -24,7 +28,10 @@ horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
@@ -129,14 +136,15 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
 def _lower_bound(scenario, tasks, home_passes, caps) -> int:
     """Smallest pass index worth testing: all passes must cover the total
     demand, and each home's candidate passes that home's demand, less
-    ``CAP_SLACK``; a demand within it of zero is covered from pass 0 on."""
+    ``CAP_SLACK``; a home's demand within it of zero still needs the home's
+    first candidate pass."""
     demand_by_home: dict[int, float] = {}
     for t in tasks:
         home = scenario.home[t.id]
         demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
     return max([_covering_pass(range(len(caps)), caps, math.fsum(t.duration for t in tasks)),
                 *(_covering_pass((p for p, _ in home_passes[h]), caps, demand)
-                  for h, demand in demand_by_home.items() if demand > CAP_SLACK)])
+                  for h, demand in demand_by_home.items())])
 
 
 def _covering_pass(pass_indices, caps, demand) -> int:
@@ -177,13 +185,32 @@ def _fits_within(tasks, passes, caps, bound, budget) -> dict[int, int] | None:
     # takes the same duration from the residual and from the demand left.
     # Room minus demand never drops below -CAP_SLACK beyond rounding; inside
     # that band such a test would only refuse what the per-pass rule accepts.
+    #
+    # A count of tasks instead: the unplaced tasks are a suffix of the
+    # longest-first order, so any k of them take at least shortest[k - 1],
+    # the sum of the k shortest durations, and a pass with room r takes at
+    # most bisect_right(shortest, r + slack) more.  A branch whose passes
+    # cannot hold as many tasks as are left is cut.  The slack adds to
+    # CAP_SLACK the rounding of the prefix sums and of the residual chain the
+    # fit test reads, at most MAX_TASKS roundings each, every one within an
+    # ulp of the largest capacity or total: a looser slack only prunes less,
+    # a tighter one could cut a branch that the fit test accepts.
+    shortest = list(accumulate(reversed(durations)))
+    slack = CAP_SLACK + 4 * MAX_TASKS * sys.float_info.epsilon * max(max(residual), shortest[-1])
+    fit_count = [bisect_right(shortest, room + slack) for room in residual]
+    count = sum(fit_count)
+    if count < len(tasks):
+        return None
+
     def recurse(index: int) -> bool:
+        nonlocal count
         budget[0] -= 1
         if budget[0] < 0:
             raise _BudgetExhausted
         if index == len(durations):
             return True
         duration = durations[index]
+        left = len(durations) - index - 1
         tried: set[tuple[int, float]] = set()
         for p, sector in eligible[index]:
             room_p = residual[p]
@@ -193,11 +220,19 @@ def _fits_within(tasks, passes, caps, bound, budget) -> dict[int, int] | None:
             if key in tried:
                 continue
             tried.add(key)
+            fit_p = fit_count[p]
+            fit_after = bisect_right(shortest, room_p - duration + slack)
+            if count - fit_p + fit_after < left:
+                continue
+            count += fit_after - fit_p
+            fit_count[p] = fit_after
             residual[p] = room_p - duration
             placed[index] = p
             if recurse(index + 1):
                 return True
             residual[p] = room_p
+            fit_count[p] = fit_p
+            count -= fit_after - fit_p
         return False
 
     return {t.id: p for t, p in zip(tasks, placed)} if recurse(0) else None
@@ -207,18 +242,22 @@ def check_assignment(scenario: Scenario,
                      assignments: Mapping[int, tuple[int, int]]) -> list[str]:
     """Independent validity check of a (sector, rotation) assignment.
 
-    Verifies coverage (every task exactly once), that each entry is a
-    (sector, rotation) pair of ints, field of view at the executing sector,
-    and per-pass resource limits.  Kept separate from the search so solver
-    bugs cannot vouch for themselves.
+    Verifies coverage (every task exactly once, under its ``int`` id), that
+    each entry is a (sector, rotation) pair of ints, field of view at the
+    executing sector, and per-pass resource limits.  Kept separate from the
+    search so solver bugs cannot vouch for themselves.
     """
     problems: list[str] = []
     by_id = scenario.task_by_id()
-    missing = sorted(set(by_id) - set(assignments))
+    # A bool or float key equals an int id, so ids are matched only as ints.
+    missing = sorted(set(by_id) - {tid for tid in assignments if type(tid) is int})
     if missing:
         problems.append(f"tasks never assigned: {missing}")
     load: dict[tuple[int, int], float] = {}
     for tid, entry in assignments.items():
+        if type(tid) is not int:
+            problems.append(f"task id {tid!r} is not an int")
+            continue
         task = by_id.get(tid)
         if task is None:
             problems.append(f"task {tid} not part of the scenario")

@@ -217,8 +217,10 @@ class TestCompare:
 
     def test_budget_out_skips_exact(self, tmp_path, capsys, monkeypatch):
         # Six 3 s tasks in one 5 s sector need six passes: first-fit finds no
-        # plan within five, so one search node ends the search with none.
-        s = scenario_from(1, 0, 5.0, (5.0,), [(0, 3.0)] * 6)
+        # plan within five.  With a 0.5 s task beside them, five passes could
+        # hold seven tasks by count, so the search starts, and its budget of
+        # one node ends it with no plan.
+        s = scenario_from(1, 0, 5.0, (5.0,), [(0, 3.0)] * 6 + [(0, 0.5)])
         scenario = tmp_path / "deep.json"
         sio.write_scenario(s, scenario)
         solve = cli.exact_min_passes

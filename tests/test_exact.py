@@ -121,6 +121,14 @@ class TestExactMinPasses:
         assert solution.assignments[0][0] == 0 and solution.assignments[1][0] == 0
         assert {rot for _, rot in solution.assignments.values()} == {0, 1}
 
+    def test_a_home_of_negligible_demand_starts_at_its_first_pass(self):
+        # Task 2's 1e-10 s is within CAP_SLACK of no demand, but it still
+        # needs pass 3, its home's first: deepening starts there, and the
+        # first-fit plan proves itself without a node of search.
+        s = scenario_from(4, 0, 1.0, (5.0,) * 4, [(0, 2.0), (0, 2.0), (3, 1e-10)])
+        solution = exact_min_passes(s, SearchLimits(node_budget=1))
+        assert (solution.objective, solution.optimal) == (3, True)
+
     def test_matches_enumeration_on_random_instances(self):
         rng = Xorshift64Star(314)
         for _ in range(40):
@@ -160,6 +168,74 @@ class TestExactMinPasses:
             assert check_assignment(s, solution.assignments) == []
             assert solution.objective == max(
                 r * n + sector for sector, r in solution.assignments.values())
+
+
+class TestCountBound:
+    """The search cuts a branch whose passes cannot hold as many tasks as
+    are left, counting from the shortest durations.  The count must never
+    cut a schedule that the per-pass fit test accepts."""
+
+    def test_refutes_at_the_root(self):
+        # Six 3 s tasks, one per 5 s pass, and five passes in the horizon:
+        # no horizon holds six tasks by count, so no node is searched.
+        s = scenario_from(1, 0, 5.0, (5.0,), [(0, 3.0)] * 6)
+        with pytest.raises(InfeasibleScenarioError, match="within 5 rotations"):
+            exact_min_passes(s, SearchLimits(node_budget=1))
+
+    def test_durations_that_fill_a_capacity_exactly(self):
+        s = bin_packing_reduce([0.1, 0.2, 0.7], [1.0])
+        solution = exact_min_passes(s, SearchLimits(node_budget=4))
+        assert (solution.objective, solution.optimal) == (0, True)
+        # Summed shortest first, these exceed 2.9 by 4.4e-16 in floats.
+        s = bin_packing_reduce([0.8, 0.8, 0.7, 0.4, 0.2], [2.9])
+        solution = exact_min_passes(s, SearchLimits(node_budget=6))
+        assert (solution.objective, solution.optimal) == (0, True)
+
+    def test_rounding_past_the_capacity_slack(self):
+        # Cuts of two bins of about 5e7 and 4e7, one rotation holds them.
+        # An ulp here is 7.5e-9, so the rounding of the prefix sums and the
+        # residual chain outgrows CAP_SLACK: a count with no margin for it
+        # refutes the one-rotation horizon.
+        caps = [54212742.58951991, 42365983.411813736]
+        sizes = [24751660.60036738, 14960647.528064065, 15401793.799794909,
+                 17614322.811446358, 12295273.272200178, 11555027.989460759]
+        solution = exact_min_passes(bin_packing_reduce(sizes, caps))
+        assert (solution.objective, solution.optimal) == (1, True)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-3, 1.0, 1e6])
+    def test_bin_packings_at_any_scale_agree_with_the_enumerator(self, scale):
+        rng = Xorshift64Star(4242)
+        for _ in range(20):
+            bins = 1 + rng.randint(0, 3)
+            caps = [(3.0 + rng.uniform() * 5.0) * scale for _ in range(bins)]
+            sizes = [(0.5 + rng.uniform() * 3.5) * scale for _ in range(1 + rng.randint(0, 7))]
+            s = bin_packing_reduce(sizes, caps)
+            try:
+                solution = exact_min_passes(s)
+            except InfeasibleScenarioError:
+                assert enumerate_min_passes(s) is None
+                continue
+            assert solution.optimal
+            assert solution.objective == enumerate_min_passes(s)
+            assert (solution.objective < bins) == brute_force_bin_packing(sizes, caps)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e6])
+    def test_planted_packings_at_scale_fit_one_rotation(self, scale):
+        # Each bin is cut into pieces that sum to it up to rounding.
+        caps = [0.7 * scale, 1.0 * scale, 0.3 * scale]
+        sizes = [0.1 * scale, 0.6 * scale, 0.2 * scale, 0.7 * scale, 0.1 * scale, 0.3 * scale]
+        solution = exact_min_passes(bin_packing_reduce(sizes, caps))
+        assert solution.optimal and solution.objective < 3
+
+    @pytest.mark.parametrize("duration, per_pass", [(0.1, 10), (1.0 / 3, 3), (2.0, 2), (7e5, 2)])
+    def test_many_equal_durations(self, duration, per_pass):
+        # Twelve equal tasks in 2 sectors, each pass holding per_pass of them.
+        cap = per_pass * duration
+        s = scenario_from(2, 1, 1.0, (cap, cap), [(k % 2, duration) for k in range(12)])
+        solution = exact_min_passes(s)
+        assert solution.optimal
+        assert solution.objective == -(-12 // per_pass) - 1
+        assert check_assignment(s, solution.assignments) == []
 
 
 class TestCheckAssignment:
@@ -251,10 +327,12 @@ def test_total_demand_preserved_by_reduction():
     assert math.fsum(t.duration for t in s.tasks) == pytest.approx(10.0)
 
 
-# SHA-256 of the outcomes below, recorded from the solver before its search
-# limits became module constants; any change to a plan, an objective, the
-# optimality flag or an error message shows here.
-EXACT_CORPUS_SHA256 = "203cfe57b179b6bac0209f897aaac345168268cab23de1db0bde6c011fad658a"
+# SHA-256 of the outcomes below, recorded from the solver once it cut
+# branches whose passes cannot hold the tasks left, after the test in
+# test_exact_equivalence showed every outcome the unpruned search proves
+# unchanged; any change to a plan, an objective, the optimality flag or an
+# error message shows here.
+EXACT_CORPUS_SHA256 = "ebe7d8bbdb139caac411a87ccdb0be52dc2c81541ecbcc4750116fcd11e9043d"
 
 
 def exact_corpus():
@@ -298,9 +376,9 @@ def test_exact_corpus_matches_recorded_digest():
 
 
 # SHA-256 of the least node budget that proves each instance below optimal,
-# recorded from the solver before each task's candidate passes were fixed
-# once per search; any change to the nodes a proof visits shows here.
-NODE_COUNT_SHA256 = "9ebdec97b511dd78d4dd5e165f19e4ab559eb83ef264d8858c035bee470425af"
+# recorded from the solver once it cut branches whose passes cannot hold the
+# tasks left; any change to the nodes a proof visits shows here.
+NODE_COUNT_SHA256 = "67b528e7d67723b83fad09bee7b452a2e9ac4ffe777085d1b233d8c687df6a34"
 
 
 def least_proving_budget(scenario, cap=20_000):

@@ -68,7 +68,7 @@ class TestExactProperties:
 
 @st.composite
 def tiny_scenarios(draw):
-    """N 1-4, 1 to 6 tasks, durations and resources from a few values.
+    """N 1-4, 1 to 8 tasks, durations and resources from a few values.
 
     Few distinct values make equal residuals common, within one sector
     across rotations and after different placements, so the search's
@@ -76,7 +76,7 @@ def tiny_scenarios(draw):
     n = draw(st.integers(1, 4))
     tasks = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.sampled_from((1.0, 1.5, 2.0, 3.0))),
-        min_size=1, max_size=6))
+        min_size=1, max_size=8))
     resources = draw(st.lists(st.sampled_from((2.0, 3.0, 4.0)), min_size=n, max_size=n))
     return scenario_from(n, draw(st.integers(0, n // 2)), 1.0, resources, tasks)
 

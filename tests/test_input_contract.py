@@ -23,6 +23,7 @@ from sectorsched import (
     Xorshift64Star,
     bin_packing_reduce,
     build_partition,
+    check_assignment,
     exact_min_passes,
     main_sector,
     maximal_subset,
@@ -146,6 +147,13 @@ def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", [True, 1.0, "1", None])
+def test_check_assignment_reports_a_task_id_that_is_no_int(key):
+    # A bool or float key equals task 1's id and must not stand for it.
+    assert check_assignment(DESK, {0: (0, 0), key: (0, 0)}) == [
+        "tasks never assigned: [1]", f"task id {key!r} is not an int"]
 
 
 def test_int_resources_become_floats():
