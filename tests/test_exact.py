@@ -202,7 +202,7 @@ class TestCountBound:
         solution = exact_min_passes(bin_packing_reduce(sizes, caps))
         assert (solution.objective, solution.optimal) == (1, True)
 
-    @pytest.mark.parametrize("scale", [1e-10, 1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-10, 1e6])
     def test_bin_packings_at_any_scale_agree_with_the_enumerator(self, scale):
         rng = Xorshift64Star(4242)
         for _ in range(20):
