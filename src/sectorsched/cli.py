@@ -18,20 +18,14 @@ from pathlib import Path
 
 from . import io
 from .equalize import equalize
-from .errors import (
-    InfeasibleScenarioError,
-    InsufficientDataError,
-    InvalidInputError,
-    LimitsExceededError,
-)
+from .errors import (InfeasibleScenarioError, InvalidInputError, LimitsExceededError,
+                     SectorSchedError)
 from .exact import exact_min_passes
 from .generate import GenParams, generate
 from .loads import SchedulePartition, broadside_baseline, build_partition, load_report
-from .model import Scenario
+from .model import Scenario, check_count
 from .simulate import POLICY_EDF, POLICY_PARTITION, SimulationTrace, revisit_stats, simulate
 
-# CLI policies: greedy and broadside run a partition (broadside the
-# home-sector one), edf runs none.
 _POLICIES = ("greedy", "broadside", "edf")
 
 
@@ -67,16 +61,18 @@ def _gen_params(args, seed: int, fov: int) -> GenParams:
     )
 
 
-def _partition_for(scenario: Scenario, policy: str) -> SchedulePartition:
+def _partition_for(scenario: Scenario, policy: str) -> SchedulePartition | None:
+    """The partition a policy runs: greedy the equalized one, broadside the
+    home-sector one, edf none."""
     if policy == "greedy":
         return equalize(scenario)
-    return broadside_baseline(scenario)
+    return broadside_baseline(scenario) if policy == "broadside" else None
 
 
-def _trace(scenario: Scenario, policy: str, cycles: int) -> SimulationTrace:
-    if policy == "edf":
-        return simulate(scenario, POLICY_EDF, None, cycles=cycles)
-    return simulate(scenario, POLICY_PARTITION, _partition_for(scenario, policy), cycles=cycles)
+def _trace(scenario: Scenario, partition: SchedulePartition | None,
+           cycles: int) -> SimulationTrace:
+    policy = POLICY_EDF if partition is None else POLICY_PARTITION
+    return simulate(scenario, policy, partition, cycles=cycles)
 
 
 def _row(policy: str, scenario: Scenario, trace: SimulationTrace, completion_pass: int) -> dict:
@@ -93,7 +89,7 @@ def _row(policy: str, scenario: Scenario, trace: SimulationTrace, completion_pas
 
 
 def _policy_row(scenario: Scenario, policy: str, cycles: int) -> dict:
-    trace = _trace(scenario, policy, cycles)
+    trace = _trace(scenario, _partition_for(scenario, policy), cycles)
     return _row(policy, scenario, trace, trace.completion_pass)
 
 
@@ -119,7 +115,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = io.read_scenario(args.scenario)
-    trace = _trace(scenario, args.policy, args.cycles)
+    trace = _trace(scenario, _partition_for(scenario, args.policy), args.cycles)
     io.write_trace(trace, scenario, args.out)
     print(f"wrote trace ({len(trace.records)} executions, "
           f"completion pass {trace.completion_pass}) to {args.out}")
@@ -143,12 +139,12 @@ def _cmd_compare(args) -> int:
     if args.exact:
         try:
             solution = exact_min_passes(scenario)
-        except LimitsExceededError as exc:
+        except (LimitsExceededError, InfeasibleScenarioError) as exc:
             print(f"note: {exc}, skipping exact row", file=sys.stderr)
         else:
             partition = build_partition(scenario.n_sectors, {
                 tid: sector for tid, (sector, _) in solution.assignments.items()})
-            trace = simulate(scenario, POLICY_PARTITION, partition, cycles=args.cycles)
+            trace = _trace(scenario, partition, args.cycles)
             rows.append(_row("exact" if solution.optimal else "exact(limit)",
                              scenario, trace, solution.objective))
     io.write_comparison(rows, args.out, fmt=args.format)
@@ -162,6 +158,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_report(args) -> int:
     _need_revisit_cycles(args.cycles)
+    check_count(args.runs, "--runs", least=0)
+    for i, fov in enumerate(args.fov):
+        if fov in args.fov[:i]:
+            raise InvalidInputError(f"--fov {fov} given twice")
     detail: list[dict] = []
     for offset in range(args.runs):
         seed = args.seed + offset
@@ -195,14 +195,15 @@ def _cmd_report(args) -> int:
 
 
 def _add_gen_knobs(parser, with_hotspots: bool) -> None:
-    parser.add_argument("--sectors", type=int, default=30, help="sector count")
-    parser.add_argument("--dt", type=float, default=25.0,
+    parser.add_argument("--sectors", type=int, default=GenParams.n_sectors,
+                        help="sector count")
+    parser.add_argument("--dt", type=float, default=GenParams.dt,
                         help="seconds per sector pass")
-    parser.add_argument("--tasks", type=int, nargs=2, default=[5, 15],
+    parser.add_argument("--tasks", type=int, nargs=2, default=GenParams.tasks_per_sector,
                         metavar=("LO", "HI"), help="tasks per sector, inclusive range")
-    parser.add_argument("--duration", type=float, nargs=2, default=[0.5, 3.0],
+    parser.add_argument("--duration", type=float, nargs=2, default=GenParams.duration,
                         metavar=("LO", "HI"), help="task duration range, seconds")
-    parser.add_argument("--resources", type=float, nargs=2, default=[5.0, 20.0],
+    parser.add_argument("--resources", type=float, nargs=2, default=GenParams.resources,
                         metavar=("LO", "HI"), help="per-sector resources range, seconds")
     if with_hotspots:
         parser.add_argument("--hotspot", type=float, nargs=3, action="append",
@@ -219,9 +220,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random scenario")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=int, default=GenParams.seed, help="generator seed")
     p.add_argument("--out", required=True, help="scenario JSON path")
-    p.add_argument("--fov", type=int, default=5, help="field-of-view half width")
+    p.add_argument("--fov", type=int, default=GenParams.fov_half_width,
+                   help="field-of-view half width")
     _add_gen_knobs(p, with_hotspots=True)
     p.set_defaults(handler=_cmd_gen)
 
@@ -251,9 +253,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("report", help="aggregate a batch of seeds")
-    p.add_argument("--seed", type=int, default=0, help="first seed of the batch")
+    p.add_argument("--seed", type=int, default=GenParams.seed, help="first seed of the batch")
     p.add_argument("--runs", type=int, default=20, help="number of seeds")
-    p.add_argument("--fov", type=int, nargs="+", default=[5],
+    p.add_argument("--fov", type=int, nargs="+", default=[GenParams.fov_half_width],
                    help="field-of-view half widths to benchmark")
     p.add_argument("--out", required=True, help="detail CSV path "
                    "(summary lands next to it as <out>.summary.csv)")
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, InsufficientDataError, OSError) as exc:
+    except (SectorSchedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,12 +96,11 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
 
     tasks = sorted(scenario.tasks, key=lambda t: (-t.duration, t.id))
     offsets = fov_offsets(scenario.fov_half_width, n)
-    home_passes = {h: sorted((r * n + (h + c) % n, (h + c) % n)
-                             for r in range(MAX_ROTATIONS) for c in offsets)
+    home_passes = {h: sorted(r * n + (h + c) % n for r in range(MAX_ROTATIONS) for c in offsets)
                    for h in set(scenario.home.values())}
     passes = [home_passes[scenario.home[t.id]] for t in tasks]
     for task, eligible in zip(tasks, passes):
-        if task.duration > max(caps[p] for p, _ in eligible) + CAP_SLACK:
+        if task.duration > max(caps[p] for p in eligible) + CAP_SLACK:
             raise InfeasibleScenarioError(
                 f"task {task.id}: duration {task.duration} exceeds every "
                 f"sector resource in its field of view")
@@ -113,7 +112,7 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     top = max(incumbent.values()) if incumbent else len(caps)
     for bound in range(lower, top):
         try:
-            found = _fits_within(tasks, passes, caps, bound, budget)
+            found = _fits_within(tasks, passes, caps, n, bound, budget)
         except _BudgetExhausted:
             if incumbent is None:
                 raise LimitsExceededError(
@@ -143,7 +142,7 @@ def _lower_bound(scenario, tasks, home_passes, caps) -> int:
         home = scenario.home[t.id]
         demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
     return max([_covering_pass(range(len(caps)), caps, math.fsum(t.duration for t in tasks)),
-                *(_covering_pass((p for p, _ in home_passes[h]), caps, demand)
+                *(_covering_pass(home_passes[h], caps, demand)
                   for h, demand in demand_by_home.items())])
 
 
@@ -163,7 +162,7 @@ def _first_fit_schedule(tasks, passes, caps) -> dict[int, int] | None:
     residual = list(caps)
     out: dict[int, int] = {}
     for task, eligible in zip(tasks, passes):
-        for p, _ in eligible:
+        for p in eligible:
             if task.duration <= residual[p] + CAP_SLACK:
                 residual[p] -= task.duration
                 out[task.id] = p
@@ -173,11 +172,11 @@ def _first_fit_schedule(tasks, passes, caps) -> dict[int, int] | None:
     return out
 
 
-def _fits_within(tasks, passes, caps, bound, budget) -> dict[int, int] | None:
+def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None:
     """Decision search: schedule all tasks into passes 0..bound, or prove none exists."""
     residual = caps[: bound + 1]
     durations = [t.duration for t in tasks]
-    eligible = [[(p, sector) for p, sector in ps if p <= bound] for ps in passes]
+    eligible = [[(p, p % n) for p in ps if p <= bound] for ps in passes]
     placed = [0] * len(tasks)
 
     # No total-capacity test: deepening starts at _lower_bound, so passes

@@ -84,9 +84,9 @@ class GenParams:
 
     ``hotspots`` maps chosen sectors to (resource multiplier, task-count
     multiplier) pairs to create deliberately overloaded or starved sectors;
-    a resource multiplier of 0 yields a dead sector.  The ``duration`` and
-    ``resources`` ranges are finite, ordered, and positive (non-negative for
-    resources).  Neither ``n_sectors`` nor ``n_sectors x tasks_per_sector[1]
+    a resource multiplier of 0 yields a dead sector, and no sector may be
+    listed twice.  The ``duration`` and ``resources`` ranges are finite,
+    ordered, and positive (non-negative for resources).  Neither ``n_sectors`` nor ``n_sectors x tasks_per_sector[1]
     x`` the largest hotspot task multiplier (at least 1), which sizes the
     task count, may pass ``MAX_GENERATED``.
     """
@@ -122,12 +122,16 @@ class GenParams:
             raise InvalidInputError(f"bad resources range {self.resources!r}")
         if not isinstance(self.hotspots, (tuple, list)):
             raise InvalidInputError(f"hotspots {self.hotspots!r} must be a sequence of hotspots")
+        hot_sectors: set[int] = set()
         for hotspot in self.hotspots:
             if not (isinstance(hotspot, (tuple, list)) and len(hotspot) == 3):
                 raise InvalidInputError(f"hotspot {hotspot!r} must be 3 numbers")
             sector, res_mult, task_mult = hotspot
             if type(sector) is not int or not 0 <= sector < self.n_sectors:
                 raise InvalidInputError(f"hotspot sector {sector!r} out of range")
+            if sector in hot_sectors:
+                raise InvalidInputError(f"hotspot sector {sector} listed twice")
+            hot_sectors.add(sector)
             _numbers((res_mult, task_mult), 2, "hotspot multipliers")
             if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):
                 raise InvalidInputError(

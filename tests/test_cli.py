@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import sectorsched
-from sectorsched import SearchLimits, cli
+from sectorsched import GenParams, SearchLimits, cli
+from sectorsched.errors import InsufficientDataError, LimitsExceededError, SectorSchedError
 from sectorsched.cli import build_parser, main
 from sectorsched import io as sio
 from conftest import scenario_from
@@ -233,6 +234,19 @@ class TestCompare:
         assert ("note: node budget exhausted before any schedule was found, "
                 "skipping exact row") in capsys.readouterr().err
 
+    def test_no_plan_within_the_horizon_skips_exact(self, tmp_path, capsys):
+        # Six 3 s tasks in one 5 s sector need six passes, one more than the
+        # exact search's five-rotation horizon; the other policies still run.
+        s = scenario_from(1, 0, 5.0, (5.0,), [(0, 3.0)] * 6)
+        scenario = tmp_path / "deep.json"
+        sio.write_scenario(s, scenario)
+        out = tmp_path / "cmp.csv"
+        assert run("compare", "--scenario", str(scenario), "--out", str(out),
+                   "--exact") == 0
+        assert [r["policy"] for r in read_csv(out)] == ["greedy", "broadside", "edf"]
+        assert ("note: no schedule exists within 5 rotations, skipping exact row"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", [
         ("compare", "--scenario", "missing.json", "--exact"), ("report", "--runs", "1")])
     def test_one_cycle_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
@@ -283,6 +297,27 @@ class TestReport:
             headers.append(out.read_text(encoding="utf-8").splitlines()[0])
         assert headers[0] == headers[1]
         assert headers[0].startswith("seed,fov,policy,")
+
+    @pytest.mark.parametrize("knobs, message", [
+        (("--runs", "-3"), "--runs=-3 must be a non-negative integer"),
+        (("--runs", "2", "--fov", "1", "5", "5"), "--fov 5 given twice")])
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, knobs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a scenario was generated")
+
+        monkeypatch.setattr(cli, "generate", no_work)
+        out = tmp_path / "bench.csv"
+        assert run("report", *knobs, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "report"])
+def test_generator_defaults_are_gen_params_defaults(command):
+    args = build_parser().parse_args([command, "--out", "x"])
+    fov = args.fov if command == "gen" else args.fov[0]
+    assert cli._gen_params(args, args.seed, fov) == GenParams()
 
 
 def test_derived_artifact_names(tmp_path, monkeypatch, capsys):
@@ -375,7 +410,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("knobs", [
         ("--hotspot", "0", "inf", "1"), ("--resources", "nan", "nan"),
-        ("--duration", "1", "inf"), ("--resources", "0", "0")])
+        ("--duration", "1", "inf"), ("--resources", "0", "0"),
+        ("--hotspot", "1", "0.5", "2", "--hotspot", "1", "0", "1")])
     def test_gen_refuses_an_invalid_scenario(self, tmp_path, capsys, knobs):
         out = tmp_path / "s.json"
         assert run("gen", *knobs, "--out", str(out)) == 1
@@ -392,6 +428,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("error", [LimitsExceededError, InsufficientDataError,
+                                       SectorSchedError])
+    def test_any_other_library_refusal_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                   error):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        assert run("gen", "--out", str(tmp_path / "s.json")) == 1
+        assert capsys.readouterr().err == "error: refused\n"
 
     def test_infeasible_scenario(self, tmp_path):
         s = scenario_from(3, 0, 1.0, (0.0, 5.0, 5.0), [(0, 1.0)])

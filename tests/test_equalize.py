@@ -301,14 +301,14 @@ class TestReferenceEquivalence:
         meta = Xorshift64Star(4404)
         for seed in range(200):
             n = 1 + meta.randint(0, 47)
-            hotspots = tuple(
-                (meta.randint(0, n - 1), (0.0, 0.4, 2.0)[meta.randint(0, 2)],
-                 (1.0, 4.0)[meta.randint(0, 1)])
-                for _ in range(meta.randint(0, 2)))
+            hot = {meta.randint(0, n - 1): ((0.0, 0.4, 2.0)[meta.randint(0, 2)],
+                                            (1.0, 4.0)[meta.randint(0, 1)])
+                   for _ in range(meta.randint(0, 2))}
             duration = ((0.5, 3.0), (1.0, 1.0))[meta.randint(0, 1)]
             assert_matches_reference(generate(GenParams(
                 n_sectors=n, fov_half_width=meta.randint(0, n), tasks_per_sector=(0, 9),
-                duration=duration, hotspots=hotspots, seed=seed)))
+                duration=duration, hotspots=tuple((h, rm, tm) for h, (rm, tm) in hot.items()),
+                seed=seed)))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fleet_scale(self, seed):

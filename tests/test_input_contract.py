@@ -89,6 +89,8 @@ CASES = {
     "GenParams-duration-inf": (GenParams, (), {"duration": (0.5, math.inf)}),
     "GenParams-resources-nan": (GenParams, (), {"resources": (math.nan, 2.0)}),
     "GenParams-resources-inf": (GenParams, (), {"resources": (1.0, math.inf)}),
+    # A hotspot sector is listed once: a second entry would replace the first.
+    "GenParams-hotspot-twice": (GenParams, (), {"hotspots": ((1, 0.5, 2.0), (1, 0.0, 1.0))}),
     # A count is within the float range.
     "sector_of_direction-n-huge": (sector_of_direction, (0.1, 10 ** 400), {}),
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
@@ -134,6 +136,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: GenParams(duration=(math.nan, 3.0)), "bad duration range (nan, 3.0)"),
     (lambda: GenParams(resources=(1.0, math.inf)), "bad resources range (1.0, inf)"),
     (lambda: GenParams(resources=(5.0, 1.0)), "bad resources range (5.0, 1.0)"),
+    (lambda: GenParams(hotspots=((1, 0.5, 2.0), (1, 0.0, 1.0))), "hotspot sector 1 listed twice"),
     (lambda: measure_resources([1.0], 10 ** 20, 1.0, 0.5),
      "n_sectors=100000000000000000000 is more sectors than a list holds"),
     (lambda: exact_min_passes(DESK, 5000), "limits must be a SearchLimits, not int"),
