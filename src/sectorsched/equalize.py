@@ -26,8 +26,8 @@ one binary search on ``cap - used``, corrected a step at a time against
 the very comparison first-fit makes, ``used + duration <= cap``, finds its
 end: a rearranged form can round differently.  Moving to the next sector
 drops the unassigned tasks of the home that leaves reach and inserts those
-of the home that enters it; a window that reaches every sector never
-slides.  With W tasks in the window, about (2w + 1) / N of them all, the
+of the home that enters it, the same home when the window reaches every
+sector.  With W tasks in the window, about (2w + 1) / N of them all, the
 sweep sorts the first window once, then costs, per pick and per task that
 enters or leaves the window, one O(log W) search and one list insert or
 delete, plus one step per task of equal duration when the longest fit is
@@ -126,7 +126,7 @@ def equalize(scenario: Scenario) -> SchedulePartition:
     loads = [0.0] * n
 
     for i in range(n):
-        if i and len(offsets) < n:
+        if i:
             # One sector on: home i - 1 + lo leaves reach, home i + hi enters.
             for entry in by_home[(i - 1 + lo) % n]:
                 if entry[1] not in sector_of_task:

@@ -92,11 +92,14 @@ def _require(mapping: dict, key: str, kinds: tuple, where: str,
 
 def _read_object(path: str | Path) -> dict:
     """The JSON object in ``path``; anything else raises :class:`ScenarioFormatError`."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # also an integer literal too long to convert
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     return payload

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InvalidInputError
 from .model import Scenario, check_count
@@ -39,14 +39,21 @@ class SchedulePartition:
     ``assignments[i]`` holds the ids of the tasks sector ``i`` executes,
     sorted ascending so serialization is canonical.  ``provenance`` maps a task
     id to the equalizer phase that placed it (one of ``PROVENANCE_TAGS``), if any.
-    A row that is not a tuple of non-negative int ids (a bool is no id), or a
-    tag that is not a ``str``, raises :class:`InvalidInputError`.
+    Anything else raises :class:`InvalidInputError`: assignments that are not
+    a tuple of rows, each a tuple of non-negative int ids (a bool is no id),
+    or provenance that is not a mapping to ``str`` tags.
     """
 
     assignments: tuple[tuple[int, ...], ...]
     provenance: Mapping[int, str]
 
     def __post_init__(self):
+        if type(self.assignments) is not tuple:
+            raise InvalidInputError(f"assignments: expected a tuple of rows, "
+                                    f"not {type(self.assignments).__name__}")
+        if not isinstance(self.provenance, Mapping):
+            raise InvalidInputError(f"provenance: expected a mapping of task id to tag, "
+                                    f"not {type(self.provenance).__name__}")
         for i, ids in enumerate(self.assignments):
             if type(ids) is not tuple or not all(type(t) is int and t >= 0 for t in ids):
                 raise InvalidInputError(
@@ -146,7 +153,11 @@ def broadside_baseline(scenario: Scenario) -> SchedulePartition:
 
 
 def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[str]:
-    """Independent validity check: completeness plus field-of-view feasibility."""
+    """Independent validity check: completeness, field-of-view feasibility,
+    and known provenance tags on assigned tasks only.  An argument that is not
+    a :class:`SchedulePartition` is one problem."""
+    if not isinstance(partition, SchedulePartition):
+        return [f"expected a SchedulePartition, not {type(partition).__name__}"]
     problems: list[str] = []
     if len(partition.assignments) != scenario.n_sectors:
         problems.append(
@@ -173,6 +184,8 @@ def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[st
     if missing:
         problems.append(f"tasks never assigned: {missing}")
     for tid, tag in partition.provenance.items():
-        if tag not in PROVENANCE_TAGS:
+        if tid not in seen:
+            problems.append(f"task {tid} has provenance tag {tag!r} but no row assigns it")
+        elif tag not in PROVENANCE_TAGS:
             problems.append(f"task {tid} has unknown provenance tag {tag!r}")
     return problems

@@ -32,11 +32,13 @@ cycle, so at the start of a cycle all T tasks are sorted once and each gets
 its rank, 0 the oldest; a bucket holds its ranks in order.  A pass runs a
 prefix of the merge of its reachable buckets, popping a heap of plain int
 ranks, the bucket heads, until the first task that does not fit.  That heap
-lasts the whole cycle.  Moving from sector j to j + 1 marks bucket
-(j + lo) mod N out of the window and pushes the head of bucket
-(j + 1 + hi) mod N; an entry whose bucket is out of the window, or which is
-no longer its bucket's head, is stale and dropped when it reaches the top.
-A window that covers all N sectors never rolls.  A pass costs
+lasts the whole cycle.  Bucket h is in the window of sector j when
+(h - j - lo) mod N is below the window's width, so moving from j to j + 1
+only pushes the head of bucket (j + 1 + hi) mod N, which enters it.  An
+entry whose bucket is out of the window, or which is no longer its
+bucket's head, is stale and dropped when it reaches the top; a head pushed
+twice, as when the bucket that leaves a window of all N sectors re-enters
+it at once, is dropped the second time.  A pass costs
 O(log k + r log k) for k reachable buckets and r tasks run, a cycle adds
 O(T log T) for the ranking and the heap rebuild, and "larger than every
 pass" is one comparison against the bucket's largest reachable resources.
@@ -115,17 +117,22 @@ def simulate(scenario: Scenario, policy: str,
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
     check_count(cycles, "cycles")
-    if policy != POLICY_EDF:
+    n = scenario.n_sectors
+    if policy == POLICY_EDF:
+        if partition is not None:
+            raise InvalidInputError("edf policy does not take a partition")
+        bucket_of = scenario.home
+        window = fov_offsets(scenario.fov_half_width, n)
+    else:
         if partition is None:
             raise InvalidInputError(f"policy {policy!r} requires a partition")
         problems = check_partition(scenario, partition)
         if problems:
             raise InvalidInputError("partition does not match scenario: "
                                     + "; ".join(problems))
-    elif partition is not None:
-        raise InvalidInputError("edf policy does not take a partition")
+        bucket_of = partition.sector_index()
+        window = range(0, 1)
 
-    n = scenario.n_sectors
     dt = scenario.dt
     warnings = [TraceProblem("resources", None, None,
                              f"sector {j}: resources {r} exceed pass duration {dt}")
@@ -136,19 +143,12 @@ def simulate(scenario: Scenario, policy: str,
                                n_passes=0, cycles_completed=0,
                                warnings=tuple(warnings))
 
-    if policy != POLICY_EDF:
-        bucket_of = partition.sector_index()
-        window = range(0, 1)
-    else:
-        bucket_of = scenario.home
-        window = fov_offsets(scenario.fov_half_width, n)
-    lo, hi = window[0], window[-1]
+    lo, hi, width = window[0], window[-1], len(window)
     # A pass over j reaches buckets j + lo .. j + hi.  The window is
     # symmetric, so bucket h is reached from sectors h + lo .. h + hi: its
     # largest reachable resources are a slice of the ring laid out thrice.
     ring = scenario.resources * 3
     reach_max = [max(ring[n + h + lo:n + h + hi + 1]) for h in range(n)]
-    rolls = len(window) < n
     ids = sorted(by_id)
 
     last_time = dict.fromkeys(ids, -math.inf)
@@ -175,33 +175,24 @@ def simulate(scenario: Scenario, policy: str,
             buckets = [[] for _ in range(n)]
             for rank in range(n_tasks - 1, -1, -1):
                 buckets[rank_bucket[rank]].append(rank)
-            in_window = bytearray(n)
-            heads = []
-            for c in window:
-                h = (sector + c) % n
-                in_window[h] = 1
-                if buckets[h]:
-                    heads.append(buckets[h][-1])
+            heads = [bucket[-1] for c in window if (bucket := buckets[(sector + c) % n])]
             heapify(heads)
             remaining = n_tasks
-        elif rolls:
-            # One sector on: bucket (sector - 1 + lo) leaves the window and
-            # its entry goes stale; bucket (sector + hi) enters it.
-            in_window[(sector - 1 + lo) % n] = 0
-            h = (sector + hi) % n
-            in_window[h] = 1
-            if bucket := buckets[h]:
-                heappush(heads, bucket[-1])
+        elif bucket := buckets[(sector + hi) % n]:
+            # One sector on: bucket (sector + hi) enters the window, and the
+            # entry of bucket (sector - 1 + lo), which left it, goes stale.
+            heappush(heads, bucket[-1])
         budget = scenario.resources[sector]
         limit = budget + CAP_SLACK
         start = pass_index * dt
         used = 0.0
         ran = 0
+        first = sector + lo  # bucket h is in the window if (h - first) % n < width
         while heads:
             rank = heads[0]
             h = rank_bucket[rank]
             bucket = buckets[h]
-            if not (in_window[h] and bucket and bucket[-1] == rank):
+            if not (bucket and bucket[-1] == rank and (h - first) % n < width):
                 heappop(heads)  # out of the window, or a head already run
                 continue
             duration = rank_duration[rank]

@@ -390,6 +390,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "tasks[0].duration" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "not UTF-8 text"), (b"[" * 200_000, "JSON nested too deeply")],
+        ids=["not-utf8", "too-deep"])
+    def test_unreadable_scenario_file(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run("schedule", "--scenario", str(bad),
+                   "--out", str(tmp_path / "p.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("resources, durations, violation", [
         ([1e308, 1e308], [1.0], "sum beyond the float range"),
         ([1.0, 1.0], [1e308, 1e308], "sum beyond the float range"),

@@ -58,6 +58,15 @@ class TestXorshift:
 
 
 class TestGenerate:
+    def test_azimuth_at_the_top_of_the_last_sector_stays_below_two_pi(self, monkeypatch):
+        # The largest draw, 1 - 2**-53, puts (N - 1 + u) * 2*pi/N at 2*pi
+        # after rounding for N = 4; the generator clamps it into sector N - 1.
+        monkeypatch.setattr(Xorshift64Star, "uniform", lambda self: 1.0 - 2.0 ** -53)
+        s = generate(GenParams(n_sectors=4, fov_half_width=1, tasks_per_sector=(1, 1)))
+        last = s.tasks[-1]
+        assert last.phi == math.nextafter(TWO_PI, 0.0) < TWO_PI
+        assert s.home[last.id] == 3
+
     def test_same_seed_same_scenario(self):
         p = GenParams(seed=1234)
         assert generate(p) == generate(p)
@@ -280,6 +289,20 @@ class TestReadPartitionFormat:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ScenarioFormatError, match=field):
             sio.read_partition(path)
+
+
+@pytest.mark.parametrize("read", [sio.read_scenario, sio.read_partition],
+                         ids=["scenario", "partition"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 200_000, "JSON nested too deeply to read"),
+], ids=["not-utf8", "too-deep"])
+def test_unreadable_file_is_a_format_error(tmp_path, read, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioFormatError, match=message) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 class TestArtifactRoundTrips:

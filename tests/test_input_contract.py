@@ -25,10 +25,12 @@ from sectorsched import (
     build_partition,
     check_assignment,
     exact_min_passes,
+    load_report,
     main_sector,
     maximal_subset,
     measure_resources,
     sector_of_direction,
+    simulate,
 )
 from sectorsched import io as sio
 
@@ -76,6 +78,14 @@ CASES = {
     "SchedulePartition-list-row": (SchedulePartition, (([0],), {}), {}),
     "SchedulePartition-bool-tagged-id": (SchedulePartition, (((1,),), {True: "leftover"}), {}),
     "SchedulePartition-int-tag": (SchedulePartition, (((0,),), {0: 5}), {}),
+    "SchedulePartition-assignments-None": (SchedulePartition, (),
+                                           {"assignments": None, "provenance": {}}),
+    "SchedulePartition-provenance-None": (SchedulePartition, (),
+                                          {"assignments": (), "provenance": None}),
+    # A partition argument is a SchedulePartition; check_partition reports
+    # anything else, and the entry points that run it refuse.
+    "load_report-partition-None": (load_report, (DESK, None), {}),
+    "simulate-partition-text": (simulate, (DESK, "partition", "x"), {}),
     # A seed is an int.
     "Xorshift64Star-seed-numeric-text": (Xorshift64Star, ("12",), {}),
     "Xorshift64Star-seed-float": (Xorshift64Star, (1.5,), {}),

@@ -19,6 +19,7 @@ from sectorsched import (
     sector_targets,
 )
 from sectorsched import io as sio
+from sectorsched.simulate import POLICY_PARTITION, simulate
 from conftest import mutated, scenario_from
 
 
@@ -192,6 +193,23 @@ class TestCheckPartition:
         s = scenario_from(3, 1, 1.0, (2.0,) * 3, [(0, 1.0), (1, 1.0)])
         part = build_partition(3, {0: 0, 1: 1}, {0: PROVENANCE_OWN, 1: "borrowed"})
         assert check_partition(s, part) == ["task 1 has unknown provenance tag 'borrowed'"]
+
+    def test_detects_a_tag_for_a_task_no_row_assigns(self):
+        s = generate(GenParams(n_sectors=6, fov_half_width=1, seed=3))
+        part = equalize(s)
+        stray = SchedulePartition(part.assignments, {**part.provenance, 999: PROVENANCE_OWN})
+        problem = "task 999 has provenance tag 'own-sector' but no row assigns it"
+        assert check_partition(s, stray) == [problem]
+        with pytest.raises(InvalidInputError, match=problem):
+            load_report(s, stray)
+        with pytest.raises(InvalidInputError, match=problem):
+            simulate(s, POLICY_PARTITION, stray)
+
+    @pytest.mark.parametrize("partition", [None, "x", ((0,),)])
+    def test_reports_a_non_partition(self, partition):
+        s = scenario_from(1, 0, 1.0, (2.0,), [(0, 1.0)])
+        assert check_partition(s, partition) == [
+            f"expected a SchedulePartition, not {type(partition).__name__}"]
 
     def test_sector_of(self):
         part = build_partition(3, {5: 2, 6: 0}, {5: PROVENANCE_OWN, 6: PROVENANCE_OWN})

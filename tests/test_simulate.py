@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -144,6 +145,18 @@ class TestSimulateValidation:
         for variant in ("fifo", "broadside"):
             with pytest.raises(InvalidInputError, match="not one of"):
                 simulate(tri_scenario, variant, broadside_baseline(tri_scenario))
+
+    @pytest.mark.parametrize("policy", [POLICY_PARTITION, POLICY_EDF])
+    def test_refuses_a_trace_its_validator_rejects(self, tri_scenario, monkeypatch, policy):
+        # Any problem but an overfilled pass's overload means the simulator
+        # itself is at fault: it must not hand the trace out.
+        planted = TraceProblem("fov", 0, 0, "planted fov problem")
+        module = importlib.import_module("sectorsched.simulate")  # the package's name is the function
+        monkeypatch.setattr(module, "check_trace", lambda s, t: [planted])
+        partition = broadside_baseline(tri_scenario) if policy == POLICY_PARTITION else None
+        with pytest.raises(RuntimeError, match="^simulator produced an invalid trace: "
+                                               "planted fov problem$"):
+            simulate(tri_scenario, policy, partition)
 
     @pytest.mark.parametrize("policy", [POLICY_PARTITION, POLICY_EDF])
     @pytest.mark.parametrize("breakage", INVALID_FIELDS)
