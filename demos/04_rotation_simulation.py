@@ -44,4 +44,4 @@ print()
 observed_busy = [14.0, 15.5, 13.0, 16.0] * 25  # seconds used by other functions
 estimate = measure_resources(observed_busy, n_sectors=4, dt=25.0, alpha=0.2)
 print("smoothed available time per sector:",
-      [round(float(v), 2) for v in estimate.available])
+      [round(float(v), 2) for v in estimate])

@@ -13,7 +13,6 @@ their inputs, and generation is a pure function of its seed.
 from .equalize import equalize, maximal_subset
 from .errors import (
     InfeasibleScenarioError,
-    InsufficientDataError,
     InvalidInputError,
     LimitsExceededError,
     ScenarioFormatError,
@@ -39,7 +38,6 @@ from .model import (
     CAP_SLACK,
     Scenario,
     SurveillanceTask,
-    TWO_PI,
     active_sectors,
     angular_sector_distance,
     main_sector,
@@ -49,7 +47,6 @@ from .simulate import (
     ExecutionRecord,
     POLICY_EDF,
     POLICY_PARTITION,
-    ResourceEstimate,
     RevisitStats,
     SimulationTrace,
     TaskRevisit,
@@ -68,7 +65,6 @@ __all__ = [
     "ExecutionRecord",
     "GenParams",
     "InfeasibleScenarioError",
-    "InsufficientDataError",
     "InvalidInputError",
     "LimitsExceededError",
     "LoadReport",
@@ -77,7 +73,6 @@ __all__ = [
     "PROVENANCE_FOV",
     "PROVENANCE_LEFTOVER",
     "PROVENANCE_OWN",
-    "ResourceEstimate",
     "RevisitStats",
     "Scenario",
     "ScenarioFormatError",
@@ -88,7 +83,6 @@ __all__ = [
     "SectorTargets",
     "SimulationTrace",
     "SurveillanceTask",
-    "TWO_PI",
     "TaskRevisit",
     "TraceProblem",
     "Xorshift64Star",

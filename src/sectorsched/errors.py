@@ -17,10 +17,6 @@ class LimitsExceededError(SectorSchedError):
     """Instance is larger than the configured exact-search limits allow."""
 
 
-class InsufficientDataError(SectorSchedError):
-    """A statistic was requested from a trace that is too short to support it."""
-
-
 class ScenarioFormatError(InvalidInputError):
     """A scenario, partition, trace or load-report file could not be parsed;
     the message names the file, or the field path or row at fault."""

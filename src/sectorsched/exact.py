@@ -306,7 +306,7 @@ def bin_packing_reduce(item_sizes: Sequence[float],
         if not cap > 0:
             raise InvalidInputError(f"non-positive bin capacity {cap!r}")
     n = len(bin_capacities)
-    sector_width = 2.0 * math.pi / n
+    sector_width = math.tau / n
     tasks = tuple(
         SurveillanceTask(k, phi=sector_width * (k + 0.5) / len(item_sizes), theta=0.0,
                          duration=float(size))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, TWO_PI, check_count, check_number, check_positive
+from .model import Scenario, SurveillanceTask, check_count, check_number, check_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -164,15 +164,15 @@ def generate(params: GenParams) -> Scenario:
 
     tasks: list[SurveillanceTask] = []
     task_id = 0
-    width = TWO_PI / n
+    width = math.tau / n
     for i in range(n):
         count = rng.randint(*params.tasks_per_sector)
         if i in hot:
             count = int(round(count * hot[i][1]))
         for _ in range(count):
             phi = (i + rng.uniform()) * width
-            if phi >= TWO_PI:
-                phi = math.nextafter(TWO_PI, 0.0)
+            if phi >= math.tau:
+                phi = math.nextafter(math.tau, 0.0)
             theta = rng.uniform_range(-math.pi, math.pi)
             duration = rng.uniform_range(*params.duration)
             tasks.append(SurveillanceTask(task_id, phi, theta, duration))

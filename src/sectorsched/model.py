@@ -24,8 +24,6 @@ from typing import Mapping
 
 from .errors import InvalidInputError, ScenarioValidationError
 
-TWO_PI = 2.0 * math.pi
-
 # Absolute slack applied to every capacity / budget comparison so that sums
 # of real-valued durations do not flip a decision through accumulation noise.
 CAP_SLACK = 1e-9
@@ -101,7 +99,7 @@ class SurveillanceTask:
             check_number(self.theta, "theta")
         if type(self.duration) is not float:
             check_number(self.duration, "duration")
-        if not 0.0 <= self.phi < TWO_PI:
+        if not 0.0 <= self.phi < math.tau:
             raise InvalidInputError(f"phi={self.phi!r} outside [0, 2*pi)")
         if not -math.pi <= self.theta <= math.pi:
             raise InvalidInputError(f"theta={self.theta!r} outside [-pi, pi]")
@@ -174,9 +172,9 @@ def sector_of_direction(phi: float, n_sectors: int) -> int:
     check_count(n_sectors, "n_sectors")
     if type(phi) is not float:
         check_number(phi, "phi")
-    if not 0.0 <= phi < TWO_PI:
+    if not 0.0 <= phi < math.tau:
         raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
-    idx = _floor_ratio(phi / TWO_PI * n_sectors)
+    idx = _floor_ratio(phi / math.tau * n_sectors)
     return min(idx, n_sectors - 1)
 
 

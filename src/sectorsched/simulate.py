@@ -52,7 +52,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple, Sequence
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InvalidInputError
 from .loads import SchedulePartition, check_partition
 from .model import CAP_SLACK, Scenario, check_count, check_number, check_positive, fov_offsets
 
@@ -357,7 +357,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             mean_interval_s=0.0, mean_interval_rot=0.0,
             per_sector_max_rot=(0.0,) * scenario.n_sectors)
     if trace.cycles_completed < 2:
-        raise InsufficientDataError(
+        raise InvalidInputError(
             f"revisit intervals need >= 2 completed cycles, trace has "
             f"{trace.cycles_completed}")
     rotation = scenario.rotation_time
@@ -382,7 +382,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     for tid, h in sorted(home.items()):
         _, last_sector, worst = state[tid]
         if worst is None:
-            raise InsufficientDataError(f"task {tid} was illuminated fewer than twice")
+            raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
         worst_rot = worst / rotation
         per_task.append(TaskRevisit(tid, h, last_sector, worst, worst_rot))
         if worst_rot > per_sector[h]:
@@ -399,28 +399,19 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     )
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
-    """Smoothed per-sector available time, seconds.  Extension hook.
-
-    When per-sector resources are set by an external resource manager rather
-    than known ahead of time, they can be estimated from observed usage.
-    Nothing in the scheduling pipeline depends on this; it feeds scenarios
-    for re-planning.
-    """
-
-    available: tuple[float, ...]
-    alpha: float
-
-
 def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
-                      alpha: float) -> ResourceEstimate:
-    """Exponentially smoothed estimate of per-sector available time.
+                      alpha: float) -> tuple[float, ...]:
+    """Exponentially smoothed estimate of per-sector available time, seconds,
+    one entry per sector.  Extension hook.
 
     Pass ``p`` observes sector ``p mod n_sectors``.  Each observation
     contributes ``dt - used``; a sector's first observation initializes its
     estimate, later ones blend in with weight ``alpha``.  Estimates are
     clamped at zero, so usage beyond ``dt`` never drives them negative.
+    When per-sector resources are set by an external resource manager rather
+    than known ahead of time, they can be estimated from observed usage.
+    Nothing in the scheduling pipeline depends on this; it feeds scenarios
+    for re-planning.
     """
     check_number(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
@@ -444,4 +435,4 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
             seeded[j] = True
         else:
             estimates[j] = max((1.0 - alpha) * estimates[j] + alpha * observed, 0.0)
-    return ResourceEstimate(available=tuple(estimates), alpha=alpha)
+    return tuple(estimates)

@@ -6,8 +6,6 @@ import pytest
 
 from sectorsched import Scenario, SurveillanceTask
 
-TWO_PI = 2.0 * math.pi
-
 
 def scenario_from(n_sectors, fov, dt, resources, homed_durations):
     """Scenario with tasks placed by (home_sector, duration) pairs.
@@ -18,7 +16,7 @@ def scenario_from(n_sectors, fov, dt, resources, homed_durations):
     counts = {}
     for home, _ in homed_durations:
         counts[home] = counts.get(home, 0) + 1
-    width = TWO_PI / n_sectors
+    width = math.tau / n_sectors
     placed = {}
     tasks = []
     for task_id, (home, duration) in enumerate(homed_durations):

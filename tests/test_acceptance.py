@@ -335,7 +335,7 @@ def test_criterion_13_resource_estimator():
         # constant load after an off-equilibrium start converges to dt - used
         observations = [0.9] + [0.3] * 100
         estimate = measure_resources(observations, 1, 1.0, 0.25)
-        assert abs(estimate.available[0] - 0.7) <= 1e-9
+        assert abs(estimate[0] - 0.7) <= 1e-9
         # alpha = 1 reproduces the latest observation exactly
         estimate = measure_resources([0.8, 0.2, 0.55], 1, 1.0, 1.0)
-        assert estimate.available[0] == pytest.approx(0.45, abs=1e-12)
+        assert estimate[0] == pytest.approx(0.45, abs=1e-12)

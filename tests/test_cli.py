@@ -10,7 +10,7 @@ import pytest
 
 import sectorsched
 from sectorsched import GenParams, SearchLimits, cli
-from sectorsched.errors import InsufficientDataError, LimitsExceededError, SectorSchedError
+from sectorsched.errors import LimitsExceededError, SectorSchedError
 from sectorsched.cli import build_parser, main
 from sectorsched import io as sio
 from conftest import scenario_from
@@ -442,8 +442,7 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("error", [LimitsExceededError, InsufficientDataError,
-                                       SectorSchedError])
+    @pytest.mark.parametrize("error", [LimitsExceededError, SectorSchedError])
     def test_any_other_library_refusal_is_an_error(self, tmp_path, capsys, monkeypatch,
                                                    error):
         def refuse(*args, **kwargs):

@@ -10,7 +10,6 @@ from sectorsched import (
     InvalidInputError,
     ScenarioFormatError,
     ScenarioValidationError,
-    TWO_PI,
     Xorshift64Star,
     active_sectors,
     broadside_baseline,
@@ -64,7 +63,7 @@ class TestGenerate:
         monkeypatch.setattr(Xorshift64Star, "uniform", lambda self: 1.0 - 2.0 ** -53)
         s = generate(GenParams(n_sectors=4, fov_half_width=1, tasks_per_sector=(1, 1)))
         last = s.tasks[-1]
-        assert last.phi == math.nextafter(TWO_PI, 0.0) < TWO_PI
+        assert last.phi == math.nextafter(math.tau, 0.0) < math.tau
         assert s.home[last.id] == 3
 
     def test_same_seed_same_scenario(self):
@@ -182,7 +181,7 @@ class TestScenarioRoundTrip:
     def test_phi_at_two_pi_is_a_parse_error(self, tmp_path):
         payload = {"n_sectors": 3, "fov_half_width": 1, "dt": 1.0,
                    "resources": [1.0, 1.0, 1.0],
-                   "tasks": [{"id": 0, "phi": TWO_PI, "theta": 0.0, "duration": 1.0}]}
+                   "tasks": [{"id": 0, "phi": math.tau, "theta": 0.0, "duration": 1.0}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ScenarioFormatError, match=r"tasks\[0\]"):

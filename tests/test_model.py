@@ -10,7 +10,6 @@ from sectorsched import (
     ScenarioValidationError,
     Scenario,
     SurveillanceTask,
-    TWO_PI,
     Xorshift64Star,
     active_sectors,
     angular_sector_distance,
@@ -32,11 +31,11 @@ class TestSectorOfDirection:
         assert sector_of_direction(3 * math.pi / 2, 4) == 3
 
     def test_just_below_full_circle(self):
-        assert sector_of_direction(math.nextafter(TWO_PI, 0.0), 30) == 29
+        assert sector_of_direction(math.nextafter(math.tau, 0.0), 30) == 29
 
     def test_out_of_range_phi(self):
         with pytest.raises(InvalidInputError):
-            sector_of_direction(TWO_PI, 30)
+            sector_of_direction(math.tau, 30)
         with pytest.raises(InvalidInputError):
             sector_of_direction(-0.1, 30)
 
@@ -54,11 +53,11 @@ class TestSectorOfDirection:
         rng = Xorshift64Star(11)
         for n in (1, 4, 30, 37):
             for _ in range(300):
-                phi = rng.uniform() * TWO_PI
+                phi = rng.uniform() * math.tau
                 s = sector_of_direction(phi, n)
                 assert 0 <= s < n
             for i in range(n):
-                assert sector_of_direction(i * TWO_PI / n, n) == i
+                assert sector_of_direction(i * math.tau / n, n) == i
 
 
 class TestMainSector:
@@ -192,9 +191,9 @@ class TestAngularSectorDistance:
 class TestSurveillanceTask:
     def test_ranges(self):
         SurveillanceTask(0, 0.0, math.pi, 1.0)
-        SurveillanceTask(1, math.nextafter(TWO_PI, 0.0), -math.pi, 1.0)
+        SurveillanceTask(1, math.nextafter(math.tau, 0.0), -math.pi, 1.0)
         with pytest.raises(InvalidInputError, match=r"phi=6\.28.* outside \[0, 2\*pi\)"):
-            SurveillanceTask(2, TWO_PI, 0.0, 1.0)
+            SurveillanceTask(2, math.tau, 0.0, 1.0)
         with pytest.raises(InvalidInputError, match=r"theta=3\.2 outside \[-pi, pi\]"):
             SurveillanceTask(3, 1.0, 3.2, 1.0)
 

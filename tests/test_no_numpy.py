@@ -34,7 +34,7 @@ CHILD = textwrap.dedent("""
     assert stats.max_interval_rot > 0.0
 
     estimate = measure_resources([0.3, 0.5, 0.1, 0.2], 2, 1.0, 0.5)
-    assert len(estimate.available) == 2
+    assert len(estimate) == 2
 
     out = sys.argv[2]
     assert sectorsched.cli.main(["report", "--seed", "0", "--runs", "1",

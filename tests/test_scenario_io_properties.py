@@ -30,7 +30,6 @@ from sectorsched import (  # noqa: E402
 from sectorsched import io as sio  # noqa: E402
 from conftest import partition_payload, reference_json, scenario_payload  # noqa: E402
 
-TWO_PI = 2.0 * math.pi
 HUGE = 10 ** 400  # a JSON integer beyond float range
 
 
@@ -47,7 +46,7 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 10 ** 6), unique=True,
                         max_size=8 if any(resources) else 0))
     tasks = tuple(
-        SurveillanceTask(tid, draw(_numbers(0.0, TWO_PI, exclude_max=True)),
+        SurveillanceTask(tid, draw(_numbers(0.0, math.tau, exclude_max=True)),
                          draw(_numbers(-math.pi, math.pi)),
                          draw(_numbers(1e-6, 30.0)))
         for tid in ids)

@@ -8,7 +8,6 @@ from sectorsched import (
     CAP_SLACK,
     ExecutionRecord,
     GenParams,
-    InsufficientDataError,
     InvalidInputError,
     POLICY_EDF,
     POLICY_PARTITION,
@@ -273,7 +272,7 @@ class TestRevisitStats:
     def test_needs_two_cycles(self, tri_scenario):
         trace = simulate(tri_scenario, POLICY_PARTITION, equalize(tri_scenario),
                          cycles=1)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError):
             revisit_stats(trace, tri_scenario)
 
     def test_per_sector_maxima(self, tri_scenario):
@@ -300,7 +299,7 @@ class TestRevisitStats:
         assert trace.cycles_completed == 2
         first = next(k for k, r in enumerate(trace.records) if r.task_id == 0)
         rest = tuple(r for k, r in enumerate(trace.records) if k == first or r.task_id != 0)
-        with pytest.raises(InsufficientDataError) as info:
+        with pytest.raises(InvalidInputError) as info:
             revisit_stats(dataclasses.replace(trace, records=rest), tri_scenario)
         assert str(info.value) == "task 0 was illuminated fewer than twice"
 
@@ -316,11 +315,11 @@ class TestRevisitStats:
 class TestMeasureResources:
     def test_constant_load_fixed_point(self):
         est = measure_resources([0.3] * 50, 1, 1.0, 0.25)
-        assert est.available[0] == pytest.approx(0.7, abs=1e-12)
+        assert est[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_alpha_one_tracks_latest(self):
         est = measure_resources([0.3, 0.5, 0.1], 1, 1.0, 1.0)
-        assert est.available[0] == pytest.approx(0.9)
+        assert est[0] == pytest.approx(0.9)
 
     def test_alternating_load_sequence(self):
         # Frozen from iterating est <- (1-a)*est + a*(dt - used) by hand:
@@ -329,16 +328,16 @@ class TestMeasureResources:
         expected = [0.8, 0.7, 0.75, 0.675, 0.7375]
         for k, want in enumerate(expected, start=1):
             est = measure_resources(observations[:k], 1, 1.0, 0.5)
-            assert est.available[0] == pytest.approx(want, abs=1e-12)
+            assert est[0] == pytest.approx(want, abs=1e-12)
 
     def test_round_robin_sector_mapping(self):
         est = measure_resources([0.2, 0.9, 0.2, 0.9], 2, 1.0, 0.5)
-        assert est.available[0] == pytest.approx(0.8)
-        assert est.available[1] == pytest.approx(0.1)
+        assert est[0] == pytest.approx(0.8)
+        assert est[1] == pytest.approx(0.1)
 
     def test_clamped_at_zero(self):
         est = measure_resources([2.0, 2.0], 1, 1.0, 0.5)
-        assert est.available[0] == 0.0
+        assert est[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
