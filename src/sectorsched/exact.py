@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
 from .model import (CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance,
@@ -244,8 +244,12 @@ def check_assignment(scenario: Scenario,
     Verifies coverage (every task exactly once, under its ``int`` id), that
     each entry is a (sector, rotation) pair of ints, field of view at the
     executing sector, and per-pass resource limits.  Kept separate from the
-    search so solver bugs cannot vouch for themselves.
+    search so solver bugs cannot vouch for themselves.  An argument that is
+    not a mapping is one problem.
     """
+    if not isinstance(assignments, Mapping):
+        return [f"expected a mapping of task id to (sector, rotation), "
+                f"not {type(assignments).__name__}"]
     problems: list[str] = []
     by_id = scenario.task_by_id()
     # A bool or float key equals an int id, so ids are matched only as ints.

@@ -196,8 +196,13 @@ def _read_csv(path: str | Path, parse) -> list:
     the header)."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
+        rows = []
         try:
-            return [parse(row) for row in reader]
+            for row in reader:
+                rows.append(parse(row))
+            return rows
+        except csv.Error as exc:  # the reader's own refusal, e.g. a cell past its size limit
+            raise ScenarioFormatError(f"{path}: row {len(rows) + 1}: {exc}") from exc
         except KeyError as exc:
             raise ScenarioFormatError(
                 f"{path}: row {reader.line_num - 1}: missing column {exc}") from exc

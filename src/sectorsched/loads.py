@@ -36,9 +36,12 @@ class SectorTargets:
 class SchedulePartition:
     """Assignment of every task id to exactly one executing sector.
 
-    ``assignments[i]`` holds the ids of the tasks sector ``i`` executes,
-    sorted ascending so serialization is canonical.  ``provenance`` maps a task
-    id to the equalizer phase that placed it (one of ``PROVENANCE_TAGS``), if any.
+    ``assignments[i]`` holds the ids of the tasks sector ``i`` executes.
+    :func:`build_partition` sorts each row ascending, so its serialization is
+    canonical; the constructor and ``io.read_partition`` keep any order, and
+    the simulator ignores it, breaking ties among tasks never illuminated by id.
+    ``provenance`` maps a task id to the equalizer phase that placed it (one
+    of ``PROVENANCE_TAGS``), if any.
     Anything else raises :class:`InvalidInputError`: assignments that are not
     a tuple of rows, each a tuple of non-negative int ids (a bool is no id),
     or provenance that is not a mapping to ``str`` tags.

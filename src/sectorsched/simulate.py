@@ -60,6 +60,12 @@ POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
 POLICY_VARIANTS = (POLICY_PARTITION, POLICY_EDF)
 
+# Most records one simulate call may make, cycles x tasks: the records are
+# kept, so a finite but huge cycle count would run until memory runs out.
+# Admits two cycles of the largest scenario GenParams allows
+# (2 x generate.MAX_GENERATED tasks).
+MAX_RECORDS = 2_000_000
+
 
 class ExecutionRecord(NamedTuple):
     """One task execution: where, when, and at what offset within its pass."""
@@ -108,7 +114,9 @@ def simulate(scenario: Scenario, policy: str,
     ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
     the partition variant and must not be supplied for edf.  The scenario is
     valid by construction; a partition that :func:`check_partition` rejects
-    raises :class:`InvalidInputError`.
+    raises :class:`InvalidInputError`, and so, before the first pass, does a
+    request for more than ``MAX_RECORDS`` records, ``cycles`` times the
+    task count.
     The produced trace is re-checked with the independent validator; any
     ``overload`` problem must be a pass with an ``overfill`` warning,
     otherwise the simulator refuses its own output.
@@ -117,6 +125,9 @@ def simulate(scenario: Scenario, policy: str,
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
     check_count(cycles, "cycles")
+    if cycles * len(scenario.tasks) > MAX_RECORDS:
+        raise InvalidInputError(f"cycles={cycles} x {len(scenario.tasks)} tasks "
+                                f"exceeds MAX_RECORDS={MAX_RECORDS} records")
     n = scenario.n_sectors
     if policy == POLICY_EDF:
         if partition is not None:
@@ -253,8 +264,12 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     ``cycles_completed`` or ``completion_pass``, or records after the last.
     Problems come by kind in this order: per record ``order``,
     ``timestamp``, ``unknown-task``, ``sector``, ``fov``; then ``overload``
-    by pass, ``repeat`` by record, and ``cycles`` last.
+    by pass, ``repeat`` by record, and ``cycles`` last.  A ``trace`` argument
+    that is not a :class:`SimulationTrace` is one problem of kind ``trace``.
     """
+    if not isinstance(trace, SimulationTrace):
+        return [TraceProblem("trace", None, None,
+                             f"expected a SimulationTrace, not {type(trace).__name__}")]
     problems: list[TraceProblem] = []
     repeats: list[TraceProblem] = []
     duration = {t.id: t.duration for t in scenario.tasks}
@@ -341,8 +356,10 @@ class RevisitStats:
 def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     """Intervals between consecutive illuminations of each task.
 
-    Needs at least two completed cycles, since an interval takes two
-    illuminations of the same direction.  The rotation-denominated metric is
+    Needs at least two completed cycles and two illuminations of each task,
+    since an interval takes two illuminations of the same direction; a
+    shorter trace, or one that is not a :class:`SimulationTrace`, raises
+    :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     One walk over the records keeps each task's latest timestamp and
@@ -350,6 +367,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     consecutive timestamps of a task, as in ``trace.illumination``, and the
     mean is an ``fsum`` over all of them.
     """
+    if not isinstance(trace, SimulationTrace):
+        raise InvalidInputError(f"expected a SimulationTrace, not {type(trace).__name__}")
     home = scenario.home
     if not home:
         return RevisitStats(

@@ -261,6 +261,20 @@ class TestCompare:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "report"])
+    def test_cycles_past_the_record_cap_are_refused(self, tmp_path, capsys, command):
+        # Without the cap this request runs until memory runs out.
+        scenario = tmp_path / "s.json"
+        assert run("gen", "--seed", "1", "--out", str(scenario)) == 0
+        out = tmp_path / "out.csv"
+        source = ("--runs", "1") if command == "report" else ("--scenario", str(scenario))
+        assert run(command, *source, "--cycles", "99999999999999999999",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cycles=99999999999999999999 x ")
+        assert "exceeds MAX_RECORDS=2000000 records" in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_batch_summary(self, tmp_path):

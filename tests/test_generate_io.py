@@ -365,8 +365,12 @@ class TestArtifactRoundTrips:
         (sio.read_load_report, "sector,absolute_load,target,relative_load\r\n"
                                "0,1.0,1.0,1.0\r\n1,1.0,one,1.0\r\n"),
         (sio.read_load_report, "sector,absolute_load,target,relative_load\r\n"
-                               "0,1.0,1.0,1.0\r\n1,1.0\r\n")],
-        ids=["trace-bad-cell", "trace-short-row", "loads-bad-cell", "loads-short-row"])
+                               "0,1.0,1.0,1.0\r\n1,1.0\r\n"),
+        # A cell past csv.field_size_limit() is refused by the csv reader itself.
+        (sio.read_trace, "pass,rotation,sector,task_id,start_offset,duration,timestamp\r\n"
+                         "0,0,0,1,0.0,1.0,0.0\r\n1,0,1,2,0.0,1.0," + "1" * 200_000 + "\r\n")],
+        ids=["trace-bad-cell", "trace-short-row", "loads-bad-cell", "loads-short-row",
+             "trace-oversized-cell"])
     def test_bad_cell(self, tmp_path, reader, text):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")

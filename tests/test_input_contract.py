@@ -9,6 +9,7 @@ the float range, never a bool) and pass times another (a number, positive
 and finite).
 """
 
+import importlib
 import math
 
 import pytest
@@ -24,11 +25,13 @@ from sectorsched import (
     bin_packing_reduce,
     build_partition,
     check_assignment,
+    check_trace,
     exact_min_passes,
     load_report,
     main_sector,
     maximal_subset,
     measure_resources,
+    revisit_stats,
     sector_of_direction,
     simulate,
 )
@@ -127,6 +130,11 @@ CASES = {
     "exact_min_passes-limits-int": (exact_min_passes, (DESK, 5000), {}),
     "exact_min_passes-limits-None": (exact_min_passes, (DESK, None), {}),
     "exact_min_passes-limits-text": (exact_min_passes, (DESK, "x"), {}),
+    # A trace argument is a SimulationTrace.
+    "revisit_stats-trace-None": (revisit_stats, (None, DESK), {}),
+    "revisit_stats-trace-records": (revisit_stats, ((), DESK), {}),
+    # A simulation keeps its records, so cycles x tasks is bounded.
+    "simulate-cycles-finite-huge": (simulate, (DESK, "edf"), {"cycles": 10 ** 20}),
 }
 
 
@@ -155,11 +163,24 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: build_partition(2, {0: True}), "task 0: sector True is not an integer in [0, 2)"),
     (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
     (lambda: Scenario(1, 0, 1.0, (5.0,), (5,)), "tasks[0]=5 is not a SurveillanceTask"),
+    (lambda: revisit_stats(None, DESK), "expected a SimulationTrace, not NoneType"),
+    (lambda: simulate(DESK, "edf", cycles=10 ** 20),
+     "cycles=100000000000000000000 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("check, argument, problem", [
+    (check_trace, None, ("trace", None, None, "expected a SimulationTrace, not NoneType")),
+    (check_trace, (), ("trace", None, None, "expected a SimulationTrace, not tuple")),
+    (check_assignment, None, "expected a mapping of task id to (sector, rotation), not NoneType"),
+    (check_assignment, [], "expected a mapping of task id to (sector, rotation), not list"),
+])
+def test_validators_report_an_argument_of_the_wrong_type(check, argument, problem):
+    assert check(DESK, argument) == [problem]
 
 
 @pytest.mark.parametrize("key", [True, 1.0, "1", None])
@@ -192,6 +213,18 @@ def test_generator_cap_admits_the_largest_request_it_names():
         GenParams(n_sectors=MAX_GENERATED, tasks_per_sector=(0, 1), hotspots=((0, 1.0, 1.5),))
     with pytest.raises(InvalidInputError, match="MAX_GENERATED"):
         GenParams(n_sectors=MAX_GENERATED + 1, tasks_per_sector=(0, 0))
+
+
+def test_record_cap_admits_two_cycles_of_the_largest_generated_scenario(monkeypatch):
+    """The cap bounds cycles x tasks, checked before the first pass; a
+    request at the cap runs."""
+    from sectorsched.generate import MAX_GENERATED
+    simulator = importlib.import_module("sectorsched.simulate")
+    assert simulator.MAX_RECORDS >= 2 * MAX_GENERATED
+    monkeypatch.setattr(simulator, "MAX_RECORDS", 6)
+    assert len(simulate(DESK, "edf", cycles=3).records) == 6
+    with pytest.raises(InvalidInputError, match="MAX_RECORDS=6"):
+        simulate(DESK, "edf", cycles=4)
 
 
 def test_write_comparison_refuses_an_unknown_format(tmp_path):
