@@ -50,7 +50,8 @@ from .loads import (
     build_partition,
     sector_targets,
 )
-from .model import CAP_SLACK, Scenario, SurveillanceTask, check_number, fov_offsets
+from .model import (CAP_SLACK, Scenario, SurveillanceTask, check_number, check_scenario,
+                    fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 _duration = itemgetter(0)  # of a pool entry (duration, id, home)
@@ -107,10 +108,12 @@ def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
 def equalize(scenario: Scenario) -> SchedulePartition:
     """Partition all tasks over the sectors, flattening relative loads.
 
-    The scenario is valid by construction.  Raises
+    The scenario is valid by construction; an argument that is not a
+    :class:`Scenario` raises :class:`InvalidInputError`.  Raises
     :class:`InfeasibleScenarioError` when some leftover task sees only
     zero-target sectors in its field of view.
     """
+    check_scenario(scenario)
     n = scenario.n_sectors
     targets = sector_targets(scenario).targets
     offsets = fov_offsets(scenario.fov_half_width, n)

@@ -14,12 +14,17 @@ objective: for each horizon P it asks whether all tasks fit into passes
 0..P, branching on tasks in descending duration and on their candidate
 passes up to P.  Passes of one sector with bitwise-equal residual capacity
 are interchangeable within a horizon, so only the first of each such group
-is tried.  A branch is cut when its passes cannot hold, by count, as many
-tasks as are left: a pass takes at most as many more tasks as the shortest
-durations that fit its residual.  The cut leaves the branching order as it
-is, so each horizon finds the same first schedule as an unpruned search.
-The first horizon that admits a schedule is optimal provided no smaller
-horizon search was cut short by the node budget.
+is tried.  Two cuts end a branch early.  By count: its passes cannot hold
+as many tasks as are left, since a pass takes at most as many more tasks as
+the shortest durations that fit its residual.  By lost room: a pass that
+cannot take even the shortest task left keeps its residual unused, and once
+that unusable room is more than the horizon's surplus of capacity over
+demand, with a margin of ``CAP_SLACK`` per pass and float rounding, no
+schedule completes.  Neither cut changes the branching order, so each
+horizon finds the same first schedule as an unpruned search.  Deepening
+starts where the prefix capacity covers the demand, allowing ``CAP_SLACK``
+per pass as the fit test does.  The first horizon that admits a schedule is
+optimal provided no smaller horizon search was cut short by the node budget.
 
 Module constants cap the instance (``MAX_TASKS``, ``MAX_SECTORS``) and the
 horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
@@ -36,7 +41,7 @@ from itertools import accumulate
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
 from .model import (CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance,
-                    as_tuple, check_count, check_number, fov_offsets)
+                    as_tuple, check_count, check_number, check_scenario, fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 MAX_TASKS = 12
@@ -76,12 +81,15 @@ class _BudgetExhausted(Exception):
 def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) -> ExactSolution:
     """Branch-and-bound minimum of the last used pass index.
 
-    The scenario is valid by construction, so only its size is checked.
-    Raises :class:`LimitsExceededError` past ``MAX_TASKS`` tasks or
-    ``MAX_SECTORS`` sectors, or when the node budget dies with no schedule in
-    hand, and :class:`InfeasibleScenarioError` when some task fits no pass
-    at all or nothing completes within ``MAX_ROTATIONS`` rotations.
+    The scenario is valid by construction, so only its type and size are
+    checked.  Raises :class:`InvalidInputError` for an argument that is not
+    a :class:`Scenario` or a :class:`SearchLimits`,
+    :class:`LimitsExceededError` past ``MAX_TASKS`` tasks or ``MAX_SECTORS``
+    sectors, or when the node budget dies with no schedule in hand, and
+    :class:`InfeasibleScenarioError` when some task fits no pass at all or
+    nothing completes within ``MAX_ROTATIONS`` rotations.
     """
+    check_scenario(scenario)
     if not isinstance(limits, SearchLimits):
         raise InvalidInputError(f"limits must be a SearchLimits, not {type(limits).__name__}")
     if len(scenario.tasks) > MAX_TASKS:
@@ -135,8 +143,8 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
 def _lower_bound(scenario, tasks, home_passes, caps) -> int:
     """Smallest pass index worth testing: all passes must cover the total
     demand, and each home's candidate passes that home's demand, less
-    ``CAP_SLACK``; a home's demand within it of zero still needs the home's
-    first candidate pass."""
+    ``CAP_SLACK`` per pass; a home's demand within it of zero still needs
+    the home's first candidate pass."""
     demand_by_home: dict[int, float] = {}
     for t in tasks:
         home = scenario.home[t.id]
@@ -148,11 +156,12 @@ def _lower_bound(scenario, tasks, home_passes, caps) -> int:
 
 def _covering_pass(pass_indices, caps, demand) -> int:
     """First of the ascending ``pass_indices`` whose prefix capacity covers
-    ``demand`` less ``CAP_SLACK``."""
+    ``demand`` less ``CAP_SLACK`` for each pass of the prefix, since the fit
+    test lets every pass overfill by that much."""
     acc = 0.0
-    for p in pass_indices:
+    for k, p in enumerate(pass_indices, 1):
         acc += caps[p]
-        if acc >= demand - CAP_SLACK:
+        if acc >= demand - k * CAP_SLACK:
             return p
     return len(caps)
 
@@ -179,21 +188,15 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
     eligible = [[(p, p % n) for p in ps if p <= bound] for ps in passes]
     placed = [0] * len(tasks)
 
-    # No total-capacity test: deepening starts at _lower_bound, so passes
-    # 0..bound hold the whole demand (less CAP_SLACK), and each placement
-    # takes the same duration from the residual and from the demand left.
-    # Room minus demand never drops below -CAP_SLACK beyond rounding; inside
-    # that band such a test would only refuse what the per-pass rule accepts.
-    #
-    # A count of tasks instead: the unplaced tasks are a suffix of the
-    # longest-first order, so any k of them take at least shortest[k - 1],
-    # the sum of the k shortest durations, and a pass with room r takes at
-    # most bisect_right(shortest, r + slack) more.  A branch whose passes
-    # cannot hold as many tasks as are left is cut.  The slack adds to
-    # CAP_SLACK the rounding of the prefix sums and of the residual chain the
-    # fit test reads, at most MAX_TASKS roundings each, every one within an
-    # ulp of the largest capacity or total: a looser slack only prunes less,
-    # a tighter one could cut a branch that the fit test accepts.
+    # A count of tasks: the unplaced tasks are a suffix of the longest-first
+    # order, so any k of them take at least shortest[k - 1], the sum of the k
+    # shortest durations, and a pass with room r takes at most
+    # bisect_right(shortest, r + slack) more.  A branch whose passes cannot
+    # hold as many tasks as are left is cut.  The slack adds to CAP_SLACK the
+    # rounding of the prefix sums and of the residual chain the fit test
+    # reads, at most MAX_TASKS roundings each, every one within an ulp of the
+    # largest capacity or total: a looser slack only prunes less, a tighter
+    # one could cut a branch that the fit test accepts.
     shortest = list(accumulate(reversed(durations)))
     slack = CAP_SLACK + 4 * MAX_TASKS * sys.float_info.epsilon * max(max(residual), shortest[-1])
     fit_count = [bisect_right(shortest, room + slack) for room in residual]
@@ -201,7 +204,23 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
     if count < len(tasks):
         return None
 
-    def recurse(index: int) -> bool:
+    # Lost room: the shortest task, durations[-1], stays unplaced to the
+    # end, so a pass whose fit_count is 0 takes nothing more and its room is
+    # unused in any completion.  Every other pass ends with room of at least
+    # -CAP_SLACK, and room minus demand is the same at every node, so a
+    # branch is cut once the lost room exceeds that surplus.  The margin allows
+    # CAP_SLACK on each pass plus the rounding of the residual chain (at most
+    # MAX_TASKS steps), of the running lost total (one addition per pass)
+    # and of the sums here, each within an ulp of the larger total.
+    total = math.fsum(residual)
+    surplus = (total - math.fsum(durations) + (bound + 1) * CAP_SLACK
+               + 4 * (MAX_TASKS + bound + 1) * sys.float_info.epsilon
+               * max(total, shortest[-1]))
+    lost = math.fsum(room for room, fit in zip(residual, fit_count) if not fit)
+    if lost > surplus:
+        return None
+
+    def recurse(index: int, lost: float) -> bool:
         nonlocal count
         budget[0] -= 1
         if budget[0] < 0:
@@ -219,22 +238,28 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
             if key in tried:
                 continue
             tried.add(key)
+            room_after = room_p - duration
             fit_p = fit_count[p]
-            fit_after = bisect_right(shortest, room_p - duration + slack)
+            fit_after = bisect_right(shortest, room_after + slack)
             if count - fit_p + fit_after < left:
+                continue
+            # Each child gets its own lost total, so backtracking restores it
+            # exactly instead of subtracting in floats.
+            lost_after = lost if fit_after or not left else lost + room_after
+            if lost_after > surplus:
                 continue
             count += fit_after - fit_p
             fit_count[p] = fit_after
-            residual[p] = room_p - duration
+            residual[p] = room_after
             placed[index] = p
-            if recurse(index + 1):
+            if recurse(index + 1, lost_after):
                 return True
             residual[p] = room_p
             fit_count[p] = fit_p
             count -= fit_after - fit_p
         return False
 
-    return {t.id: p for t, p in zip(tasks, placed)} if recurse(0) else None
+    return {t.id: p for t, p in zip(tasks, placed)} if recurse(0, lost) else None
 
 
 def check_assignment(scenario: Scenario,
@@ -244,9 +269,12 @@ def check_assignment(scenario: Scenario,
     Verifies coverage (every task exactly once, under its ``int`` id), that
     each entry is a (sector, rotation) pair of ints, field of view at the
     executing sector, and per-pass resource limits.  Kept separate from the
-    search so solver bugs cannot vouch for themselves.  An argument that is
-    not a mapping is one problem.
+    search so solver bugs cannot vouch for themselves.  A scenario that is
+    not a :class:`Scenario`, or assignments that are not a mapping, are one
+    problem.
     """
+    if not isinstance(scenario, Scenario):
+        return [f"expected a Scenario, not {type(scenario).__name__}"]
     if not isinstance(assignments, Mapping):
         return [f"expected a mapping of task id to (sector, rotation), "
                 f"not {type(assignments).__name__}"]

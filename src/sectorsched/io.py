@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
-from .model import Scenario, SurveillanceTask
+from .model import Scenario, SurveillanceTask, check_scenario
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
 
@@ -49,6 +49,7 @@ def _number(x) -> str:
 
 
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
+    check_scenario(scenario)
     # A scenario holds ids and counts of type int and resources of type float,
     # whose str is their repr; the other numbers may be ints or subclasses.
     tasks = [f'{{\n      "id": {t.id},\n      "phi": {_number(t.phi)},'
@@ -220,6 +221,7 @@ def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
 
 
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
+    check_scenario(scenario)
     duration = {t.id: repr(t.duration) for t in scenario.tasks}
     n = scenario.n_sectors
     _write_csv(path, ("pass", "rotation", "sector", "task_id",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InvalidInputError
-from .model import Scenario, check_count
+from .model import Scenario, check_count, check_scenario
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -112,6 +112,7 @@ class LoadReport:
 def sector_targets(scenario: Scenario) -> SectorTargets:
     """Continuous optimum ratio and per-sector targets for a scenario (one
     with tasks has positive total resources, see :class:`Scenario`)."""
+    check_scenario(scenario)
     total_demand = math.fsum(t.duration for t in scenario.tasks)
     r_opt = total_demand / math.fsum(scenario.resources) if total_demand else 0.0
     return SectorTargets(r_opt=r_opt,
@@ -129,8 +130,10 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
 
     The scenario is valid by construction; a partition, which comes from
     outside, is checked, and one that :func:`check_partition` rejects
-    raises :class:`InvalidInputError`.
+    raises :class:`InvalidInputError`, as does a scenario argument that
+    is not a :class:`Scenario`.
     """
+    check_scenario(scenario)
     problems = check_partition(scenario, partition)
     if problems:
         raise InvalidInputError("partition does not match scenario: " + "; ".join(problems))
@@ -151,14 +154,18 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
 
 def broadside_baseline(scenario: Scenario) -> SchedulePartition:
     """The trivial partition: every task executes in its home sector."""
+    check_scenario(scenario)
     return build_partition(scenario.n_sectors, scenario.home,
                            dict.fromkeys(scenario.home, PROVENANCE_OWN))
 
 
 def check_partition(scenario: Scenario, partition: SchedulePartition) -> list[str]:
     """Independent validity check: completeness, field-of-view feasibility,
-    and known provenance tags on assigned tasks only.  An argument that is not
-    a :class:`SchedulePartition` is one problem."""
+    and known provenance tags on assigned tasks only.  A scenario that is not
+    a :class:`Scenario`, or a partition that is not a
+    :class:`SchedulePartition`, is one problem."""
+    if not isinstance(scenario, Scenario):
+        return [f"expected a Scenario, not {type(scenario).__name__}"]
     if not isinstance(partition, SchedulePartition):
         return [f"expected a SchedulePartition, not {type(partition).__name__}"]
     problems: list[str] = []

@@ -119,7 +119,8 @@ class Scenario:
     zero total resources, sums or a load ratio beyond the float range), and
     any violation raises :class:`ScenarioValidationError` listing them all.
     Every function that takes a scenario relies on this and does not check
-    it again.  ``home`` maps each task id to its home sector, derived from
+    its data again; it checks only that the argument is a scenario
+    (:func:`check_scenario`).  ``home`` maps each task id to its home sector, derived from
     the azimuth, so ``dataclasses.replace`` derives it afresh.
 
     A field of view wider than half the circle adds nothing under mod-N
@@ -165,6 +166,12 @@ class Scenario:
 
     def task_by_id(self) -> dict[int, SurveillanceTask]:
         return {t.id: t for t in self.tasks}
+
+
+def check_scenario(value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is a :class:`Scenario`."""
+    if not isinstance(value, Scenario):
+        raise InvalidInputError(f"expected a Scenario, not {type(value).__name__}")
 
 
 def sector_of_direction(phi: float, n_sectors: int) -> int:

@@ -54,7 +54,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import CAP_SLACK, Scenario, check_count, check_number, check_positive, fov_offsets
+from .model import (CAP_SLACK, Scenario, check_count, check_number, check_positive,
+                    check_scenario, fov_offsets)
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -113,10 +114,10 @@ def simulate(scenario: Scenario, policy: str,
 
     ``policy`` is one of ``POLICY_VARIANTS``.  A partition is required for
     the partition variant and must not be supplied for edf.  The scenario is
-    valid by construction; a partition that :func:`check_partition` rejects
-    raises :class:`InvalidInputError`, and so, before the first pass, does a
-    request for more than ``MAX_RECORDS`` records, ``cycles`` times the
-    task count.
+    valid by construction, but an argument that is not a :class:`Scenario`
+    raises :class:`InvalidInputError`; so does a partition that
+    :func:`check_partition` rejects, and, before the first pass, a request
+    for more than ``MAX_RECORDS`` records, ``cycles`` times the task count.
     The produced trace is re-checked with the independent validator; any
     ``overload`` problem must be a pass with an ``overfill`` warning,
     otherwise the simulator refuses its own output.
@@ -124,6 +125,7 @@ def simulate(scenario: Scenario, policy: str,
     if policy not in POLICY_VARIANTS:
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
+    check_scenario(scenario)
     check_count(cycles, "cycles")
     if cycles * len(scenario.tasks) > MAX_RECORDS:
         raise InvalidInputError(f"cycles={cycles} x {len(scenario.tasks)} tasks "
@@ -264,9 +266,14 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     ``cycles_completed`` or ``completion_pass``, or records after the last.
     Problems come by kind in this order: per record ``order``,
     ``timestamp``, ``unknown-task``, ``sector``, ``fov``; then ``overload``
-    by pass, ``repeat`` by record, and ``cycles`` last.  A ``trace`` argument
-    that is not a :class:`SimulationTrace` is one problem of kind ``trace``.
+    by pass, ``repeat`` by record, and ``cycles`` last.  A ``scenario``
+    argument that is not a :class:`Scenario` is one problem of kind
+    ``scenario``, and a ``trace`` argument that is not a
+    :class:`SimulationTrace` one of kind ``trace``.
     """
+    if not isinstance(scenario, Scenario):
+        return [TraceProblem("scenario", None, None,
+                             f"expected a Scenario, not {type(scenario).__name__}")]
     if not isinstance(trace, SimulationTrace):
         return [TraceProblem("trace", None, None,
                              f"expected a SimulationTrace, not {type(trace).__name__}")]
@@ -358,7 +365,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
 
     Needs at least two completed cycles and two illuminations of each task,
     since an interval takes two illuminations of the same direction; a
-    shorter trace, or one that is not a :class:`SimulationTrace`, raises
+    shorter trace, one that is not a :class:`SimulationTrace`, or a
+    scenario that is not a :class:`Scenario`, raises
     :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
@@ -369,6 +377,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     """
     if not isinstance(trace, SimulationTrace):
         raise InvalidInputError(f"expected a SimulationTrace, not {type(trace).__name__}")
+    check_scenario(scenario)
     home = scenario.home
     if not home:
         return RevisitStats(

@@ -129,6 +129,18 @@ class TestExactMinPasses:
         solution = exact_min_passes(s, SearchLimits(node_budget=1))
         assert (solution.objective, solution.optimal) == (3, True)
 
+    def test_every_pass_may_overfill_by_the_slack(self):
+        # Four of the items overfill their bins by 9e-10 each, within the
+        # CAP_SLACK the fit test allows per pass but past one CAP_SLACK in
+        # total, so the deepening start must allow it per pass.
+        s = bin_packing_reduce(
+            [2.0500000009, 2.183, 2.1900000000000004, 6.2740000009, 4.3520000009, 3.5290000009],
+            [5.712, 4.352, 4.24, 6.274])
+        assert exists_schedule_within(s, 3)
+        solution = exact_min_passes(s)
+        assert (solution.objective, solution.optimal) == (3, True)
+        assert check_assignment(s, solution.assignments) == []
+
     def test_matches_enumeration_on_random_instances(self):
         rng = Xorshift64Star(314)
         for _ in range(40):
@@ -238,6 +250,55 @@ class TestCountBound:
         assert check_assignment(s, solution.assignments) == []
 
 
+class TestLostRoom:
+    """The search cuts a branch once the room on passes that cannot take
+    even the shortest task left exceeds the horizon's capacity less its
+    demand.  The cut must never remove a schedule the fit test accepts."""
+
+    def test_refutes_at_the_root(self):
+        # Passes 4, 1, 7, 4, 1, 7 s hold 15.5 s of tasks no shorter than
+        # 4 s, so each 1 s pass is lost from the start: passes 0..3 have
+        # 0.5 s to spare and lose 1 s, passes 0..4 have 1.5 s and lose 2 s.
+        # Both horizons fall without a node and the first-fit plan is proven.
+        s = bin_packing_reduce([6.0, 4.0, 5.5], [4.0, 1.0, 7.0])
+        solution = exact_min_passes(s, SearchLimits(node_budget=1))
+        assert (solution.objective, solution.optimal) == (5, True)
+        assert not exists_schedule_within(s, 4)
+
+    def test_refutes_at_the_first_node(self):
+        # The 4 s task leaves 1 s in either 5 s pass, below the shortest
+        # 2 s task, while passes 0..2 have 12 - 11.5 = 0.5 s to spare.
+        s = bin_packing_reduce([3.0, 4.0, 2.0, 2.5], [5.0, 2.0, 5.0])
+        solution = exact_min_passes(s, SearchLimits(node_budget=1))
+        assert (solution.objective, solution.optimal) == (3, True)
+        assert not exists_schedule_within(s, 2)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e7])
+    def test_planted_packings_with_a_lost_pass(self, scale):
+        # The bins 0.7, 1.0 and 0.3 are cut into pieces that fill them up
+        # to rounding, and a 0.05 bin no piece fits is lost from the start:
+        # no room is left to spare, so only the margin keeps the packing.
+        caps = [0.7 * scale, 1.0 * scale, 0.3 * scale, 0.05 * scale]
+        sizes = [0.1 * scale, 0.6 * scale, 0.2 * scale, 0.7 * scale, 0.1 * scale, 0.3 * scale]
+        s = bin_packing_reduce(sizes, caps)
+        solution = exact_min_passes(s)
+        assert solution.optimal and solution.objective < 3
+        assert check_assignment(s, solution.assignments) == []
+
+    def test_rounding_past_the_capacity_slack(self):
+        # Cuts of three bins of 3e7 to 4e7 and a 66,188 bin no cut fits.
+        # An ulp of the totals is 1.5e-8, so the rounding of the sums and of
+        # the residual chain outgrows CAP_SLACK on every pass: a margin with
+        # no term for it refutes passes 0..2, which hold the cuts.
+        caps = [42586218.163618594, 33577126.89189965, 37359122.539920524, 66187.79203413252]
+        sizes = [38093134.482439935, 4493083.681178659, 13051712.15368312, 13077317.046838002,
+                 7448097.69137853, 3974264.0496519357, 29954990.81726128, 3429867.6730073094]
+        s = bin_packing_reduce(sizes, caps)
+        solution = exact_min_passes(s)
+        assert (solution.objective, solution.optimal) == (2, True)
+        assert exists_schedule_within(s, 2)
+
+
 class TestCheckAssignment:
     def test_detects_overfull_pass(self, tri_scenario):
         bad = {0: (0, 0), 1: (0, 0), 2: (1, 0)}  # 4 s into sector 0's 2 s
@@ -327,12 +388,12 @@ def test_total_demand_preserved_by_reduction():
     assert math.fsum(t.duration for t in s.tasks) == pytest.approx(10.0)
 
 
-# SHA-256 of the outcomes below, recorded from the solver once it cut
-# branches whose passes cannot hold the tasks left, after the test in
+# SHA-256 of the outcomes below, recorded from the solver once it also cut
+# branches whose lost room exceeds the horizon's surplus, after the test in
 # test_exact_equivalence showed every outcome the unpruned search proves
 # unchanged; any change to a plan, an objective, the optimality flag or an
 # error message shows here.
-EXACT_CORPUS_SHA256 = "ebe7d8bbdb139caac411a87ccdb0be52dc2c81541ecbcc4750116fcd11e9043d"
+EXACT_CORPUS_SHA256 = "644d16de7158123ec6db516115a09b2853a1673f9684d6055c90183b460067fd"
 
 
 def exact_corpus():
@@ -376,9 +437,9 @@ def test_exact_corpus_matches_recorded_digest():
 
 
 # SHA-256 of the least node budget that proves each instance below optimal,
-# recorded from the solver once it cut branches whose passes cannot hold the
-# tasks left; any change to the nodes a proof visits shows here.
-NODE_COUNT_SHA256 = "67b528e7d67723b83fad09bee7b452a2e9ac4ffe777085d1b233d8c687df6a34"
+# recorded from the solver once it also cut branches whose lost room exceeds
+# the horizon's surplus; any change to the nodes a proof visits shows here.
+NODE_COUNT_SHA256 = "b6eecb458795bee3209b2049b1347368ff97806e83d2fde35ead81625e891824"
 
 
 def least_proving_budget(scenario, cap=20_000):

@@ -11,6 +11,7 @@ and finite).
 
 import importlib
 import math
+import os
 
 import pytest
 
@@ -23,9 +24,12 @@ from sectorsched import (
     SurveillanceTask,
     Xorshift64Star,
     bin_packing_reduce,
+    broadside_baseline,
     build_partition,
+    check_partition,
     check_assignment,
     check_trace,
+    equalize,
     exact_min_passes,
     load_report,
     main_sector,
@@ -33,6 +37,7 @@ from sectorsched import (
     measure_resources,
     revisit_stats,
     sector_of_direction,
+    sector_targets,
     simulate,
 )
 from sectorsched import io as sio
@@ -45,6 +50,8 @@ def scenario(resources):
 
 
 DESK = Scenario(n_sectors=1, fov_half_width=0, dt=1.0, resources=(5.0,), tasks=tuple(TASKS))
+DESK_TRACE = simulate(DESK, "edf", cycles=2)
+DESK_PARTITION = broadside_baseline(DESK)
 
 
 # (entry point, positional arguments, keyword arguments)
@@ -135,6 +142,16 @@ CASES = {
     "revisit_stats-trace-records": (revisit_stats, ((), DESK), {}),
     # A simulation keeps its records, so cycles x tasks is bounded.
     "simulate-cycles-finite-huge": (simulate, (DESK, "edf"), {"cycles": 10 ** 20}),
+    # A scenario argument is a Scenario; the validators report anything else.
+    "exact_min_passes-scenario-None": (exact_min_passes, (None,), {}),
+    "simulate-scenario-None": (simulate, (None, "edf"), {}),
+    "equalize-scenario-None": (equalize, (None,), {}),
+    "load_report-scenario-None": (load_report, (None, DESK_PARTITION), {}),
+    "revisit_stats-scenario-None": (revisit_stats, (DESK_TRACE, None), {}),
+    "sector_targets-scenario-None": (sector_targets, (None,), {}),
+    "broadside_baseline-scenario-None": (broadside_baseline, (None,), {}),
+    "write_scenario-scenario-None": (sio.write_scenario, (None, os.devnull), {}),
+    "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
 }
 
 
@@ -164,6 +181,8 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
     (lambda: Scenario(1, 0, 1.0, (5.0,), (5,)), "tasks[0]=5 is not a SurveillanceTask"),
     (lambda: revisit_stats(None, DESK), "expected a SimulationTrace, not NoneType"),
+    (lambda: exact_min_passes(None), "expected a Scenario, not NoneType"),
+    (lambda: simulate(DESK.tasks, "edf"), "expected a Scenario, not tuple"),
     (lambda: simulate(DESK, "edf", cycles=10 ** 20),
      "cycles=100000000000000000000 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
 ])
@@ -181,6 +200,15 @@ def test_messages_name_the_argument(call, message):
 ])
 def test_validators_report_an_argument_of_the_wrong_type(check, argument, problem):
     assert check(DESK, argument) == [problem]
+
+
+@pytest.mark.parametrize("check, argument, problem", [
+    (check_trace, DESK_TRACE, ("scenario", None, None, "expected a Scenario, not NoneType")),
+    (check_assignment, {0: (0, 0), 1: (0, 0)}, "expected a Scenario, not NoneType"),
+    (check_partition, DESK_PARTITION, "expected a Scenario, not NoneType"),
+])
+def test_validators_report_a_scenario_of_the_wrong_type(check, argument, problem):
+    assert check(None, argument) == [problem]
 
 
 @pytest.mark.parametrize("key", [True, 1.0, "1", None])
