@@ -120,8 +120,9 @@ class Scenario:
     any violation raises :class:`ScenarioValidationError` listing them all.
     Every function that takes a scenario relies on this and does not check
     its data again; it checks only that the argument is a scenario
-    (:func:`check_scenario`).  ``home`` maps each task id to its home sector, derived from
-    the azimuth, so ``dataclasses.replace`` derives it afresh.
+    (:func:`check_scenario`).  ``home`` maps each task id to its home
+    sector, derived from the azimuth, so ``dataclasses.replace`` derives it
+    afresh.
 
     A field of view wider than half the circle adds nothing under mod-N
     arithmetic, so ``fov_half_width`` is clamped to ``n_sectors // 2``.

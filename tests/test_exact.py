@@ -273,18 +273,6 @@ class TestLostRoom:
         assert (solution.objective, solution.optimal) == (3, True)
         assert not exists_schedule_within(s, 2)
 
-    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e7])
-    def test_planted_packings_with_a_lost_pass(self, scale):
-        # The bins 0.7, 1.0 and 0.3 are cut into pieces that fill them up
-        # to rounding, and a 0.05 bin no piece fits is lost from the start:
-        # no room is left to spare, so only the margin keeps the packing.
-        caps = [0.7 * scale, 1.0 * scale, 0.3 * scale, 0.05 * scale]
-        sizes = [0.1 * scale, 0.6 * scale, 0.2 * scale, 0.7 * scale, 0.1 * scale, 0.3 * scale]
-        s = bin_packing_reduce(sizes, caps)
-        solution = exact_min_passes(s)
-        assert solution.optimal and solution.objective < 3
-        assert check_assignment(s, solution.assignments) == []
-
     def test_rounding_past_the_capacity_slack(self):
         # Cuts of three bins of 3e7 to 4e7 and a 66,188 bin no cut fits.
         # An ulp of the totals is 1.5e-8, so the rounding of the sums and of
