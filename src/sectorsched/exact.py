@@ -12,19 +12,22 @@ per call.  It drives the feasibility test, the deepening start, the first-fit
 incumbent and the search.  The search runs iterative deepening on the
 objective: for each horizon P it asks whether all tasks fit into passes
 0..P, branching on tasks in descending duration and on their candidate
-passes up to P.  Passes of one sector with bitwise-equal residual capacity
-are interchangeable within a horizon, so only the first of each such group
+passes up to P.  Passes of one sector with equal residual capacity are
+interchangeable within a horizon, so only the first of each such group
 is tried.  Two cuts end a branch early.  By count: its passes cannot hold
 as many tasks as are left, since a pass takes at most as many more tasks as
 the shortest durations that fit its residual.  By lost room: a pass that
 cannot take even the shortest task left keeps its residual unused, and once
 that unusable room is more than the horizon's surplus of capacity over
-demand, with a margin of ``CAP_SLACK`` per pass and float rounding, no
-schedule completes.  Neither cut changes the branching order, so each
-horizon finds the same first schedule as an unpruned search.  Deepening
-starts where the prefix capacity covers the demand, allowing ``CAP_SLACK``
-per pass as the fit test does.  The first horizon that admits a schedule is
-optimal provided no smaller horizon search was cut short by the node budget.
+demand, with a margin of ``CAP_SLACK`` per pass, no schedule completes.
+Neither cut changes the branching order, so each horizon finds the same
+first schedule as an unpruned search.  Deepening starts where the prefix
+capacity covers the demand, allowing ``CAP_SLACK`` per pass as the fit test
+does.  The first horizon that admits a schedule is optimal provided no
+smaller horizon search was cut short by the node budget.  Every float is a
+dyadic rational, so the search reads ``CAP_SLACK``, the resources and the
+durations as ints on one power-of-two scale, where its sums and comparisons
+are exact and no decision depends on the order a pass was filled in.
 
 Module constants cap the instance (``MAX_TASKS``, ``MAX_SECTORS``) and the
 horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
@@ -33,7 +36,6 @@ horizon (``MAX_ROTATIONS``); :class:`SearchLimits` holds the node budget.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -100,27 +102,29 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
         return ExactSolution(assignments={}, objective=-1, optimal=True)
 
     n = scenario.n_sectors
-    caps = [scenario.resources[p % n] for p in range(MAX_ROTATIONS * n)]
-
     tasks = sorted(scenario.tasks, key=lambda t: (-t.duration, t.id))
+    (slack, *ints), _ = _scaled([CAP_SLACK, *scenario.resources, *(t.duration for t in tasks)])
+    caps = [ints[p % n] + slack for p in range(MAX_ROTATIONS * n)]  # a pass may overfill by slack
+    durations = ints[n:]
+
     offsets = fov_offsets(scenario.fov_half_width, n)
     home_passes = {h: sorted(r * n + (h + c) % n for r in range(MAX_ROTATIONS) for c in offsets)
                    for h in set(scenario.home.values())}
     passes = [home_passes[scenario.home[t.id]] for t in tasks]
-    for task, eligible in zip(tasks, passes):
-        if task.duration > max(caps[p] for p in eligible) + CAP_SLACK:
+    for task, duration, eligible in zip(tasks, durations, passes):
+        if duration > max(caps[p] for p in eligible):
             raise InfeasibleScenarioError(
                 f"task {task.id}: duration {task.duration} exceeds every "
                 f"sector resource in its field of view")
 
-    lower = _lower_bound(scenario, tasks, home_passes, caps)
-    incumbent = _first_fit_schedule(tasks, passes, caps)
+    lower = _lower_bound([scenario.home[t.id] for t in tasks], durations, home_passes, caps)
+    incumbent = _first_fit_schedule(tasks, durations, passes, caps)
 
     budget = [limits.node_budget]
     top = max(incumbent.values()) if incumbent else len(caps)
     for bound in range(lower, top):
         try:
-            found = _fits_within(tasks, passes, caps, n, bound, budget)
+            found = _fits_within(tasks, durations, passes, caps, slack, n, bound, budget)
         except _BudgetExhausted:
             if incumbent is None:
                 raise LimitsExceededError(
@@ -133,6 +137,14 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     return _solution(incumbent, n, optimal=True)
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """``values`` as exact ints on one scale, the largest of their
+    power-of-two denominators (every float is a dyadic rational), and that scale."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [a * (scale // d) for a, d in ratios], scale
+
+
 def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolution:
     assignments = {tid: (p % n, p // n) for tid, p in pass_of_task.items()}
     return ExactSolution(assignments=assignments,
@@ -140,40 +152,36 @@ def _solution(pass_of_task: dict[int, int], n: int, optimal: bool) -> ExactSolut
                          optimal=optimal)
 
 
-def _lower_bound(scenario, tasks, home_passes, caps) -> int:
+def _lower_bound(homes, durations, home_passes, caps) -> int:
     """Smallest pass index worth testing: all passes must cover the total
-    demand, and each home's candidate passes that home's demand, less
-    ``CAP_SLACK`` per pass; a home's demand within it of zero still needs
-    the home's first candidate pass."""
-    demand_by_home: dict[int, float] = {}
-    for t in tasks:
-        home = scenario.home[t.id]
-        demand_by_home[home] = demand_by_home.get(home, 0.0) + t.duration
-    return max([_covering_pass(range(len(caps)), caps, math.fsum(t.duration for t in tasks)),
+    demand, and each home's candidate passes that home's demand, so a home
+    needs at least its first candidate pass."""
+    demand_by_home: dict[int, int] = {}
+    for home, duration in zip(homes, durations):
+        demand_by_home[home] = demand_by_home.get(home, 0) + duration
+    return max([_covering_pass(range(len(caps)), caps, sum(durations)),
                 *(_covering_pass(home_passes[h], caps, demand)
                   for h, demand in demand_by_home.items())])
 
 
 def _covering_pass(pass_indices, caps, demand) -> int:
-    """First of the ascending ``pass_indices`` whose prefix capacity covers
-    ``demand`` less ``CAP_SLACK`` for each pass of the prefix, since the fit
-    test lets every pass overfill by that much."""
-    acc = 0.0
-    for k, p in enumerate(pass_indices, 1):
+    """First of the ascending ``pass_indices`` whose prefix capacity covers ``demand``."""
+    acc = 0
+    for p in pass_indices:
         acc += caps[p]
-        if acc >= demand - k * CAP_SLACK:
+        if acc >= demand:
             return p
     return len(caps)
 
 
-def _first_fit_schedule(tasks, passes, caps) -> dict[int, int] | None:
+def _first_fit_schedule(tasks, durations, passes, caps) -> dict[int, int] | None:
     """Quick incumbent: first fitting pass per task, longest tasks first."""
     residual = list(caps)
     out: dict[int, int] = {}
-    for task, eligible in zip(tasks, passes):
+    for task, duration, eligible in zip(tasks, durations, passes):
         for p in eligible:
-            if task.duration <= residual[p] + CAP_SLACK:
-                residual[p] -= task.duration
+            if duration <= residual[p]:
+                residual[p] -= duration
                 out[task.id] = p
                 break
         else:
@@ -181,25 +189,19 @@ def _first_fit_schedule(tasks, passes, caps) -> dict[int, int] | None:
     return out
 
 
-def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None:
+def _fits_within(tasks, durations, passes, caps, slack, n, bound, budget) -> dict[int, int] | None:
     """Decision search: schedule all tasks into passes 0..bound, or prove none exists."""
     residual = caps[: bound + 1]
-    durations = [t.duration for t in tasks]
     eligible = [[(p, p % n) for p in ps if p <= bound] for ps in passes]
     placed = [0] * len(tasks)
 
     # A count of tasks: the unplaced tasks are a suffix of the longest-first
     # order, so any k of them take at least shortest[k - 1], the sum of the k
     # shortest durations, and a pass with room r takes at most
-    # bisect_right(shortest, r + slack) more.  A branch whose passes cannot
-    # hold as many tasks as are left is cut.  The slack adds to CAP_SLACK the
-    # rounding of the prefix sums and of the residual chain the fit test
-    # reads, at most MAX_TASKS roundings each, every one within an ulp of the
-    # largest capacity or total: a looser slack only prunes less, a tighter
-    # one could cut a branch that the fit test accepts.
+    # bisect_right(shortest, r) more.  A branch whose passes cannot hold as
+    # many tasks as are left is cut.
     shortest = list(accumulate(reversed(durations)))
-    slack = CAP_SLACK + 4 * MAX_TASKS * sys.float_info.epsilon * max(max(residual), shortest[-1])
-    fit_count = [bisect_right(shortest, room + slack) for room in residual]
+    fit_count = [bisect_right(shortest, room) for room in residual]
     count = sum(fit_count)
     if count < len(tasks):
         return None
@@ -207,20 +209,15 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
     # Lost room: the shortest task, durations[-1], stays unplaced to the
     # end, so a pass whose fit_count is 0 takes nothing more and its room is
     # unused in any completion.  Every other pass ends with room of at least
-    # -CAP_SLACK, and room minus demand is the same at every node, so a
-    # branch is cut once the lost room exceeds that surplus.  The margin allows
-    # CAP_SLACK on each pass plus the rounding of the residual chain (at most
-    # MAX_TASKS steps), of the running lost total (one addition per pass)
-    # and of the sums here, each within an ulp of the larger total.
-    total = math.fsum(residual)
-    surplus = (total - math.fsum(durations) + (bound + 1) * CAP_SLACK
-               + 4 * (MAX_TASKS + bound + 1) * sys.float_info.epsilon
-               * max(total, shortest[-1]))
-    lost = math.fsum(room for room, fit in zip(residual, fit_count) if not fit)
+    # 0, its slack included, and room minus demand is the same at every node,
+    # so a branch is cut once the lost room, not counting the slack of its
+    # passes, exceeds that surplus.
+    surplus = sum(residual) - sum(durations)
+    lost = sum(room - slack for room, fit in zip(residual, fit_count) if not fit)
     if lost > surplus:
         return None
 
-    def recurse(index: int, lost: float) -> bool:
+    def recurse(index: int, lost: int) -> bool:
         nonlocal count
         budget[0] -= 1
         if budget[0] < 0:
@@ -229,10 +226,10 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
             return True
         duration = durations[index]
         left = len(durations) - index - 1
-        tried: set[tuple[int, float]] = set()
+        tried: set[tuple[int, int]] = set()
         for p, sector in eligible[index]:
             room_p = residual[p]
-            if duration > room_p + CAP_SLACK:
+            if duration > room_p:
                 continue
             key = (sector, room_p)
             if key in tried:
@@ -240,12 +237,10 @@ def _fits_within(tasks, passes, caps, n, bound, budget) -> dict[int, int] | None
             tried.add(key)
             room_after = room_p - duration
             fit_p = fit_count[p]
-            fit_after = bisect_right(shortest, room_after + slack)
+            fit_after = bisect_right(shortest, room_after)
             if count - fit_p + fit_after < left:
                 continue
-            # Each child gets its own lost total, so backtracking restores it
-            # exactly instead of subtracting in floats.
-            lost_after = lost if fit_after or not left else lost + room_after
+            lost_after = lost if fit_after or not left else lost + room_after - slack
             if lost_after > surplus:
                 continue
             count += fit_after - fit_p
@@ -268,10 +263,11 @@ def check_assignment(scenario: Scenario,
 
     Verifies coverage (every task exactly once, under its ``int`` id), that
     each entry is a (sector, rotation) pair of ints, field of view at the
-    executing sector, and per-pass resource limits.  Kept separate from the
-    search so solver bugs cannot vouch for themselves.  A scenario that is
-    not a :class:`Scenario`, or assignments that are not a mapping, are one
-    problem.
+    executing sector, and per-pass resource limits, each pass's load summed
+    exactly so the verdict does not depend on the mapping's order.  Kept
+    separate from the search so solver bugs cannot vouch for themselves.  A
+    scenario that is not a :class:`Scenario`, or assignments that are not a
+    mapping, are one problem.
     """
     if not isinstance(scenario, Scenario):
         return [f"expected a Scenario, not {type(scenario).__name__}"]
@@ -279,18 +275,19 @@ def check_assignment(scenario: Scenario,
         return [f"expected a mapping of task id to (sector, rotation), "
                 f"not {type(assignments).__name__}"]
     problems: list[str] = []
-    by_id = scenario.task_by_id()
+    (slack, *ints), scale = _scaled([CAP_SLACK, *scenario.resources,
+                                     *(t.duration for t in scenario.tasks)])
+    duration_of = dict(zip((t.id for t in scenario.tasks), ints[scenario.n_sectors:]))
     # A bool or float key equals an int id, so ids are matched only as ints.
-    missing = sorted(set(by_id) - {tid for tid in assignments if type(tid) is int})
+    missing = sorted(set(duration_of) - {tid for tid in assignments if type(tid) is int})
     if missing:
         problems.append(f"tasks never assigned: {missing}")
-    load: dict[tuple[int, int], float] = {}
+    load: dict[tuple[int, int], int] = {}
     for tid, entry in assignments.items():
         if type(tid) is not int:
             problems.append(f"task id {tid!r} is not an int")
             continue
-        task = by_id.get(tid)
-        if task is None:
+        if tid not in duration_of:
             problems.append(f"task {tid} not part of the scenario")
             continue
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2
@@ -306,11 +303,11 @@ def check_assignment(scenario: Scenario,
             problems.append(
                 f"task {tid} executed {dist} sectors from home "
                 f"(fov half-width {scenario.fov_half_width})")
-        load[(sector, rotation)] = load.get((sector, rotation), 0.0) + task.duration
+        load[(sector, rotation)] = load.get((sector, rotation), 0) + duration_of[tid]
     for (sector, rotation), used in sorted(load.items()):
-        if used > scenario.resources[sector] + CAP_SLACK:
+        if used > ints[sector] + slack:
             problems.append(
-                f"pass (sector={sector}, rotation={rotation}) uses {used}, "
+                f"pass (sector={sector}, rotation={rotation}) uses {used / scale}, "
                 f"resources {scenario.resources[sector]}")
     return problems
 

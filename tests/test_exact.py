@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -27,28 +28,30 @@ def exists_schedule_within(scenario, last_pass):
     """Brute-force oracle: can every task fit into passes 0..last_pass?
 
     Plain recursion in task order over all eligible passes, with nothing but
-    the capacity check; shares no ordering, bounding, or symmetry logic with
-    the solver.
+    the capacity check, in exact fractions; shares no ordering, bounding,
+    symmetry or arithmetic with the solver.
     """
     n = scenario.n_sectors
     if last_pass < 0:
         return not scenario.tasks
-    residual = [scenario.resources[p % n] for p in range(last_pass + 1)]
+    slack = Fraction(CAP_SLACK)
+    residual = [Fraction(scenario.resources[p % n]) for p in range(last_pass + 1)]
     tasks = scenario.tasks
 
     def place(index):
         if index == len(tasks):
             return True
         task = tasks[index]
+        duration = Fraction(task.duration)
         for p in range(last_pass + 1):
             if angular_sector_distance(p % n, scenario.home[task.id], n) > scenario.fov_half_width:
                 continue
-            if task.duration > residual[p] + CAP_SLACK:
+            if duration > residual[p] + slack:
                 continue
-            residual[p] -= task.duration
+            residual[p] -= duration
             if place(index + 1):
                 return True
-            residual[p] += task.duration
+            residual[p] += duration
         return False
 
     return place(0)
@@ -63,14 +66,17 @@ def enumerate_min_passes(scenario, max_rotations=5):
 
 
 def brute_force_bin_packing(sizes, capacities):
-    """Independent feasibility enumerator: items into bins, no FOV, no passes."""
-    remaining = list(capacities)
+    """Independent feasibility enumerator: items into bins, no FOV, no
+    passes, in exact fractions."""
+    slack = Fraction(CAP_SLACK)
+    sizes = [Fraction(size) for size in sizes]
+    remaining = [Fraction(cap) for cap in capacities]
 
     def place(index):
         if index == len(sizes):
             return True
         for b in range(len(remaining)):
-            if sizes[index] <= remaining[b] + CAP_SLACK:
+            if sizes[index] <= remaining[b] + slack:
                 remaining[b] -= sizes[index]
                 if place(index + 1):
                     return True
@@ -78,6 +84,37 @@ def brute_force_bin_packing(sizes, capacities):
         return False
 
     return place(0)
+
+
+def exact_overfills(scenario, assignments):
+    """Passes whose exact load exceeds their resources plus CAP_SLACK."""
+    duration = {t.id: Fraction(t.duration) for t in scenario.tasks}
+    load = {}
+    for tid, (sector, rotation) in assignments.items():
+        load[sector, rotation] = load.get((sector, rotation), 0) + duration[tid]
+    return sorted(key for key, used in load.items()
+                  if used > Fraction(scenario.resources[key[0]]) + Fraction(CAP_SLACK))
+
+
+def slack_edge_packings(count=100, seed=2028):
+    """Packings of two or three bins of 3 to 7 s, each cut at millisecond
+    points into up to three items, with CAP_SLACK added to one item in about
+    half the bins: such a bin's exact load lies within a few ulps of its
+    capacity plus CAP_SLACK, above or below."""
+    rng = Xorshift64Star(seed)
+    for _ in range(count):
+        caps = [rng.randint(3000, 7000) / 1000 for _ in range(rng.randint(2, 3))]
+        sizes = []
+        for cap in caps:
+            cuts = sorted(rng.randint(1, round(cap * 1000) - 1) / 1000
+                          for _ in range(rng.randint(0, 2)))
+            edges = [0.0, *cuts, cap]
+            pieces = [b - a for a, b in zip(edges, edges[1:])]
+            if rng.randint(0, 1):
+                pieces[rng.randint(0, len(pieces) - 1)] += CAP_SLACK
+            sizes += pieces
+        keys = [rng.uniform() for _ in sizes]
+        yield [size for _, size in sorted(zip(keys, sizes))], caps
 
 
 class TestExactMinPasses:
@@ -204,10 +241,10 @@ class TestCountBound:
         assert (solution.objective, solution.optimal) == (0, True)
 
     def test_rounding_past_the_capacity_slack(self):
-        # Cuts of two bins of about 5e7 and 4e7, one rotation holds them.
-        # An ulp here is 7.5e-9, so the rounding of the prefix sums and the
-        # residual chain outgrows CAP_SLACK: a count with no margin for it
-        # refutes the one-rotation horizon.
+        # Cuts of two bins of about 5e7 and 4e7 that sum to each bin
+        # exactly, so one rotation holds them.  An ulp here is 7.5e-9, so
+        # float prefix sums and residual chains would drift past CAP_SLACK
+        # and a count on them could refute the one-rotation horizon.
         caps = [54212742.58951991, 42365983.411813736]
         sizes = [24751660.60036738, 14960647.528064065, 15401793.799794909,
                  17614322.811446358, 12295273.272200178, 11555027.989460759]
@@ -274,10 +311,10 @@ class TestLostRoom:
         assert not exists_schedule_within(s, 2)
 
     def test_rounding_past_the_capacity_slack(self):
-        # Cuts of three bins of 3e7 to 4e7 and a 66,188 bin no cut fits.
-        # An ulp of the totals is 1.5e-8, so the rounding of the sums and of
-        # the residual chain outgrows CAP_SLACK on every pass: a margin with
-        # no term for it refutes passes 0..2, which hold the cuts.
+        # Cuts of three bins of 3e7 to 4e7 that sum to each bin exactly,
+        # and a 66,188 bin no cut fits.  An ulp of the totals is 1.5e-8, so
+        # float sums and residual chains would drift past CAP_SLACK on every
+        # pass and a surplus taken from them could refute passes 0..2.
         caps = [42586218.163618594, 33577126.89189965, 37359122.539920524, 66187.79203413252]
         sizes = [38093134.482439935, 4493083.681178659, 13051712.15368312, 13077317.046838002,
                  7448097.69137853, 3974264.0496519357, 29954990.81726128, 3429867.6730073094]
@@ -285,6 +322,54 @@ class TestLostRoom:
         solution = exact_min_passes(s)
         assert (solution.objective, solution.optimal) == (2, True)
         assert exists_schedule_within(s, 2)
+
+
+class TestSlackEdge:
+    """Loads within a few ulps of a capacity plus CAP_SLACK: the search
+    decides them exactly, as the oracles do in fractions."""
+
+    def test_no_plan_overfills_past_the_slack(self):
+        # Passes (1, 0) and (2, 0) of the one-rotation plan that float
+        # residual chains admit exceed their resources plus CAP_SLACK by
+        # 8.3e-17, so exactly no one-rotation plan exists.
+        s = bin_packing_reduce([0.942000001, 4.221, 3.119, 2.1220000009999995, 2.844000001, 2.44],
+                               [5.163, 5.284, 5.241])
+        assert exact_overfills(s, {1: (0, 0), 2: (2, 0), 4: (1, 0), 5: (1, 0), 3: (2, 0),
+                                   0: (0, 0)}) == [(1, 0), (2, 0)]
+        solution = exact_min_passes(s)
+        assert (solution.objective, solution.optimal) == (3, True)
+        assert exact_overfills(s, solution.assignments) == []
+        assert not exists_schedule_within(s, 2)
+
+    def test_the_order_of_placement_does_not_matter(self):
+        # A float residual chain in id order let pass 0 take the 0.343000001 s
+        # task after the 2.24 s one, 1.00000008e-9 s past its resources;
+        # summed exactly, no plan within passes 0..3 exists in any order.
+        s = bin_packing_reduce([4.32, 0.34300000100000005, 2.2399999999999993,
+                                3.2120000009000003, 0.235, 3.682, 1.972, 2.215,
+                                1.3190000000000008], [6.903, 3.212, 3.917, 5.506, 3.338])
+        solution = exact_min_passes(s)
+        assert (solution.objective, solution.optimal) == (4, True)
+        assert not exists_schedule_within(s, 3)
+
+    def test_packings_agree_with_the_oracles(self):
+        proven = 0
+        for sizes, caps in slack_edge_packings():
+            s = bin_packing_reduce(sizes, caps)
+            try:
+                solution = exact_min_passes(s)
+            except InfeasibleScenarioError:
+                slack = Fraction(CAP_SLACK)
+                assert any(all(Fraction(size) > Fraction(cap) + slack for cap in caps)
+                           for size in sizes)
+                continue
+            assert solution.optimal
+            assert exact_overfills(s, solution.assignments) == []
+            assert exists_schedule_within(s, solution.objective)
+            assert not exists_schedule_within(s, solution.objective - 1)
+            assert (solution.objective < len(caps)) == brute_force_bin_packing(sizes, caps)
+            proven += 1
+        assert proven > 80
 
 
 class TestCheckAssignment:
@@ -318,6 +403,26 @@ class TestCheckAssignment:
         bad = {0: (sector, rotation), 1: (1, 0), 2: (2, 0)}
         assert check_assignment(tri_scenario, bad) == [
             f"task 0: pass (sector={sector}, rotation={rotation}) out of range"]
+
+    def test_verdict_does_not_depend_on_the_mapping_order(self):
+        # Summed in floats in this key order, pass (1, 0) comes to
+        # 6.708000001000001, past 6.708 plus CAP_SLACK, but its exact load fits.
+        s = bin_packing_reduce([1.4450000010000001, 3.043, 2.473, 2.574, 0.19400000099999984,
+                                0.19100000000000028, 3.749, 0.374, 1.8600000009989999,
+                                0.3879999999999999, 0.7589999999999999],
+                               [6.961, 6.708, 3.381])
+        solution = exact_min_passes(s)
+        assert exact_overfills(s, solution.assignments) == []
+        order = [7, 2, 3, 6, 5, 8, 1, 10, 4, 0, 9]
+        assert check_assignment(s, {tid: solution.assignments[tid] for tid in order}) == []
+
+    def test_reports_an_exact_overfill_below_float_resolution(self):
+        s = bin_packing_reduce([0.942000001, 4.221, 3.119, 2.1220000009999995, 2.844000001, 2.44],
+                               [5.163, 5.284, 5.241])
+        plan = {1: (0, 0), 2: (2, 0), 4: (1, 0), 5: (1, 0), 3: (2, 0), 0: (0, 0)}
+        assert check_assignment(s, plan) == [
+            "pass (sector=1, rotation=0) uses 5.284000001, resources 5.284",
+            "pass (sector=2, rotation=0) uses 5.241000001, resources 5.241"]
 
 
 class TestBinPackingReduce:
