@@ -38,9 +38,6 @@ from .model import (
     CAP_SLACK,
     Scenario,
     SurveillanceTask,
-    active_sectors,
-    angular_sector_distance,
-    main_sector,
     sector_of_direction,
 )
 from .simulate import (
@@ -86,8 +83,6 @@ __all__ = [
     "TaskRevisit",
     "TraceProblem",
     "Xorshift64Star",
-    "active_sectors",
-    "angular_sector_distance",
     "bin_packing_reduce",
     "broadside_baseline",
     "build_partition",
@@ -98,7 +93,6 @@ __all__ = [
     "exact_min_passes",
     "generate",
     "load_report",
-    "main_sector",
     "maximal_subset",
     "measure_resources",
     "revisit_stats",

@@ -50,8 +50,8 @@ from .loads import (
     build_partition,
     sector_targets,
 )
-from .model import (CAP_SLACK, Scenario, SurveillanceTask, check_number, check_scenario,
-                    fov_offsets)
+from .model import (CAP_SLACK, Scenario, SurveillanceTask, as_tasks, check_instance,
+                    check_number, fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 _duration = itemgetter(0)  # of a pool entry (duration, id, home)
@@ -95,8 +95,10 @@ def maximal_subset(candidates: Sequence[SurveillanceTask], budget: float,
     maximal, and empty when the budget is already exhausted (durations are
     strictly positive).  Both phases of :func:`equalize` run the same
     ``_first_fit`` this function wraps, not this function itself.
-    ``budget`` and ``already_used`` must be finite numbers.
+    ``candidates`` must be an iterable of tasks, and ``budget`` and
+    ``already_used`` finite numbers.
     """
+    candidates = as_tasks(candidates, "candidates")
     for value, name in ((budget, "budget"), (already_used, "already_used")):
         check_number(value, name)
         if not math.isfinite(value):
@@ -113,7 +115,7 @@ def equalize(scenario: Scenario) -> SchedulePartition:
     :class:`InfeasibleScenarioError` when some leftover task sees only
     zero-target sectors in its field of view.
     """
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     n = scenario.n_sectors
     targets = sector_targets(scenario).targets
     offsets = fov_offsets(scenario.fov_half_width, n)

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import (CAP_SLACK, Scenario, SurveillanceTask, angular_sector_distance,
-                    as_tuple, check_count, check_number, check_scenario, fov_offsets)
+from .model import (CAP_SLACK, Scenario, SurveillanceTask, as_tuple, check_count,
+                    check_instance, check_number, fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
 MAX_TASKS = 12
@@ -91,7 +91,7 @@ def exact_min_passes(scenario: Scenario, limits: SearchLimits = SearchLimits()) 
     :class:`InfeasibleScenarioError` when some task fits no pass at all or
     nothing completes within ``MAX_ROTATIONS`` rotations.
     """
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     if not isinstance(limits, SearchLimits):
         raise InvalidInputError(f"limits must be a SearchLimits, not {type(limits).__name__}")
     if len(scenario.tasks) > MAX_TASKS:
@@ -275,9 +275,10 @@ def check_assignment(scenario: Scenario,
         return [f"expected a mapping of task id to (sector, rotation), "
                 f"not {type(assignments).__name__}"]
     problems: list[str] = []
+    n, w = scenario.n_sectors, scenario.fov_half_width
     (slack, *ints), scale = _scaled([CAP_SLACK, *scenario.resources,
                                      *(t.duration for t in scenario.tasks)])
-    duration_of = dict(zip((t.id for t in scenario.tasks), ints[scenario.n_sectors:]))
+    duration_of = dict(zip((t.id for t in scenario.tasks), ints[n:]))
     # A bool or float key equals an int id, so ids are matched only as ints.
     missing = sorted(set(duration_of) - {tid for tid in assignments if type(tid) is int})
     if missing:
@@ -295,14 +296,13 @@ def check_assignment(scenario: Scenario,
             problems.append(f"task {tid}: pass {entry!r} is not a (sector, rotation) pair of ints")
             continue
         sector, rotation = entry
-        if not (0 <= sector < scenario.n_sectors) or rotation < 0:
+        if not (0 <= sector < n) or rotation < 0:
             problems.append(f"task {tid}: pass (sector={sector}, rotation={rotation}) out of range")
             continue
-        dist = angular_sector_distance(sector, scenario.home[tid], scenario.n_sectors)
-        if dist > scenario.fov_half_width:
-            problems.append(
-                f"task {tid} executed {dist} sectors from home "
-                f"(fov half-width {scenario.fov_half_width})")
+        d = (sector - scenario.home[tid]) % n  # the cyclic distance is min(d, n - d)
+        if w < d < n - w:
+            problems.append(f"task {tid} executed {min(d, n - d)} sectors from home "
+                            f"(fov half-width {w})")
         load[(sector, rotation)] = load.get((sector, rotation), 0) + duration_of[tid]
     for (sector, rotation), used in sorted(load.items()):
         if used > ints[sector] + slack:

@@ -57,6 +57,11 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_range(self, lo: float, hi: float) -> float:
+        """Double between the numbers ``lo`` and ``hi``."""
+        if type(lo) is not float:
+            check_number(lo, "lo")
+        if type(hi) is not float:
+            check_number(hi, "hi")
         return lo + self.uniform() * (hi - lo)
 
     def randint(self, lo: int, hi: int) -> int:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ScenarioFormatError, ScenarioValidationError
 from .loads import LoadReport, SchedulePartition
-from .model import Scenario, SurveillanceTask, check_scenario
+from .model import Scenario, SurveillanceTask, as_tuple, check_instance
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
 
@@ -49,7 +49,7 @@ def _number(x) -> str:
 
 
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     # A scenario holds ids and counts of type int and resources of type float,
     # whose str is their repr; the other numbers may be ints or subclasses.
     tasks = [f'{{\n      "id": {t.id},\n      "phi": {_number(t.phi)},'
@@ -146,6 +146,7 @@ def read_scenario(path: str | Path) -> Scenario:
 
 
 def write_partition(partition: SchedulePartition, path: str | Path) -> None:
+    check_instance(partition, SchedulePartition)
     quoted = {tag: json.dumps(tag) for tag in set(partition.provenance.values())}
     assignments = [_block(list(map(int.__repr__, ids)), "    ")
                    for ids in partition.assignments]
@@ -184,6 +185,7 @@ def _write_csv(path: str | Path, fields: Sequence[str], lines: Iterable[str]) ->
 
 
 def write_load_report(report: LoadReport, path: str | Path) -> None:
+    check_instance(report, LoadReport)
     _write_csv(path, ("sector", "absolute_load", "target", "relative_load"), (
         f"{i},{float(load)!r},{float(target)!r},{float(relative)!r}"
         for i, (load, target, relative) in enumerate(zip(
@@ -221,7 +223,8 @@ def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
 
 
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
-    check_scenario(scenario)
+    check_instance(trace, SimulationTrace)
+    check_instance(scenario, Scenario)
     duration = {t.id: repr(t.duration) for t in scenario.tasks}
     n = scenario.n_sectors
     _write_csv(path, ("pass", "rotation", "sector", "task_id",
@@ -239,6 +242,7 @@ def read_trace(path: str | Path) -> list[ExecutionRecord]:
 
 def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:
     """One row per task with its worst interval, seconds and rotations."""
+    check_instance(stats, RevisitStats)
     _write_csv(path, ("task_id", "home_sector", "exec_sector", "interval_s", "interval_rot"), [
         f"{tid},{home},{sector},{seconds!r},{rotations!r}"
         for tid, home, sector, seconds, rotations in stats.per_task])
@@ -252,9 +256,13 @@ def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv",
     is the first row's keys, or ``fields`` for a table without rows.  JSON
     has no non-finite number, so there an infinite or NaN float is the
     string of its ``repr`` (``"inf"``), the token the CSV form writes.  Any
-    other ``fmt`` raises :class:`InvalidInputError`."""
+    other ``fmt``, or a row that is not a dict, raises :class:`InvalidInputError`."""
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"fmt={fmt!r} must be 'csv' or 'json'")
+    rows = as_tuple(rows, "rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InvalidInputError(f"rows[{i}]={row!r} is not a dict")
     if fmt == "json":
         rows = [{k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]

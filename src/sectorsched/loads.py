@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InvalidInputError
-from .model import Scenario, check_count, check_scenario
+from .model import Scenario, check_count, check_instance
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -78,8 +78,12 @@ def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
                     provenance: Mapping[int, str] = {}) -> SchedulePartition:
     """Canonical SchedulePartition from task id -> sector, tagging the tasks
     ``provenance`` has.  A sector that is not an int in ``[0, n_sectors)``
-    (a bool is no sector) raises :class:`InvalidInputError`."""
+    (a bool is no sector), or an argument that is not a mapping, raises
+    :class:`InvalidInputError`."""
     check_count(n_sectors, "n_sectors")
+    for value, name in ((sector_of_task, "sector_of_task"), (provenance, "provenance")):
+        if not isinstance(value, Mapping):
+            raise InvalidInputError(f"{name} must be a mapping, not {type(value).__name__}")
     buckets: list[list[int]] = [[] for _ in range(n_sectors)]
     for tid, sector in sector_of_task.items():
         if type(sector) is not int or not 0 <= sector < n_sectors:
@@ -112,7 +116,7 @@ class LoadReport:
 def sector_targets(scenario: Scenario) -> SectorTargets:
     """Continuous optimum ratio and per-sector targets for a scenario (one
     with tasks has positive total resources, see :class:`Scenario`)."""
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     total_demand = math.fsum(t.duration for t in scenario.tasks)
     r_opt = total_demand / math.fsum(scenario.resources) if total_demand else 0.0
     return SectorTargets(r_opt=r_opt,
@@ -133,7 +137,7 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
     raises :class:`InvalidInputError`, as does a scenario argument that
     is not a :class:`Scenario`.
     """
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     problems = check_partition(scenario, partition)
     if problems:
         raise InvalidInputError("partition does not match scenario: " + "; ".join(problems))
@@ -154,7 +158,7 @@ def load_report(scenario: Scenario, partition: SchedulePartition) -> LoadReport:
 
 def broadside_baseline(scenario: Scenario) -> SchedulePartition:
     """The trivial partition: every task executes in its home sector."""
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     return build_partition(scenario.n_sectors, scenario.home,
                            dict.fromkeys(scenario.home, PROVENANCE_OWN))
 

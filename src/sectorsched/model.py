@@ -28,13 +28,9 @@ from .errors import InvalidInputError, ScenarioValidationError
 # of real-valued durations do not flip a decision through accumulation noise.
 CAP_SLACK = 1e-9
 
-# Tolerance on floor(ratio) computations: an instant or angle sitting within
-# 1e-9 (in ratio units) below a sector boundary resolves to the next sector.
+# Tolerance on the floor in sector_of_direction: an azimuth sitting within
+# 1e-9 (in sector units) below a sector boundary resolves to the next sector.
 _FLOOR_EPS = 1e-9
-
-
-def _floor_ratio(ratio: float) -> int:
-    return math.floor(ratio + _FLOOR_EPS)
 
 
 def check_number(value, name: str) -> None:
@@ -68,6 +64,17 @@ def as_tuple(value, name: str) -> tuple:
     except TypeError:
         raise InvalidInputError(f"{name} must be iterable, not {type(value).__name__}") from None
     return tuple(items)
+
+
+def as_tasks(value, name: str) -> tuple:
+    """The items of ``value`` as a tuple, as :func:`as_tuple` reads them,
+    each a :class:`SurveillanceTask`; anything else raises
+    :class:`InvalidInputError`."""
+    tasks = as_tuple(value, name)
+    if not all(issubclass(kind, SurveillanceTask) for kind in set(map(type, tasks))):
+        i = next(i for i, t in enumerate(tasks) if not isinstance(t, SurveillanceTask))
+        raise InvalidInputError(f"{name}[{i}]={tasks[i]!r} is not a SurveillanceTask")
+    return tasks
 
 
 def check_positive(value, name: str) -> None:
@@ -120,7 +127,7 @@ class Scenario:
     any violation raises :class:`ScenarioValidationError` listing them all.
     Every function that takes a scenario relies on this and does not check
     its data again; it checks only that the argument is a scenario
-    (:func:`check_scenario`).  ``home`` maps each task id to its home
+    (:func:`check_instance`).  ``home`` maps each task id to its home
     sector, derived from the azimuth, so ``dataclasses.replace`` derives it
     afresh.
 
@@ -144,11 +151,7 @@ class Scenario:
             if type(r) is not float:
                 check_number(r, f"resources[{i}]")
         object.__setattr__(self, "resources", tuple(map(float, resources)))
-        tasks = as_tuple(self.tasks, "tasks")
-        if not all(issubclass(kind, SurveillanceTask) for kind in set(map(type, tasks))):
-            i = next(i for i, t in enumerate(tasks) if not isinstance(t, SurveillanceTask))
-            raise InvalidInputError(f"tasks[{i}]={tasks[i]!r} is not a SurveillanceTask")
-        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "tasks", as_tasks(self.tasks, "tasks"))
         if len(self.resources) != self.n_sectors:
             raise InvalidInputError(
                 f"resources has {len(self.resources)} entries, expected {self.n_sectors}")
@@ -169,10 +172,11 @@ class Scenario:
         return {t.id: t for t in self.tasks}
 
 
-def check_scenario(value) -> None:
-    """Raise :class:`InvalidInputError` unless ``value`` is a :class:`Scenario`."""
-    if not isinstance(value, Scenario):
-        raise InvalidInputError(f"expected a Scenario, not {type(value).__name__}")
+def check_instance(value, kind: type) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is a ``kind``, such
+    as a :class:`Scenario`."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"expected a {kind.__name__}, not {type(value).__name__}")
 
 
 def sector_of_direction(phi: float, n_sectors: int) -> int:
@@ -182,22 +186,7 @@ def sector_of_direction(phi: float, n_sectors: int) -> int:
         check_number(phi, "phi")
     if not 0.0 <= phi < math.tau:
         raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
-    idx = _floor_ratio(phi / math.tau * n_sectors)
-    return min(idx, n_sectors - 1)
-
-
-def main_sector(t: float, n_sectors: int, dt: float) -> int:
-    """Sector the boresight points at time ``t``, wrapped into [0, n_sectors)."""
-    check_positive(dt, "dt")
-    check_count(n_sectors, "n_sectors")
-    if type(t) is not float:
-        check_number(t, "t")
-    if not (t >= 0 and math.isfinite(t)):
-        raise InvalidInputError(f"t={t!r} must be non-negative and finite")
-    ratio = t / dt
-    if math.isinf(ratio):
-        raise InvalidInputError(f"t / dt = {t!r} / {dt!r} lies beyond the float range")
-    return _floor_ratio(ratio) % n_sectors
+    return min(math.floor(phi / math.tau * n_sectors + _FLOOR_EPS), n_sectors - 1)
 
 
 def fov_offsets(fov_half_width: int, n_sectors: int) -> range:
@@ -210,31 +199,6 @@ def fov_offsets(fov_half_width: int, n_sectors: int) -> range:
     """
     w = min(fov_half_width, n_sectors // 2)
     return range(-w, w + 1 - (2 * w == n_sectors))
-
-
-def active_sectors(m: int, fov_half_width: int, n_sectors: int) -> tuple[int, ...]:
-    """Sectors reachable while the main sector is ``m``.
-
-    Returns (m + c) mod n_sectors for c in :func:`fov_offsets`, so the
-    result has min(2w + 1, n_sectors) distinct entries, w being the clamped
-    half-width, and always contains m.
-    """
-    check_count(n_sectors, "n_sectors")
-    if type(m) is not int or not 0 <= m < n_sectors:  # a bool is no sector
-        raise InvalidInputError(f"main sector {m!r} is not an integer in [0, {n_sectors})")
-    check_count(fov_half_width, "fov_half_width", least=0)
-    return tuple((m + c) % n_sectors for c in fov_offsets(fov_half_width, n_sectors))
-
-
-def angular_sector_distance(a: int, b: int, n_sectors: int) -> int:
-    """Cyclic distance between two sector indices, in sectors."""
-    check_count(n_sectors, "n_sectors")
-    if not type(a) is type(b) is int:  # a bool is no sector
-        raise InvalidInputError(f"sector pair ({a!r}, {b!r}) must be integers")
-    if not (0 <= a < n_sectors and 0 <= b < n_sectors):
-        raise InvalidInputError(f"sector pair ({a!r}, {b!r}) outside [0, {n_sectors})")
-    d = (a - b) % n_sectors
-    return min(d, n_sectors - d)
 
 
 def _sum_overflows(values) -> bool:

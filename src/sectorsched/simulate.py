@@ -54,8 +54,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import (CAP_SLACK, Scenario, check_count, check_number, check_positive,
-                    check_scenario, fov_offsets)
+from .model import (CAP_SLACK, Scenario, as_tuple, check_count, check_instance, check_number,
+                    check_positive, fov_offsets)
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -125,7 +125,7 @@ def simulate(scenario: Scenario, policy: str,
     if policy not in POLICY_VARIANTS:
         raise InvalidInputError(
             f"policy variant {policy!r} not one of {POLICY_VARIANTS}")
-    check_scenario(scenario)
+    check_instance(scenario, Scenario)
     check_count(cycles, "cycles")
     if cycles * len(scenario.tasks) > MAX_RECORDS:
         raise InvalidInputError(f"cycles={cycles} x {len(scenario.tasks)} tasks "
@@ -375,9 +375,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     consecutive timestamps of a task, as in ``trace.illumination``, and the
     mean is an ``fsum`` over all of them.
     """
-    if not isinstance(trace, SimulationTrace):
-        raise InvalidInputError(f"expected a SimulationTrace, not {type(trace).__name__}")
-    check_scenario(scenario)
+    check_instance(trace, SimulationTrace)
+    check_instance(scenario, Scenario)
     home = scenario.home
     if not home:
         return RevisitStats(
@@ -451,7 +450,7 @@ def measure_resources(used_per_pass: Sequence[float], n_sectors: int, dt: float,
     except (OverflowError, MemoryError):  # past sys.maxsize, or past any memory
         raise InvalidInputError(f"n_sectors={n_sectors} is more sectors than a list holds") from None
     seeded = [False] * n_sectors
-    for p, used in enumerate(used_per_pass):
+    for p, used in enumerate(as_tuple(used_per_pass, "used_per_pass")):
         if type(used) is not float:
             check_number(used, f"used_per_pass[{p}]")
         if not used >= 0:

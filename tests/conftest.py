@@ -77,6 +77,11 @@ def mutated(scenario, field, value):
     return dataclasses.replace(scenario, tasks=(task,) + scenario.tasks[1:])
 
 
+def cyclic_distance(a, b, n_sectors):
+    """Sectors between ``a`` and ``b`` around the circle, the short way."""
+    return min((a - b) % n_sectors, (b - a) % n_sectors)
+
+
 def dedup_active_sectors(m, fov, n_sectors):
     """Reachable sectors by their first definition: (m + c) mod N for c in
     -w..w with w = min(fov, N // 2), repeats dropped in first-seen order."""

@@ -16,7 +16,6 @@ from sectorsched import (
     SectorSchedError,
     SurveillanceTask,
     Xorshift64Star,
-    angular_sector_distance,
     broadside_baseline,
     build_partition,
     check_partition,
@@ -27,7 +26,7 @@ from sectorsched import (
     sector_targets,
 )
 from sectorsched.io import read_scenario
-from conftest import dedup_active_sectors, scenario_from
+from conftest import cyclic_distance, dedup_active_sectors, scenario_from
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,7 +94,7 @@ def reference_equalize(scenario):
 
     def first_fit(candidates, sector, budget, used):
         ordered = sorted(candidates, key=lambda t: (
-            -t.duration, angular_sector_distance(sector, home[t.id], n), t.id))
+            -t.duration, cyclic_distance(sector, home[t.id], n), t.id))
         chosen = []
         for task in ordered:
             if used + task.duration <= budget + CAP_SLACK:
@@ -123,7 +122,7 @@ def reference_equalize(scenario):
                 f"task {task.id}: every sector in its field of view has zero target")
         best = min(eligible, key=lambda j: (
             (task.duration + loads[j]) / targets[j],
-            angular_sector_distance(j, home[task.id], n), j))
+            cyclic_distance(j, home[task.id], n), j))
         assign(task.id, best, PROVENANCE_LEFTOVER)
     return build_partition(n, sector_of_task, provenance)
 

@@ -13,7 +13,6 @@ from sectorsched import (
     POLICY_PARTITION,
     SearchLimits,
     Xorshift64Star,
-    angular_sector_distance,
     bin_packing_reduce,
     check_assignment,
     equalize,
@@ -21,7 +20,7 @@ from sectorsched import (
     generate,
     simulate,
 )
-from conftest import scenario_from
+from conftest import cyclic_distance, scenario_from
 
 
 def exists_schedule_within(scenario, last_pass):
@@ -44,7 +43,7 @@ def exists_schedule_within(scenario, last_pass):
         task = tasks[index]
         duration = Fraction(task.duration)
         for p in range(last_pass + 1):
-            if angular_sector_distance(p % n, scenario.home[task.id], n) > scenario.fov_half_width:
+            if cyclic_distance(p % n, scenario.home[task.id], n) > scenario.fov_half_width:
                 continue
             if duration > residual[p] + slack:
                 continue
@@ -381,6 +380,19 @@ class TestCheckAssignment:
         s = scenario_from(8, 1, 1.0, (9.0,) * 8, [(0, 1.0)])
         assert any("from home" in p for p in check_assignment(s, {0: (4, 0)}))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_fov_check_is_the_cyclic_distance(self, n):
+        # As check_partition's: a problem exactly when the cyclic distance
+        # exceeds the half-width, naming that distance.
+        for w in range(n // 2 + 1):
+            for home in range(n):
+                s = scenario_from(n, w, 1.0, (1.0,) * n, [(home, 1.0)])
+                for sector in range(n):
+                    dist = cyclic_distance(sector, home, n)
+                    expected = [] if dist <= w else [
+                        f"task 0 executed {dist} sectors from home (fov half-width {w})"]
+                    assert check_assignment(s, {0: (sector, 1)}) == expected
+
     def test_detects_missing_task(self, tri_scenario):
         assert any("never assigned" in p
                    for p in check_assignment(tri_scenario, {0: (0, 0)}))
@@ -460,7 +472,7 @@ class TestBinPackingReduce:
         for bins in (1, 2, 3, 6, 7):
             s = bin_packing_reduce([1.0], [10.0] * bins)
             assert all(
-                angular_sector_distance(j, s.home[0], bins) <= s.fov_half_width
+                cyclic_distance(j, s.home[0], bins) <= s.fov_half_width
                 for j in range(bins))
 
     def test_reduction_agrees_with_enumerator(self):

@@ -11,7 +11,6 @@ from sectorsched import (
     ScenarioFormatError,
     ScenarioValidationError,
     Xorshift64Star,
-    active_sectors,
     broadside_baseline,
     equalize,
     generate,
@@ -19,6 +18,7 @@ from sectorsched import (
     sector_of_direction,
 )
 from sectorsched import io as sio
+from sectorsched.model import fov_offsets
 from sectorsched.simulate import POLICY_PARTITION, revisit_stats, simulate
 
 
@@ -75,13 +75,13 @@ class TestGenerate:
 
     def test_standard_fov_is_eleven_sectors(self):
         s = generate(GenParams(n_sectors=30, fov_half_width=5, seed=3))
-        fov = active_sectors(0, s.fov_half_width, s.n_sectors)
+        fov = fov_offsets(s.fov_half_width, s.n_sectors)
         assert len(fov) == 11
         assert len(fov) / s.n_sectors * 360.0 == pytest.approx(132.0)  # about 130 deg
 
     def test_narrow_fov_is_three_sectors(self):
         s = generate(GenParams(n_sectors=30, fov_half_width=1, seed=3))
-        fov = active_sectors(0, s.fov_half_width, s.n_sectors)
+        fov = fov_offsets(s.fov_half_width, s.n_sectors)
         assert len(fov) == 3
         assert len(fov) / s.n_sectors * 360.0 == pytest.approx(36.0)
 

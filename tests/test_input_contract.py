@@ -32,7 +32,6 @@ from sectorsched import (
     equalize,
     exact_min_passes,
     load_report,
-    main_sector,
     maximal_subset,
     measure_resources,
     revisit_stats,
@@ -59,14 +58,13 @@ CASES = {
     # A pass time is positive and finite wherever it is taken.
     "GenParams-dt-nan": (GenParams, (), {"dt": math.nan}),
     "GenParams-dt-inf": (GenParams, (), {"dt": math.inf}),
-    "main_sector-dt-bool": (main_sector, (0.0, 4, True), {}),
-    "main_sector-dt-text": (main_sector, (0.0, 4, "x"), {}),
     "measure_resources-dt-text": (measure_resources, ([1.0], 1, "x", 0.5), {}),
     # The other numbers of the geometry and resource helpers.
-    "main_sector-t-text": (main_sector, ("x", 4, 1.0), {}),
     "sector_of_direction-phi-text": (sector_of_direction, ("x", 4), {}),
     "measure_resources-alpha-text": (measure_resources, ([1.0], 1, 1.0, "x"), {}),
     "measure_resources-usage-text": (measure_resources, (["x"], 1, 1.0, 0.5), {}),
+    "uniform_range-ends-text": (lambda lo, hi: Xorshift64Star(1).uniform_range(lo, hi),
+                                ("a", "b"), {}),
     # A resource is a number, as dt, phi, theta and duration are.
     "Scenario-resource-text": (scenario, (("5",),), {}),
     "Scenario-resource-bool": (scenario, ((True,),), {}),
@@ -81,6 +79,13 @@ CASES = {
     "maximal_subset-budget-text": (maximal_subset, (TASKS, "x"), {}),
     "maximal_subset-budget-nan": (maximal_subset, (TASKS, math.nan), {}),
     "maximal_subset-used-nan": (maximal_subset, (TASKS, 5.0, math.nan), {}),
+    # Sequences and mappings are what the helpers read them as.
+    "maximal_subset-candidates-ints": (maximal_subset, ([1, 2], 3.0), {}),
+    "maximal_subset-candidates-None": (maximal_subset, (None, 3.0), {}),
+    "measure_resources-usage-int": (measure_resources, (5, 3, 1.0, 0.5), {}),
+    "measure_resources-usage-None": (measure_resources, (None, 3, 1.0, 0.5), {}),
+    "build_partition-sectors-list": (build_partition, (3, [1, 2]), {}),
+    "build_partition-provenance-None": (build_partition, (3, {0: 1}, None), {}),
     # A partition checks its ids and tags when it is built.
     "SchedulePartition-float-id": (SchedulePartition, (((1.5,),), {}), {}),
     "SchedulePartition-bool-id": (SchedulePartition, (((True,),), {}), {}),
@@ -164,7 +169,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: GenParams(dt=math.nan), "dt=nan must be positive and finite"),
-    (lambda: main_sector(0.0, 2.5, 1.0), "n_sectors=2.5 must be a positive integer"),
+    (lambda: sector_of_direction(1.0, 2.5), "n_sectors=2.5 must be a positive integer"),
     (lambda: GenParams(fov_half_width=-1), "fov_half_width=-1 must be a non-negative integer"),
     (lambda: scenario((None,)), "resources[0]=None must be an int or a float"),
     (lambda: scenario((10 ** 400,)), "resources[0]: an int beyond the float range"),
@@ -178,6 +183,11 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: GenParams(n_sectors=10 ** 15),
      "n_sectors=1000000000000000 exceeds MAX_GENERATED=1000000"),
     (lambda: build_partition(2, {0: True}), "task 0: sector True is not an integer in [0, 2)"),
+    (lambda: build_partition(3, [1, 2]), "sector_of_task must be a mapping, not list"),
+    (lambda: maximal_subset([1, 2], 3.0), "candidates[0]=1 is not a SurveillanceTask"),
+    (lambda: maximal_subset(None, 3.0), "candidates must be iterable, not NoneType"),
+    (lambda: Xorshift64Star(1).uniform_range("a", "b"), "lo='a' must be an int or a float"),
+    (lambda: sio.write_comparison([1], os.devnull), "rows[0]=1 is not a dict"),
     (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
     (lambda: Scenario(1, 0, 1.0, (5.0,), (5,)), "tasks[0]=5 is not a SurveillanceTask"),
     (lambda: revisit_stats(None, DESK), "expected a SimulationTrace, not NoneType"),
@@ -259,4 +269,20 @@ def test_write_comparison_refuses_an_unknown_format(tmp_path):
     path = tmp_path / "cmp.xml"
     with pytest.raises(InvalidInputError, match="fmt='xml' must be 'csv' or 'json'"):
         sio.write_comparison([{"policy": "edf"}], path, fmt="xml")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: sio.write_partition(None, path),
+    lambda path: sio.write_load_report(None, path),
+    lambda path: sio.write_trace(None, DESK, path),
+    lambda path: sio.write_revisit_stats(None, path),
+    lambda path: sio.write_comparison([1], path),
+    lambda path: sio.write_comparison(None, path),
+], ids=["partition", "load_report", "trace", "revisit_stats", "comparison-row",
+        "comparison-None"])
+def test_writer_refuses_a_wrong_argument_before_opening_the_file(write, tmp_path):
+    path = tmp_path / "out"
+    with pytest.raises(InvalidInputError):
+        write(path)
     assert not path.exists()

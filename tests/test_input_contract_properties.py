@@ -28,11 +28,8 @@ from sectorsched import (  # noqa: E402
     SectorSchedError,
     SurveillanceTask,
     Xorshift64Star,
-    active_sectors,
-    angular_sector_distance,
     bin_packing_reduce,
     generate,
-    main_sector,
     maximal_subset,
     measure_resources,
     sector_of_direction,
@@ -75,9 +72,6 @@ ENTRY_POINTS = {
     "Scenario": (_scenario, (2, 1, 1.0, 1.0, 2.0, 0, 0.1, 0.0, 1.0)),
     "generate": (_generate, (3, 1, 25.0, 0, 0, 2, 0.5, 3.0, 5.0, 20.0, 1, 0.5, 2.0)),
     "sector_of_direction": (sector_of_direction, (0.1, 4)),
-    "main_sector": (main_sector, (30.0, 4, 25.0)),
-    "active_sectors": (active_sectors, (1, 1, 4)),
-    "angular_sector_distance": (angular_sector_distance, (0, 3, 4)),
     "measure_resources": (lambda u0, u1, n, dt, alpha: measure_resources(
         [u0, u1], n, dt, alpha), (1.0, 2.0, 2, 5.0, 0.5)),
     "simulate": (lambda cycles: simulate(TINY, POLICY_EDF, cycles=cycles), (2,)),

@@ -9,7 +9,6 @@ from sectorsched import (
     PROVENANCE_OWN,
     ScenarioValidationError,
     SchedulePartition,
-    angular_sector_distance,
     broadside_baseline,
     build_partition,
     check_partition,
@@ -20,7 +19,7 @@ from sectorsched import (
 )
 from sectorsched import io as sio
 from sectorsched.simulate import POLICY_PARTITION, simulate
-from conftest import mutated, scenario_from
+from conftest import cyclic_distance, mutated, scenario_from
 
 
 @pytest.fixture
@@ -160,7 +159,7 @@ class TestCheckPartition:
             for home in range(n):
                 s = scenario_from(n, w, 1.0, (1.0,) * n, [(home, 1.0)])
                 for sector in range(n):
-                    dist = angular_sector_distance(sector, home, n)
+                    dist = cyclic_distance(sector, home, n)
                     expected = [] if dist <= w else [
                         f"task 0 executed {dist} sectors from home (fov half-width {w})"]
                     assert check_partition(s, build_partition(n, {0: sector})) == expected

@@ -11,13 +11,10 @@ from sectorsched import (
     Scenario,
     SurveillanceTask,
     Xorshift64Star,
-    active_sectors,
-    angular_sector_distance,
-    main_sector,
     sector_of_direction,
 )
-from sectorsched.model import validate_scenario
-from conftest import dedup_active_sectors, scenario_from
+from sectorsched.model import fov_offsets, validate_scenario
+from conftest import cyclic_distance, dedup_active_sectors, scenario_from
 
 
 class TestSectorOfDirection:
@@ -60,43 +57,15 @@ class TestSectorOfDirection:
                 assert sector_of_direction(i * math.tau / n, n) == i
 
 
-class TestMainSector:
-    def test_start(self):
-        assert main_sector(0.0, 30, 0.1) == 0
-
-    def test_mid_pass(self):
-        assert main_sector(0.35, 30, 0.1) == 3
-
-    def test_full_rotation_wraps(self):
-        assert main_sector(3.0, 30, 0.1) == 0
-
-    def test_bad_dt(self):
-        with pytest.raises(InvalidInputError):
-            main_sector(1.0, 30, 0.0)
-
-    def test_negative_time(self):
-        with pytest.raises(InvalidInputError):
-            main_sector(-1.0, 30, 0.1)
-
-    # Each leaked a bare OverflowError or ValueError, or returned 0 or 1.0.
-    @pytest.mark.parametrize("t, n_sectors, dt", [
-        (math.inf, 30, 0.1), (math.nan, 30, 0.1), (1.0, 30, math.nan),
-        (1.0, 30, math.inf), (1.0, 4.5, 0.1), (1.0, True, 0.1), (1e300, 30, 1e-300),
-    ], ids=["t-inf", "t-nan", "dt-nan", "dt-inf", "n-float", "n-bool", "t-over-dt-inf"])
-    def test_non_finite_or_non_integer_input(self, t, n_sectors, dt):
-        with pytest.raises(InvalidInputError):
-            main_sector(t, n_sectors, dt)
-
-    def test_rotation_periodicity(self):
-        rng = Xorshift64Star(5)
-        for _ in range(200):
-            n = 1 + rng.randint(0, 19)
-            dt = 0.05 + rng.uniform()
-            t = rng.uniform() * 40.0
-            assert main_sector(t + n * dt, n, dt) == main_sector(t, n, dt)
+def active_sectors(m, fov, n_sectors):
+    """Sectors reachable while the main sector is ``m``, as the equalizer,
+    the simulator and the exact search reach them."""
+    return tuple((m + c) % n_sectors for c in fov_offsets(fov, n_sectors))
 
 
 class TestActiveSectors:
+    """The field of view the pipeline runs: ``model.fov_offsets``."""
+
     def test_wide_fov(self):
         assert active_sectors(0, 5, 30) == (25, 26, 27, 28, 29, 0, 1, 2, 3, 4, 5)
 
@@ -120,25 +89,7 @@ class TestActiveSectors:
     def test_clamped_to_full_coverage(self):
         assert set(active_sectors(3, 99, 6)) == set(range(6))
         assert set(active_sectors(2, 2, 5)) == set(range(5))
-
-    def test_main_sector_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            active_sectors(5, 1, 5)
-
-    @pytest.mark.parametrize("n_sectors", [4.5, 4.0, True])
-    def test_non_integer_sector_count(self, n_sectors):
-        with pytest.raises(InvalidInputError, match="must be a positive integer"):
-            active_sectors(0, 1, n_sectors)
-
-    @pytest.mark.parametrize("m", [0.5, 1.0, True])
-    def test_non_integer_main_sector(self, m):
-        with pytest.raises(InvalidInputError, match="is not an integer"):
-            active_sectors(m, 1, 8)
-
-    @pytest.mark.parametrize("fov", [1.5, 1.0, True])
-    def test_non_integer_fov(self, fov):
-        with pytest.raises(InvalidInputError, match="must be a non-negative integer"):
-            active_sectors(0, fov, 8)
+        assert fov_offsets(99, 6) == fov_offsets(3, 6) == range(-3, 3)
 
     def test_matches_dedup_definition(self):
         for n_sectors in range(1, 13):
@@ -155,37 +106,14 @@ class TestActiveSectors:
             a = rng.randint(0, n_sectors - 1)
             reachable = set(active_sectors(a, fov, n_sectors))
             for b in range(n_sectors):
-                assert (angular_sector_distance(a, b, n_sectors) <= fov) == (b in reachable)
+                assert (cyclic_distance(a, b, n_sectors) <= fov) == (b in reachable)
 
-
-class TestAngularSectorDistance:
-    def test_wraparound_adjacency(self):
-        assert angular_sector_distance(0, 29, 30) == 1
-
-    def test_identity(self):
-        assert angular_sector_distance(5, 5, 30) == 0
-
-    def test_antipodal(self):
-        assert angular_sector_distance(0, 15, 30) == 15
-
-    def test_symmetric(self):
-        rng = Xorshift64Star(3)
-        for _ in range(100):
-            n = 1 + rng.randint(0, 30)
-            a, b = rng.randint(0, n - 1), rng.randint(0, n - 1)
-            d = angular_sector_distance(a, b, n)
-            assert d == angular_sector_distance(b, a, n)
-            assert (d == 0) == (a == b)
-
-    @pytest.mark.parametrize("n_sectors", [4.5, 4.0, True])
-    def test_non_integer_sector_count(self, n_sectors):
-        with pytest.raises(InvalidInputError, match="must be a positive integer"):
-            angular_sector_distance(0, 1, n_sectors)
-
-    @pytest.mark.parametrize("a, b", [(0.5, 1), (1, 1.0), (True, 1), (0, False)])
-    def test_non_integer_sector_index(self, a, b):
-        with pytest.raises(InvalidInputError, match="must be integers"):
-            angular_sector_distance(a, b, 4)
+    def test_offset_is_the_cyclic_distance(self):
+        # For every field of view, wider than the circle included.
+        for n_sectors in range(1, 13):
+            for fov in range(n_sectors + 2):
+                for c in fov_offsets(fov, n_sectors):
+                    assert cyclic_distance(c % n_sectors, 0, n_sectors) == abs(c)
 
 
 class TestSurveillanceTask:

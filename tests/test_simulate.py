@@ -17,7 +17,6 @@ from sectorsched import (
     SimulationTrace,
     TaskRevisit,
     TraceProblem,
-    angular_sector_distance,
     broadside_baseline,
     build_partition,
     check_trace,
@@ -27,7 +26,7 @@ from sectorsched import (
     revisit_stats,
     simulate,
 )
-from conftest import INVALID_FIELDS, mutated, scenario_from
+from conftest import INVALID_FIELDS, cyclic_distance, mutated, scenario_from
 
 
 class TestSimulatePartitionDriven:
@@ -393,8 +392,7 @@ def reference_simulate(scenario, variant, partition, cycles):
     by_id = scenario.task_by_id()
     if variant == POLICY_EDF:
         def eligible(sector, tid):
-            return angular_sector_distance(
-                sector, scenario.home[tid], n) <= scenario.fov_half_width
+            return cyclic_distance(sector, scenario.home[tid], n) <= scenario.fov_half_width
     else:
         sector_of = partition.sector_index()
 
@@ -512,7 +510,7 @@ def test_bucket_drain_matches_brute_force(case, seed):
     s = _equivalence_scenario(*case[:2], seed, *case[2:])
     rng = random.Random(seed)
     anywhere = build_partition(s.n_sectors, {
-        t.id: rng.choice([j for j in range(s.n_sectors) if angular_sector_distance(
+        t.id: rng.choice([j for j in range(s.n_sectors) if cyclic_distance(
             j, s.home[t.id], s.n_sectors) <= s.fov_half_width])
         for t in s.tasks}, {t.id: "fov-equalized" for t in s.tasks})
     runs = [(POLICY_EDF, None), (POLICY_PARTITION, broadside_baseline(s)),

@@ -12,11 +12,10 @@ PUBLIC = [
     "PROVENANCE_FOV", "PROVENANCE_LEFTOVER", "PROVENANCE_OWN", "RevisitStats", "Scenario",
     "ScenarioFormatError", "ScenarioValidationError", "SchedulePartition", "SearchLimits",
     "SectorSchedError", "SectorTargets", "SimulationTrace", "SurveillanceTask", "TaskRevisit",
-    "TraceProblem", "Xorshift64Star", "active_sectors", "angular_sector_distance",
-    "bin_packing_reduce", "broadside_baseline", "build_partition", "check_assignment",
-    "check_partition", "check_trace", "equalize", "exact_min_passes", "generate", "load_report",
-    "main_sector", "maximal_subset", "measure_resources", "revisit_stats", "sector_of_direction",
-    "sector_targets", "simulate",
+    "TraceProblem", "Xorshift64Star", "bin_packing_reduce", "broadside_baseline",
+    "build_partition", "check_assignment", "check_partition", "check_trace", "equalize",
+    "exact_min_passes", "generate", "load_report", "maximal_subset", "measure_resources",
+    "revisit_stats", "sector_of_direction", "sector_targets", "simulate",
 ]
 
 
