@@ -11,7 +11,7 @@ currently points.
 
 import math
 
-from sectorsched import sector_of_direction
+from sectorsched import Scenario, SurveillanceTask
 
 N = 30          # sectors
 DT = 0.1        # seconds per sector pass
@@ -23,10 +23,12 @@ def reachable_from(m, n):
     return tuple((m + c) % N for c in range(-n, n + 1))
 
 
-# Where do beam directions live?
-for phi in (0.0, math.pi / 2, math.pi, 5.5):
-    sector = sector_of_direction(phi, N)
-    print(f"azimuth {phi:5.2f} rad -> sector {sector:2d}")
+# Where do beam directions live?  A scenario maps each task to its home sector.
+scenario = Scenario(n_sectors=N, fov_half_width=FOV, dt=DT, resources=(1.0,) * N,
+                    tasks=tuple(SurveillanceTask(i, phi, 0.0, DT)
+                                for i, phi in enumerate((0.0, math.pi / 2, math.pi, 5.5))))
+for task in scenario.tasks:
+    print(f"azimuth {task.phi:5.2f} rad -> sector {scenario.home[task.id]:2d}")
 
 # The boresight sweeps one sector per pass and wraps after a full rotation.
 print()

@@ -38,7 +38,6 @@ from .model import (
     CAP_SLACK,
     Scenario,
     SurveillanceTask,
-    sector_of_direction,
 )
 from .simulate import (
     ExecutionRecord,
@@ -96,7 +95,6 @@ __all__ = [
     "maximal_subset",
     "measure_resources",
     "revisit_stats",
-    "sector_of_direction",
     "sector_targets",
     "simulate",
 ]

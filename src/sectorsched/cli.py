@@ -27,6 +27,7 @@ from .model import Scenario, check_count
 from .simulate import POLICY_EDF, POLICY_PARTITION, SimulationTrace, revisit_stats, simulate
 
 _POLICIES = ("greedy", "broadside", "edf")
+_ROW_FIELDS = ("policy", "max_relative_load", "worst_revisit_rotations", "completion_pass")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,12 +81,9 @@ def _row(policy: str, scenario: Scenario, trace: SimulationTrace, completion_pas
     sector: under the partition policy, the partition the trace ran."""
     sector_of_task = {rec.task_id: rec.sector for rec in reversed(trace.records)}
     partition = build_partition(scenario.n_sectors, sector_of_task)
-    return {
-        "policy": policy,
-        "max_relative_load": load_report(scenario, partition).max_relative_load,
-        "worst_revisit_rotations": revisit_stats(trace, scenario).max_interval_rot,
-        "completion_pass": completion_pass,
-    }
+    values = (policy, load_report(scenario, partition).max_relative_load,
+              revisit_stats(trace, scenario).max_interval_rot, completion_pass)
+    return dict(zip(_ROW_FIELDS, values))
 
 
 def _policy_row(scenario: Scenario, policy: str, cycles: int) -> dict:
@@ -147,7 +145,7 @@ def _cmd_compare(args) -> int:
             trace = _trace(scenario, partition, args.cycles)
             rows.append(_row("exact" if solution.optimal else "exact(limit)",
                              scenario, trace, solution.objective))
-    io.write_comparison(rows, args.out, fmt=args.format)
+    io.write_comparison(rows, args.out, fmt=args.format, fields=_ROW_FIELDS)
     for row in rows:
         print(f"{row['policy']}: max relative load {row['max_relative_load']:.6g}, "
               f"worst revisit {row['worst_revisit_rotations']:.6g} rotations, "
@@ -167,26 +165,21 @@ def _cmd_report(args) -> int:
         seed = args.seed + offset
         for fov in args.fov:
             scenario = generate(_gen_params(args, seed, fov))
-            for policy in _POLICIES:
-                row = {"seed": seed, "fov": fov}
-                row.update(_policy_row(scenario, policy, args.cycles))
-                detail.append(row)
-    io.write_comparison(detail, args.out, fmt=args.format, fields=(
-        "seed", "fov", "policy", "max_relative_load", "worst_revisit_rotations",
-        "completion_pass"))
+            detail.extend({"seed": seed, "fov": fov, **_policy_row(scenario, policy, args.cycles)}
+                          for policy in _POLICIES)
+    io.write_comparison(detail, args.out, fmt=args.format, fields=("seed", "fov", *_ROW_FIELDS))
 
     groups: dict[tuple[int, str], list[dict]] = {}
     for row in detail:
         groups.setdefault((row["fov"], row["policy"]), []).append(row)
-    fields = ("fov", "policy", "runs", "mean_max_relative_load",
-              "mean_worst_revisit_rotations", "mean_completion_pass")
+    measures = _ROW_FIELDS[1:]
+    fields = ("fov", "policy", "runs", *(f"mean_{key}" for key in measures))
     summary = []
     for (fov, policy), rows in sorted(groups.items()):
         # Plain left-to-right sums: sum() compensates float error from Python
         # 3.12 on, which would make the summary bytes depend on the version.
         means = [functools.reduce(operator.add, (r[key] for r in rows), 0) / len(rows)
-                 for key in ("max_relative_load", "worst_revisit_rotations",
-                             "completion_pass")]
+                 for key in measures]
         summary.append(dict(zip(fields, (fov, policy, len(rows), *means))))
     summary_path = _derived_path(args.out, "summary")
     io.write_comparison(summary, summary_path, fields=fields)

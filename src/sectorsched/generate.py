@@ -19,6 +19,7 @@ task count followed by (azimuth fraction, elevation, duration) per task.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
@@ -57,12 +58,17 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_range(self, lo: float, hi: float) -> float:
-        """Double between the numbers ``lo`` and ``hi``."""
+        """Double between the numbers ``lo`` <= ``hi``, finite and at most
+        the float range apart."""
         if type(lo) is not float:
             check_number(lo, "lo")
         if type(hi) is not float:
             check_number(hi, "hi")
-        return lo + self.uniform() * (hi - lo)
+        width = hi - lo
+        if not (lo <= hi and width <= sys.float_info.max):  # also refuses NaN and inf
+            raise InvalidInputError(f"range ({lo!r}, {hi!r}) must be finite, ordered "
+                                    "and at most the float range wide")
+        return lo + self.uniform() * width
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], both ends inclusive."""

@@ -248,26 +248,31 @@ def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:
         for tid, home, sector, seconds, rotations in stats.per_task])
 
 
-def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv",
-                     fields: Sequence[str] = ("policy", "max_relative_load",
-                                              "worst_revisit_rotations",
-                                              "completion_pass")) -> None:
-    """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  The CSV header
-    is the first row's keys, or ``fields`` for a table without rows.  JSON
-    has no non-finite number, so there an infinite or NaN float is the
-    string of its ``repr`` (``"inf"``), the token the CSV form writes.  Any
-    other ``fmt``, or a row that is not a dict, raises :class:`InvalidInputError`."""
+def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv", *,
+                     fields: Sequence[str]) -> None:
+    """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  ``fields`` is
+    the CSV header, and each row is a dict whose keys are ``fields`` in that
+    order.  JSON has no non-finite number, so there an infinite or NaN float
+    is the string of its ``repr`` (``"inf"``), the token the CSV form writes.
+    Any other ``fmt``, or any other row, raises :class:`InvalidInputError`
+    before the file is opened."""
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"fmt={fmt!r} must be 'csv' or 'json'")
+    fields = as_tuple(fields, "fields")
+    if not all(type(name) is str for name in fields):
+        raise InvalidInputError(f"fields={fields!r} must be column names (str)")
     rows = as_tuple(rows, "rows")
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise InvalidInputError(f"rows[{i}]={row!r} is not a dict")
+        if tuple(row) != fields:
+            raise InvalidInputError(
+                f"rows[{i}] has the keys {tuple(row)}, not the fields {fields}")
     if fmt == "json":
         rows = [{k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]
         Path(path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         return
-    _write_csv(path, list(rows[0]) if rows else fields, [
+    _write_csv(path, fields, [
         ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
         for row in rows])

@@ -78,8 +78,8 @@ def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
                     provenance: Mapping[int, str] = {}) -> SchedulePartition:
     """Canonical SchedulePartition from task id -> sector, tagging the tasks
     ``provenance`` has.  A sector that is not an int in ``[0, n_sectors)``
-    (a bool is no sector), or an argument that is not a mapping, raises
-    :class:`InvalidInputError`."""
+    (a bool is no sector), a task id that is not a non-negative int, or an
+    argument that is not a mapping, raises :class:`InvalidInputError`."""
     check_count(n_sectors, "n_sectors")
     for value, name in ((sector_of_task, "sector_of_task"), (provenance, "provenance")):
         if not isinstance(value, Mapping):
@@ -90,10 +90,13 @@ def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
             raise InvalidInputError(
                 f"task {tid!r}: sector {sector!r} is not an integer in [0, {n_sectors})")
         buckets[sector].append(tid)
-    return SchedulePartition(
-        assignments=tuple(tuple(sorted(ids)) for ids in buckets),
-        provenance={tid: provenance[tid] for tid in sorted(sector_of_task) if tid in provenance},
-    )
+    try:
+        assignments = tuple(tuple(sorted(ids)) for ids in buckets)
+        tags = {tid: provenance[tid] for tid in sorted(sector_of_task) if tid in provenance}
+    except TypeError:  # ids that do not order, such as an int and a str
+        raise InvalidInputError(
+            "sector_of_task: task ids must be non-negative integers") from None
+    return SchedulePartition(assignments=assignments, provenance=tags)
 
 
 @dataclass(frozen=True)

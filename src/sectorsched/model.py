@@ -28,8 +28,8 @@ from .errors import InvalidInputError, ScenarioValidationError
 # of real-valued durations do not flip a decision through accumulation noise.
 CAP_SLACK = 1e-9
 
-# Tolerance on the floor in sector_of_direction: an azimuth sitting within
-# 1e-9 (in sector units) below a sector boundary resolves to the next sector.
+# Tolerance on the floor in Scenario.home: an azimuth sitting within 1e-9
+# (in sector units) below a sector boundary resolves to the next sector.
 _FLOOR_EPS = 1e-9
 
 
@@ -160,8 +160,9 @@ class Scenario:
         violations = validate_scenario(self)
         if violations:
             raise ScenarioValidationError(violations)
+        n = self.n_sectors  # n >= 1 and each phi in [0, 2*pi): checked above
         object.__setattr__(self, "home", {
-            t.id: sector_of_direction(t.phi, self.n_sectors) for t in self.tasks})
+            t.id: min(math.floor(t.phi / math.tau * n + _FLOOR_EPS), n - 1) for t in self.tasks})
 
     @property
     def rotation_time(self) -> float:
@@ -177,16 +178,6 @@ def check_instance(value, kind: type) -> None:
     as a :class:`Scenario`."""
     if not isinstance(value, kind):
         raise InvalidInputError(f"expected a {kind.__name__}, not {type(value).__name__}")
-
-
-def sector_of_direction(phi: float, n_sectors: int) -> int:
-    """Sector index owning azimuth ``phi``: floor(phi / (2*pi) * n_sectors)."""
-    check_count(n_sectors, "n_sectors")
-    if type(phi) is not float:
-        check_number(phi, "phi")
-    if not 0.0 <= phi < math.tau:
-        raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
-    return min(math.floor(phi / math.tau * n_sectors + _FLOOR_EPS), n_sectors - 1)
 
 
 def fov_offsets(fov_half_width: int, n_sectors: int) -> range:

@@ -82,6 +82,13 @@ def cyclic_distance(a, b, n_sectors):
     return min((a - b) % n_sectors, (b - a) % n_sectors)
 
 
+def home_sector(phi, n_sectors):
+    """The slice k of N equal azimuth slices with k <= phi / (2*pi) * N < k + 1,
+    where an azimuth within 1e-9 sector widths below a boundary counts as past
+    it, and the last slice also holds what rounds up to 2*pi."""
+    return min(math.floor(phi / math.tau * n_sectors + 1e-9), n_sectors - 1)
+
+
 def dedup_active_sectors(m, fov, n_sectors):
     """Reachable sectors by their first definition: (m + c) mod N for c in
     -w..w with w = min(fov, N // 2), repeats dropped in first-seen order."""

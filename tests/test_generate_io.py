@@ -15,11 +15,11 @@ from sectorsched import (
     equalize,
     generate,
     load_report,
-    sector_of_direction,
 )
 from sectorsched import io as sio
 from sectorsched.model import fov_offsets
 from sectorsched.simulate import POLICY_PARTITION, revisit_stats, simulate
+from conftest import home_sector
 
 
 class TestXorshift:
@@ -88,7 +88,7 @@ class TestGenerate:
     def test_tasks_live_in_their_sector(self):
         s = generate(GenParams(n_sectors=12, seed=77))
         for t in s.tasks:
-            assert s.home[t.id] == sector_of_direction(t.phi, 12)
+            assert s.home[t.id] == home_sector(t.phi, 12)
             assert -math.pi <= t.theta <= math.pi
             assert 0.5 <= t.duration <= 3.0
         assert all(5.0 <= r <= 20.0 for r in s.resources)

@@ -35,7 +35,6 @@ from sectorsched import (
     maximal_subset,
     measure_resources,
     revisit_stats,
-    sector_of_direction,
     sector_targets,
     simulate,
 )
@@ -60,11 +59,16 @@ CASES = {
     "GenParams-dt-inf": (GenParams, (), {"dt": math.inf}),
     "measure_resources-dt-text": (measure_resources, ([1.0], 1, "x", 0.5), {}),
     # The other numbers of the geometry and resource helpers.
-    "sector_of_direction-phi-text": (sector_of_direction, ("x", 4), {}),
+    "SurveillanceTask-phi-text": (SurveillanceTask, (0, "x", 0.0, 1.0), {}),
     "measure_resources-alpha-text": (measure_resources, ([1.0], 1, 1.0, "x"), {}),
     "measure_resources-usage-text": (measure_resources, (["x"], 1, 1.0, 0.5), {}),
     "uniform_range-ends-text": (lambda lo, hi: Xorshift64Star(1).uniform_range(lo, hi),
                                 ("a", "b"), {}),
+    # A generator range is finite, ordered and within the float range.
+    "uniform_range-end-nan": (Xorshift64Star(1).uniform_range, (math.nan, 1.0), {}),
+    "uniform_range-end-inf": (Xorshift64Star(1).uniform_range, (0.0, math.inf), {}),
+    "uniform_range-reversed": (Xorshift64Star(1).uniform_range, (5.0, 1.0), {}),
+    "uniform_range-too-wide": (Xorshift64Star(1).uniform_range, (-1e308, 1e308), {}),
     # A resource is a number, as dt, phi, theta and duration are.
     "Scenario-resource-text": (scenario, (("5",),), {}),
     "Scenario-resource-bool": (scenario, ((True,),), {}),
@@ -117,7 +121,7 @@ CASES = {
     # A hotspot sector is listed once: a second entry would replace the first.
     "GenParams-hotspot-twice": (GenParams, (), {"hotspots": ((1, 0.5, 2.0), (1, 0.0, 1.0))}),
     # A count is within the float range.
-    "sector_of_direction-n-huge": (sector_of_direction, (0.1, 10 ** 400), {}),
+    "Scenario-n-huge": (Scenario, (10 ** 400, 0, 1.0, ()), {}),
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
     "measure_resources-n-past-maxsize": (measure_resources, ([1.0], 10 ** 20, 1.0, 0.5), {}),
     "GenParams-task-count-huge": (GenParams, (), {"tasks_per_sector": (0, 10 ** 400)}),
@@ -132,6 +136,8 @@ CASES = {
     "build_partition-sector-past-n": (build_partition, (2, {0: 5}), {}),
     "build_partition-sector-float": (build_partition, (2, {0: 1.0}), {}),
     "build_partition-n-float": (build_partition, (2.0, {0: 1}), {}),
+    # Task ids are ints, also where the rows are sorted.
+    "build_partition-ids-mixed": (build_partition, (2, {"a": 0, 1: 0}), {}),
     # Sequences are iterable, and a scenario's tasks are tasks.
     "bin_packing-sizes-not-iterable": (bin_packing_reduce, (5, [1.0]), {}),
     "bin_packing-capacities-not-iterable": (bin_packing_reduce, ([1.0], 5), {}),
@@ -169,7 +175,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: GenParams(dt=math.nan), "dt=nan must be positive and finite"),
-    (lambda: sector_of_direction(1.0, 2.5), "n_sectors=2.5 must be a positive integer"),
+    (lambda: Scenario(2.5, 0, 1.0, (1.0,)), "n_sectors=2.5 must be a positive integer"),
     (lambda: GenParams(fov_half_width=-1), "fov_half_width=-1 must be a non-negative integer"),
     (lambda: scenario((None,)), "resources[0]=None must be an int or a float"),
     (lambda: scenario((10 ** 400,)), "resources[0]: an int beyond the float range"),
@@ -187,7 +193,14 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: maximal_subset([1, 2], 3.0), "candidates[0]=1 is not a SurveillanceTask"),
     (lambda: maximal_subset(None, 3.0), "candidates must be iterable, not NoneType"),
     (lambda: Xorshift64Star(1).uniform_range("a", "b"), "lo='a' must be an int or a float"),
-    (lambda: sio.write_comparison([1], os.devnull), "rows[0]=1 is not a dict"),
+    (lambda: sio.write_comparison([1], os.devnull, fields=("policy",)),
+     "rows[0]=1 is not a dict"),
+    (lambda: sio.write_comparison([{"a": 1}, {"b": 2, "c": 3}], os.devnull, fields=("a",)),
+     "rows[1] has the keys ('b', 'c'), not the fields ('a',)"),
+    (lambda: build_partition(2, {"a": 0, 1: 0}),
+     "sector_of_task: task ids must be non-negative integers"),
+    (lambda: Xorshift64Star(1).uniform_range(5.0, 1.0),
+     "range (5.0, 1.0) must be finite, ordered and at most the float range wide"),
     (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
     (lambda: Scenario(1, 0, 1.0, (5.0,), (5,)), "tasks[0]=5 is not a SurveillanceTask"),
     (lambda: revisit_stats(None, DESK), "expected a SimulationTrace, not NoneType"),
@@ -268,7 +281,7 @@ def test_record_cap_admits_two_cycles_of_the_largest_generated_scenario(monkeypa
 def test_write_comparison_refuses_an_unknown_format(tmp_path):
     path = tmp_path / "cmp.xml"
     with pytest.raises(InvalidInputError, match="fmt='xml' must be 'csv' or 'json'"):
-        sio.write_comparison([{"policy": "edf"}], path, fmt="xml")
+        sio.write_comparison([{"policy": "edf"}], path, fmt="xml", fields=("policy",))
     assert not path.exists()
 
 
@@ -277,10 +290,13 @@ def test_write_comparison_refuses_an_unknown_format(tmp_path):
     lambda path: sio.write_load_report(None, path),
     lambda path: sio.write_trace(None, DESK, path),
     lambda path: sio.write_revisit_stats(None, path),
-    lambda path: sio.write_comparison([1], path),
-    lambda path: sio.write_comparison(None, path),
+    lambda path: sio.write_comparison([1], path, fields=("policy",)),
+    lambda path: sio.write_comparison(None, path, fields=("policy",)),
+    lambda path: sio.write_comparison([{"a": 1}, {"b": 2, "c": 3}], path, fields=("a",)),
+    lambda path: sio.write_comparison([{"b": 1, "a": 2}], path, fields=("a", "b")),
+    lambda path: sio.write_comparison([], path, fields=("a", 1)),
 ], ids=["partition", "load_report", "trace", "revisit_stats", "comparison-row",
-        "comparison-None"])
+        "comparison-None", "comparison-keys", "comparison-key-order", "comparison-fields"])
 def test_writer_refuses_a_wrong_argument_before_opening_the_file(write, tmp_path):
     path = tmp_path / "out"
     with pytest.raises(InvalidInputError):

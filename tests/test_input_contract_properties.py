@@ -32,7 +32,6 @@ from sectorsched import (  # noqa: E402
     generate,
     maximal_subset,
     measure_resources,
-    sector_of_direction,
     simulate,
 )
 from sectorsched import io as sio  # noqa: E402
@@ -71,7 +70,6 @@ def _partition_round_trip(tid, tagged, tag):
 ENTRY_POINTS = {
     "Scenario": (_scenario, (2, 1, 1.0, 1.0, 2.0, 0, 0.1, 0.0, 1.0)),
     "generate": (_generate, (3, 1, 25.0, 0, 0, 2, 0.5, 3.0, 5.0, 20.0, 1, 0.5, 2.0)),
-    "sector_of_direction": (sector_of_direction, (0.1, 4)),
     "measure_resources": (lambda u0, u1, n, dt, alpha: measure_resources(
         [u0, u1], n, dt, alpha), (1.0, 2.0, 2, 5.0, 0.5)),
     "simulate": (lambda cycles: simulate(TINY, POLICY_EDF, cycles=cycles), (2,)),

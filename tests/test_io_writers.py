@@ -18,6 +18,7 @@ import pytest
 
 from sectorsched import (
     GenParams,
+    InvalidInputError,
     POLICY_EDF,
     POLICY_PARTITION,
     PROVENANCE_LEFTOVER,
@@ -70,10 +71,10 @@ def reference_write_revisit_stats(stats, path):
 def reference_write_comparison(rows, path, fields):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(rows[0].keys()) if rows else fields)
+        writer.writerow(fields)
         for row in rows:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else v for v in row.values()])
+            writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k]
+                             for k in fields])
 
 
 def reference_write_scenario(scenario, path):
@@ -219,10 +220,19 @@ def test_cases_reach_what_they_claim(tmp_path):
     ("policy", "max_relative_load", "worst_revisit_rotations", "completion_pass"),
     ("fov", "policy", "runs", "mean_max_relative_load",
      "mean_worst_revisit_rotations", "mean_completion_pass"),
-], ids=["default-header", "summary-header"])
+    ("seed", "fov", "policy", "max_relative_load", "worst_revisit_rotations",
+     "completion_pass"),
+], ids=["default-header", "summary-header", "detail-header"])
 def test_comparison_writer_matches_csv_writer(tmp_path, rows, fields):
-    _same_bytes(tmp_path, lambda r, p: sio.write_comparison(r, p, fields=fields),
-                lambda r, p: reference_write_comparison(r, p, fields), rows)
+    # Rows whose keys are the fields, none included, are written as csv.writer
+    # writes them; any other row is refused before the file is opened.
+    if all(tuple(row) == fields for row in rows):
+        _same_bytes(tmp_path, lambda r, p: sio.write_comparison(r, p, fields=fields),
+                    lambda r, p: reference_write_comparison(r, p, fields), rows)
+    else:
+        with pytest.raises(InvalidInputError, match=r"rows\[0\] has the keys .*, not the fields"):
+            sio.write_comparison(rows, tmp_path / "out", fields=fields)
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", JSON_SCENARIOS)

@@ -11,50 +11,43 @@ from sectorsched import (
     Scenario,
     SurveillanceTask,
     Xorshift64Star,
-    sector_of_direction,
 )
 from sectorsched.model import fov_offsets, validate_scenario
-from conftest import cyclic_distance, dedup_active_sectors, scenario_from
+from conftest import cyclic_distance, dedup_active_sectors, home_sector, scenario_from
 
 
-class TestSectorOfDirection:
+def homes(phis, n_sectors):
+    """``Scenario.home`` of tasks 0, 1, ... at azimuths ``phis``, in task order."""
+    s = Scenario(n_sectors=n_sectors, fov_half_width=0, dt=1.0, resources=(1.0,) * n_sectors,
+                 tasks=tuple(SurveillanceTask(i, phi, 0.0, 1.0) for i, phi in enumerate(phis)))
+    return [s.home[i] for i in range(len(phis))]
+
+
+class TestHome:
+    """``Scenario.home``: the slice of N equal azimuth slices a task falls in."""
+
     def test_lower_boundary(self):
-        assert sector_of_direction(0.0, 30) == 0
+        assert homes([0.0], 30) == [0]
 
     def test_half_circle(self):
-        assert sector_of_direction(math.pi, 30) == 15
+        assert homes([math.pi], 30) == [15]
 
     def test_three_quarters(self):
-        assert sector_of_direction(3 * math.pi / 2, 4) == 3
+        assert homes([3 * math.pi / 2], 4) == [3]
 
     def test_just_below_full_circle(self):
-        assert sector_of_direction(math.nextafter(math.tau, 0.0), 30) == 29
-
-    def test_out_of_range_phi(self):
-        with pytest.raises(InvalidInputError):
-            sector_of_direction(math.tau, 30)
-        with pytest.raises(InvalidInputError):
-            sector_of_direction(-0.1, 30)
-
-    def test_zero_sectors(self):
-        with pytest.raises(InvalidInputError):
-            sector_of_direction(1.0, 0)
-
-    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
-    def test_non_integer_sector_count(self, n_sectors):
-        with pytest.raises(InvalidInputError, match="must be a positive integer"):
-            sector_of_direction(1.0, n_sectors)
+        for n in (1, 4, 30, 360):
+            assert homes([math.nextafter(math.tau, 0.0)], n) == [n - 1]
 
     def test_partition_covers_and_is_disjoint(self):
         # Every azimuth gets exactly one sector; sector boundaries line up.
         rng = Xorshift64Star(11)
         for n in (1, 4, 30, 37):
-            for _ in range(300):
-                phi = rng.uniform() * math.tau
-                s = sector_of_direction(phi, n)
-                assert 0 <= s < n
-            for i in range(n):
-                assert sector_of_direction(i * math.tau / n, n) == i
+            phis = [rng.uniform() * math.tau for _ in range(300)]
+            found = homes(phis, n)
+            assert found == [home_sector(phi, n) for phi in phis]
+            assert all(0 <= h < n for h in found)
+            assert homes([i * math.tau / n for i in range(n)], n) == list(range(n))
 
 
 def active_sectors(m, fov, n_sectors):
@@ -171,6 +164,11 @@ class TestScenario:
         with pytest.raises(InvalidInputError, match="dt: an int beyond the float range"):
             Scenario(n_sectors=2, fov_half_width=0, dt=10 ** 400, resources=(1.0, 1.0))
 
+    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            Scenario(n_sectors=n_sectors, fov_half_width=0, dt=1.0, resources=(1.0,) * 4)
+
     def test_bool_counts_rejected(self):
         # True and False are ints, but a scenario file cannot hold them as counts.
         for counts in ({"n_sectors": True, "fov_half_width": 0},
@@ -189,7 +187,7 @@ class TestScenario:
         s = scenario_from(4, 1, 1.0, (1.0,) * 4, [(0, 1.0), (3, 1.0), (1, 1.0), (3, 1.0)])
         for m in (1, 2, 8, 12):
             t = dataclasses.replace(s, n_sectors=m, resources=(1.0,) * m)
-            assert t.home == {task.id: sector_of_direction(task.phi, m) for task in s.tasks}
+            assert t.home == {task.id: home_sector(task.phi, m) for task in s.tasks}
             assert t.tasks == s.tasks
         assert dataclasses.replace(s, n_sectors=2, resources=(1.0,) * 2).home == \
             {0: 0, 1: 1, 2: 0, 3: 1}

@@ -15,7 +15,7 @@ PUBLIC = [
     "TraceProblem", "Xorshift64Star", "bin_packing_reduce", "broadside_baseline",
     "build_partition", "check_assignment", "check_partition", "check_trace", "equalize",
     "exact_min_passes", "generate", "load_report", "maximal_subset", "measure_resources",
-    "revisit_stats", "sector_of_direction", "sector_targets", "simulate",
+    "revisit_stats", "sector_targets", "simulate",
 ]
 
 
