@@ -58,7 +58,7 @@ CASES = {
     "GenParams-dt-nan": (GenParams, (), {"dt": math.nan}),
     "GenParams-dt-inf": (GenParams, (), {"dt": math.inf}),
     "measure_resources-dt-text": (measure_resources, ([1.0], 1, "x", 0.5), {}),
-    # The other numbers of the geometry and resource helpers.
+    # A task's azimuth, and the other numbers of the resource helpers.
     "SurveillanceTask-phi-text": (SurveillanceTask, (0, "x", 0.0, 1.0), {}),
     "measure_resources-alpha-text": (measure_resources, ([1.0], 1, 1.0, "x"), {}),
     "measure_resources-usage-text": (measure_resources, (["x"], 1, 1.0, 0.5), {}),

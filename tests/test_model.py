@@ -23,8 +23,9 @@ def homes(phis, n_sectors):
     return [s.home[i] for i in range(len(phis))]
 
 
-class TestHome:
-    """``Scenario.home``: the slice of N equal azimuth slices a task falls in."""
+class TestSectorOfDirection:
+    """The home-sector rule, ``Scenario.home``: the slice of N equal azimuth
+    slices a task's direction falls in."""
 
     def test_lower_boundary(self):
         assert homes([0.0], 30) == [0]
@@ -38,6 +39,26 @@ class TestHome:
     def test_just_below_full_circle(self):
         for n in (1, 4, 30, 360):
             assert homes([math.nextafter(math.tau, 0.0)], n) == [n - 1]
+
+    def test_boundary_tolerance(self):
+        # Within 1e-9 sector widths below a boundary counts as past it.
+        for n in (4, 30, 360):
+            assert homes([(3 - 1e-10) * math.tau / n, (3 - 1e-8) * math.tau / n], n) == [3, 2]
+
+    def test_out_of_range_phi(self):
+        # No home outside [0, 2*pi): the task itself is refused.
+        for phi in (math.tau, -0.1):
+            with pytest.raises(InvalidInputError):
+                homes([phi], 30)
+
+    def test_zero_sectors(self):
+        with pytest.raises(InvalidInputError):
+            homes([1.0], 0)
+
+    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
+    def test_non_integer_sector_count(self, n_sectors):
+        with pytest.raises(InvalidInputError, match="must be a positive integer"):
+            Scenario(n_sectors=n_sectors, fov_half_width=0, dt=1.0, resources=(1.0,) * 4)
 
     def test_partition_covers_and_is_disjoint(self):
         # Every azimuth gets exactly one sector; sector boundaries line up.
@@ -163,11 +184,6 @@ class TestScenario:
     def test_dt_beyond_float_range(self):
         with pytest.raises(InvalidInputError, match="dt: an int beyond the float range"):
             Scenario(n_sectors=2, fov_half_width=0, dt=10 ** 400, resources=(1.0, 1.0))
-
-    @pytest.mark.parametrize("n_sectors", [2.5, 4.0, True])
-    def test_non_integer_sector_count(self, n_sectors):
-        with pytest.raises(InvalidInputError, match="must be a positive integer"):
-            Scenario(n_sectors=n_sectors, fov_half_width=0, dt=1.0, resources=(1.0,) * 4)
 
     def test_bool_counts_rejected(self):
         # True and False are ints, but a scenario file cannot hold them as counts.

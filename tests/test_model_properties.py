@@ -21,10 +21,13 @@ TOLERANCE = 1e-9 + 1e-12
 
 
 def azimuths(n):
-    """Any azimuth, a slice boundary k * 2*pi / n, or the float just below one."""
+    """Any azimuth, a slice boundary k * 2*pi / n, the float just below one, or
+    an azimuth up to 1e-6 sector widths below one."""
     boundary = st.integers(0, n - 1).map(lambda k: k * math.tau / n)
+    below = st.tuples(st.integers(1, n), st.floats(1e-11, 1e-6)).map(
+        lambda kd: (kd[0] - kd[1]) * math.tau / n)
     return st.one_of(st.floats(0.0, math.tau, exclude_max=True), boundary,
-                     boundary.map(lambda b: math.nextafter(b, 0.0)))
+                     boundary.map(lambda b: math.nextafter(b, 0.0)), below)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
