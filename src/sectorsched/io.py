@@ -254,8 +254,8 @@ def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv", *
     the CSV header, and each row is a dict whose keys are ``fields`` in that
     order.  JSON has no non-finite number, so there an infinite or NaN float
     is the string of its ``repr`` (``"inf"``), the token the CSV form writes.
-    Any other ``fmt``, or any other row, raises :class:`InvalidInputError`
-    before the file is opened."""
+    Any other ``fmt``, a field that is not a ``str``, or any other row raises
+    :class:`InvalidInputError` before the file is opened."""
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"fmt={fmt!r} must be 'csv' or 'json'")
     fields = as_tuple(fields, "fields")
