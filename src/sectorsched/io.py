@@ -12,9 +12,11 @@ level (an empty one is ``[]`` or ``{}``); an int is spelled by
 provenance tag by ``json.dumps``.
 
 A CSV file is a header row, then one row per record.  Values are joined by
-``,`` with no quoting (none holds a comma, quote or line break), every row
-ends in ``\r\n``, and floats are written as their ``repr`` (``1e-05``,
-``inf``): the bytes ``csv.writer`` writes for the same rows.
+``,`` with no quoting, every row ends in ``\r\n``, and floats are written
+as their ``repr`` (``1e-05``, ``inf``): the bytes ``csv.writer`` writes for
+the same rows.  No value the writers format from numbers holds a comma,
+quote or line break; the comparison table, whose cells and field names the
+caller gives, refuses one whose text holds ``,``, ``"``, ``\r`` or ``\n``.
 """
 
 from __future__ import annotations
@@ -227,10 +229,14 @@ def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) ->
     check_instance(scenario, Scenario)
     duration = {t.id: repr(t.duration) for t in scenario.tasks}
     n = scenario.n_sectors
+    try:
+        lines = [f"{pass_index},{pass_index // n},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
+                 for tid, sector, pass_index, offset, stamp in trace.records]
+    except KeyError as exc:
+        raise InvalidInputError(f"trace record of task {exc.args[0]!r}, "
+                                "which is not in the scenario") from None
     _write_csv(path, ("pass", "rotation", "sector", "task_id",
-                      "start_offset", "duration", "timestamp"), [
-        f"{pass_index},{pass_index // n},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
-        for tid, sector, pass_index, offset, stamp in trace.records])
+                      "start_offset", "duration", "timestamp"), lines)
 
 
 def read_trace(path: str | Path) -> list[ExecutionRecord]:
@@ -248,14 +254,18 @@ def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:
         for tid, home, sector, seconds, rotations in stats.per_task])
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv", *,
                      fields: Sequence[str]) -> None:
     """Policy comparison table; ``fmt`` is ``csv`` or ``json``.  ``fields`` is
     the CSV header, and each row is a dict whose keys are ``fields`` in that
     order.  JSON has no non-finite number, so there an infinite or NaN float
     is the string of its ``repr`` (``"inf"``), the token the CSV form writes.
-    Any other ``fmt``, a field that is not a ``str``, or any other row raises
-    :class:`InvalidInputError` before the file is opened."""
+    Any other ``fmt``, a field that is not a ``str``, any other row, or, for
+    CSV, a field or cell whose text holds ``,``, ``"``, ``\r`` or ``\n``
+    raises :class:`InvalidInputError` before the file is opened."""
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"fmt={fmt!r} must be 'csv' or 'json'")
     fields = as_tuple(fields, "fields")
@@ -273,6 +283,12 @@ def write_comparison(rows: Sequence[dict], path: str | Path, fmt: str = "csv", *
                  for k, v in row.items()} for row in rows]
         Path(path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         return
-    _write_csv(path, fields, [
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
-        for row in rows])
+    cells = [[repr(v) if isinstance(v, float) else str(v) for v in row.values()]
+             for row in rows]
+    for i, texts in enumerate((fields, *cells)):
+        for text in texts:
+            if not _CSV_SPECIAL.isdisjoint(text):
+                where = f"rows[{i - 1}]" if i else "fields"
+                raise InvalidInputError(f"{where}: {text!r} holds a comma, quote or line "
+                                        "break, which this CSV writer does not quote")
+    _write_csv(path, fields, map(",".join, cells))

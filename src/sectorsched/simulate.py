@@ -30,16 +30,18 @@ partition, ``model.fov_offsets`` for edf.  A task's priority
 ``(last illumination, id)`` changes only when it runs, and it runs once per
 cycle, so at the start of a cycle all T tasks are sorted once and each gets
 its rank, 0 the oldest; a bucket holds its ranks in order.  A pass runs a
-prefix of the merge of its reachable buckets, popping a heap of plain int
-ranks, the bucket heads, until the first task that does not fit.  That heap
-lasts the whole cycle.  Bucket h is in the window of sector j when
-(h - j - lo) mod N is below the window's width, so moving from j to j + 1
-only pushes the head of bucket (j + 1 + hi) mod N, which enters it.  An
-entry whose bucket is out of the window, or which is no longer its
-bucket's head, is stale and dropped when it reaches the top; a head pushed
-twice, as when the bucket that leaves a window of all N sectors re-enters
-it at once, is dropped the second time.  A pass costs
-O(log k + r log k) for k reachable buckets and r tasks run, a cycle adds
+prefix of the merge of its reachable buckets until the first task that
+does not fit.  A window one bucket wide, as for partition, merges nothing:
+the pass runs a prefix of the sector's own bucket straight from its tail,
+in O(r) for r tasks run.  A wider window pops a heap of plain int ranks,
+the bucket heads, that lasts the whole cycle.  Bucket h is in the window
+of sector j when (h - j - lo) mod N is below the window's width, so moving
+from j to j + 1 only pushes the head of bucket (j + 1 + hi) mod N, which
+enters it.  An entry whose bucket is out of the window, or which is no
+longer its bucket's head, is stale and dropped when it reaches the top; a
+head pushed twice, as when the bucket that leaves a window of all N
+sectors re-enters it at once, is dropped the second time.  Such a pass
+costs O(log k + r log k) for k reachable buckets, a cycle adds
 O(T log T) for the ranking and the heap rebuild, and "larger than every
 pass" is one comparison against the bucket's largest reachable resources.
 """
@@ -191,7 +193,7 @@ def simulate(scenario: Scenario, policy: str,
             heads = [bucket[-1] for c in window if (bucket := buckets[(sector + c) % n])]
             heapify(heads)
             remaining = n_tasks
-        elif bucket := buckets[(sector + hi) % n]:
+        elif width > 1 and (bucket := buckets[(sector + hi) % n]):
             # One sector on: bucket (sector + hi) enters the window, and the
             # entry of bucket (sector - 1 + lo), which left it, goes stale.
             heappush(heads, bucket[-1])
@@ -200,37 +202,59 @@ def simulate(scenario: Scenario, policy: str,
         start = pass_index * dt
         used = 0.0
         ran = 0
-        first = sector + lo  # bucket h is in the window if (h - first) % n < width
-        while heads:
-            rank = heads[0]
-            h = rank_bucket[rank]
-            bucket = buckets[h]
-            if not (bucket and bucket[-1] == rank and (h - first) % n < width):
-                heappop(heads)  # out of the window, or a head already run
-                continue
-            duration = rank_duration[rank]
-            oversized = used + duration > limit
-            if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
-                break
-            bucket.pop()
-            if bucket:
-                heapreplace(heads, bucket[-1])
-            else:
-                heappop(heads)
-            tid = order[rank]
-            timestamp = start + used
-            records.append(new_record(ExecutionRecord, (tid, sector, pass_index, used, timestamp)))
-            last_time[tid] = timestamp
-            used += duration
-            ran += 1
-            remaining -= 1
-            if oversized:
-                # Larger than every pass that reaches it: run it alone
-                # rather than deadlocking the cycle.
-                warnings.append(TraceProblem(
-                    "overfill", pass_index, tid, f"task {tid} (duration {duration}) "
-                    f"overfills sector {sector} (resources {budget}) in pass {pass_index}"))
-                break
+        if width == 1:
+            # The window is the sector's own bucket (lo == 0): the pass runs
+            # a prefix of it straight from its tail.
+            bucket = buckets[sector]
+            reach = reach_max[sector] + CAP_SLACK
+            while bucket:
+                rank = bucket[-1]
+                duration = rank_duration[rank]
+                oversized = used + duration > limit
+                if oversized and (ran or duration <= reach):
+                    break
+                bucket.pop()
+                tid = order[rank]
+                timestamp = start + used
+                records.append(new_record(ExecutionRecord, (tid, sector, pass_index, used, timestamp)))
+                last_time[tid] = timestamp
+                used += duration
+                ran += 1
+                if oversized:
+                    break
+        else:
+            first = sector + lo  # bucket h is in the window if (h - first) % n < width
+            while heads:
+                rank = heads[0]
+                h = rank_bucket[rank]
+                bucket = buckets[h]
+                if not (bucket and bucket[-1] == rank and (h - first) % n < width):
+                    heappop(heads)  # out of the window, or a head already run
+                    continue
+                duration = rank_duration[rank]
+                oversized = used + duration > limit
+                if oversized and (ran or duration <= reach_max[h] + CAP_SLACK):
+                    break
+                bucket.pop()
+                if bucket:
+                    heapreplace(heads, bucket[-1])
+                else:
+                    heappop(heads)
+                tid = order[rank]
+                timestamp = start + used
+                records.append(new_record(ExecutionRecord, (tid, sector, pass_index, used, timestamp)))
+                last_time[tid] = timestamp
+                used += duration
+                ran += 1
+                if oversized:
+                    break
+        remaining -= ran
+        if used > limit:
+            # Only a task larger than every pass that reaches it runs past
+            # the limit, alone, rather than deadlocking the cycle.
+            warnings.append(TraceProblem(
+                "overfill", pass_index, tid, f"task {tid} (duration {duration}) "
+                f"overfills sector {sector} (resources {budget}) in pass {pass_index}"))
         if not remaining:
             if completion_pass < 0:
                 completion_pass = pass_index
@@ -286,37 +310,50 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     w = scenario.fov_half_width
     dt = scenario.dt
 
+    # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
+    far = [w < d < n - w for d in range(n)]
+    # The walk starts in an empty pass -1.  A pass's start, sector and
+    # running load are set when the pass changes; its load is stored when
+    # it ends and resumed from there if the pass comes back.
     load_by_pass: dict[int, float] = {}
+    previous_p, previous_offset = -1, -math.inf
+    start, expected, load = previous_p * dt, previous_p % n, 0.0
     # Once-per-cycle coverage, cycle boundaries re-derived from the records.
     current: set[int] = set()
     closes: list[int] = []
-    previous_p, previous_offset = -1, -math.inf
     for tid, sector, p, offset, timestamp in trace.records:
         # Execution order is (pass, offset); raw timestamps may interleave
         # when a sector's resources exceed the kinematic pass duration.
-        if p < previous_p or (p == previous_p and offset < previous_offset):
+        if p != previous_p:
+            if p < previous_p:
+                problems.append(TraceProblem(
+                    "order", p, tid, f"records out of execution order at pass {p}"))
+            load_by_pass[previous_p] = load
+            load = load_by_pass.get(p, 0.0)
+            start, expected = p * dt, p % n
+            previous_p = p
+        elif offset < previous_offset:
             problems.append(TraceProblem(
                 "order", p, tid, f"records out of execution order at pass {p}"))
-        previous_p, previous_offset = p, offset
-        if timestamp != p * dt + offset:
+        previous_offset = offset
+        if timestamp != start + offset:
             problems.append(TraceProblem(
                 "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
-                f"pass {p} start {p * dt} plus offset {offset}"))
+                f"pass {p} start {start} plus offset {offset}"))
         h = home.get(tid)
         if h is None:
             problems.append(TraceProblem(
                 "unknown-task", p, tid, f"record references unknown task {tid}"))
             continue
-        if sector != p % n:
+        if sector != expected:
             problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
                                          f"sector {sector} does not match pass {p}"))
-        # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
         d = (sector - h) % n
-        if w < d < n - w:
+        if far[d]:
             problems.append(TraceProblem(
                 "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
                 f"home in pass {p} (fov half-width {w})"))
-        load_by_pass[p] = load_by_pass.get(p, 0.0) + duration[tid]
+        load += duration[tid]
         if tid in current:
             repeats.append(TraceProblem(
                 "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
@@ -325,6 +362,7 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
         if len(current) == n_tasks:
             closes.append(p)
             current = set()
+    load_by_pass[previous_p] = load
     for p, used in sorted(load_by_pass.items()):
         cap = scenario.resources[p % n]
         if used > cap + CAP_SLACK:
@@ -405,13 +443,14 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         seen[1] = sector
 
     per_task = []
+    new_revisit = tuple.__new__  # as simulate builds its records
     per_sector = [0.0] * scenario.n_sectors
     for tid, h in sorted(home.items()):
         _, last_sector, worst = state[tid]
         if worst is None:
             raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
         worst_rot = worst / rotation
-        per_task.append(TaskRevisit(tid, h, last_sector, worst, worst_rot))
+        per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
         if worst_rot > per_sector[h]:
             per_sector[h] = worst_rot
     worst = max(t.max_interval_s for t in per_task)

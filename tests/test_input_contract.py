@@ -16,11 +16,13 @@ import os
 import pytest
 
 from sectorsched import (
+    ExecutionRecord,
     GenParams,
     InvalidInputError,
     Scenario,
     ScenarioFormatError,
     SchedulePartition,
+    SimulationTrace,
     SurveillanceTask,
     Xorshift64Star,
     bin_packing_reduce,
@@ -50,6 +52,9 @@ def scenario(resources):
 DESK = Scenario(n_sectors=1, fov_half_width=0, dt=1.0, resources=(5.0,), tasks=tuple(TASKS))
 DESK_TRACE = simulate(DESK, "edf", cycles=2)
 DESK_PARTITION = broadside_baseline(DESK)
+# A record of a task the scenario does not hold.
+FOREIGN_TRACE = SimulationTrace(records=(ExecutionRecord("a", 0, 0, 0.0, 0.0),),
+                                completion_pass=0, n_passes=1, cycles_completed=1)
 
 
 # (entry point, positional arguments, keyword arguments)
@@ -163,6 +168,7 @@ CASES = {
     "broadside_baseline-scenario-None": (broadside_baseline, (None,), {}),
     "write_scenario-scenario-None": (sio.write_scenario, (None, os.devnull), {}),
     "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
+    "write_trace-record-foreign-task": (sio.write_trace, (FOREIGN_TRACE, DESK, os.devnull), {}),
 }
 
 
@@ -208,6 +214,10 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: simulate(DESK.tasks, "edf"), "expected a Scenario, not tuple"),
     (lambda: simulate(DESK, "edf", cycles=10 ** 20),
      "cycles=100000000000000000000 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
+    (lambda: sio.write_trace(FOREIGN_TRACE, DESK, os.devnull),
+     "trace record of task 'a', which is not in the scenario"),
+    (lambda: sio.write_comparison([{"policy": "a,b"}], os.devnull, fields=("policy",)),
+     "rows[0]: 'a,b' holds a comma, quote or line break, which this CSV writer does not quote"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -295,8 +305,11 @@ def test_write_comparison_refuses_an_unknown_format(tmp_path):
     lambda path: sio.write_comparison([{"a": 1}, {"b": 2, "c": 3}], path, fields=("a",)),
     lambda path: sio.write_comparison([{"b": 1, "a": 2}], path, fields=("a", "b")),
     lambda path: sio.write_comparison([], path, fields=("a", 1)),
+    lambda path: sio.write_trace(FOREIGN_TRACE, DESK, path),
+    lambda path: sio.write_comparison([{"a": "x\ny"}], path, fields=("a",)),
 ], ids=["partition", "load_report", "trace", "revisit_stats", "comparison-row",
-        "comparison-None", "comparison-keys", "comparison-key-order", "comparison-fields"])
+        "comparison-None", "comparison-keys", "comparison-key-order", "comparison-fields",
+        "trace-foreign-task", "comparison-csv-cell"])
 def test_writer_refuses_a_wrong_argument_before_opening_the_file(write, tmp_path):
     path = tmp_path / "out"
     with pytest.raises(InvalidInputError):

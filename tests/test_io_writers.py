@@ -11,6 +11,7 @@ an empty trace, no tasks, int-valued numbers, float subclasses, tags outside
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -233,6 +234,23 @@ def test_comparison_writer_matches_csv_writer(tmp_path, rows, fields):
         with pytest.raises(InvalidInputError, match=r"rows\[0\] has the keys .*, not the fields"):
             sio.write_comparison(rows, tmp_path / "out", fields=fields)
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, fields, where", [
+    ([{"policy": "a,b", "x": "q\"\nz"}], ("policy", "x"), r"rows\[0\]: 'a,b'"),
+    ([{"policy": "edf", "x": 'say "hi"'}], ("policy", "x"), r"rows\[0\]: 'say \"hi\"'"),
+    ([{"policy": "edf", "x": "a\rb"}], ("policy", "x"), r"rows\[0\]: 'a\\rb'"),
+    ([{"policy": "edf", "x,y": 1}], ("policy", "x,y"), r"fields: 'x,y'"),
+], ids=["comma-and-line-break", "quote", "carriage-return", "field-name"])
+def test_comparison_csv_refuses_a_cell_it_would_have_to_quote(tmp_path, rows, fields, where):
+    # Unquoted, "a,b" and "q\"\nz" read back as three rows of 2, 3 and 1
+    # cells; the JSON form holds any string.
+    path = tmp_path / "cmp.csv"
+    with pytest.raises(InvalidInputError, match=where + " holds a comma, quote or line break"):
+        sio.write_comparison(rows, path, fields=fields)
+    assert not path.exists()
+    sio.write_comparison(rows, tmp_path / "cmp.json", fmt="json", fields=fields)
+    assert json.loads((tmp_path / "cmp.json").read_text(encoding="utf-8")) == rows
 
 
 @pytest.mark.parametrize("name", JSON_SCENARIOS)

@@ -266,6 +266,21 @@ class TestCheckTrace:
             wrong = dataclasses.replace(trace, **claim)
             assert [p[:3] for p in check_trace(s, wrong)] == [("cycles", None, None)]
 
+    def test_a_split_pass_is_summed_in_record_order(self):
+        # Pass 5 is split by an out-of-order record of pass 1; its load
+        # resumes at 0.1 + 0.2 and reads (0.1 + 0.2) + 0.3, past the 0.5 s.
+        s = scenario_from(4, 1, 1.0, (0.5,) * 4, [(1, 0.1), (1, 0.2), (1, 0.3), (1, 0.4)])
+        records = tuple(ExecutionRecord(tid, 1, p, offset, p * 1.0 + offset) for tid, p, offset in (
+            (0, 5, 0.0), (1, 5, 0.1), (3, 1, 0.0), (2, 5, 0.1 + 0.2)))
+        trace = SimulationTrace(records=records, completion_pass=5, n_passes=6,
+                                cycles_completed=1)
+        problems = check_trace(s, trace)
+        assert problems == reference_check_trace(s, trace)
+        assert problems == [
+            TraceProblem("order", 1, 3, "records out of execution order at pass 1"),
+            TraceProblem("overload", 5, None,
+                         "pass 5 uses 0.6000000000000001, sector resources 0.5")]
+
 
 class TestRevisitStats:
     def test_needs_two_cycles(self, tri_scenario):
@@ -466,6 +481,80 @@ def reference_revisit_stats(trace, scenario):
                         max_interval_rot=worst / rotation, mean_interval_s=mean,
                         mean_interval_rot=mean / rotation,
                         per_sector_max_rot=tuple(per_sector))
+
+
+def reference_check_trace(scenario, trace):
+    """``check_trace`` in its per-record form: every record recomputes its
+    pass start, expected sector and cyclic distance and adds its duration to
+    the pass's load in a dict.  Same problems, in the same order, with the
+    same ``detail`` strings."""
+    if not isinstance(scenario, Scenario):
+        return [TraceProblem("scenario", None, None,
+                             f"expected a Scenario, not {type(scenario).__name__}")]
+    if not isinstance(trace, SimulationTrace):
+        return [TraceProblem("trace", None, None,
+                             f"expected a SimulationTrace, not {type(trace).__name__}")]
+    problems: list[TraceProblem] = []
+    repeats: list[TraceProblem] = []
+    duration = {t.id: t.duration for t in scenario.tasks}
+    home = scenario.home
+    n_tasks = len(home)
+    n = scenario.n_sectors
+    w = scenario.fov_half_width
+    dt = scenario.dt
+
+    load_by_pass: dict[int, float] = {}
+    # Once-per-cycle coverage, cycle boundaries re-derived from the records.
+    current: set[int] = set()
+    closes: list[int] = []
+    previous_p, previous_offset = -1, -math.inf
+    for tid, sector, p, offset, timestamp in trace.records:
+        # Execution order is (pass, offset); raw timestamps may interleave
+        # when a sector's resources exceed the kinematic pass duration.
+        if p < previous_p or (p == previous_p and offset < previous_offset):
+            problems.append(TraceProblem(
+                "order", p, tid, f"records out of execution order at pass {p}"))
+        previous_p, previous_offset = p, offset
+        if timestamp != p * dt + offset:
+            problems.append(TraceProblem(
+                "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
+                f"pass {p} start {p * dt} plus offset {offset}"))
+        h = home.get(tid)
+        if h is None:
+            problems.append(TraceProblem(
+                "unknown-task", p, tid, f"record references unknown task {tid}"))
+            continue
+        if sector != p % n:
+            problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
+                                         f"sector {sector} does not match pass {p}"))
+        # Cyclic distance min(d, N - d) exceeds w exactly when w < d < N - w.
+        d = (sector - h) % n
+        if w < d < n - w:
+            problems.append(TraceProblem(
+                "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
+                f"home in pass {p} (fov half-width {w})"))
+        load_by_pass[p] = load_by_pass.get(p, 0.0) + duration[tid]
+        if tid in current:
+            repeats.append(TraceProblem(
+                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
+            continue
+        current.add(tid)
+        if len(current) == n_tasks:
+            closes.append(p)
+            current = set()
+    for p, used in sorted(load_by_pass.items()):
+        cap = scenario.resources[p % n]
+        if used > cap + CAP_SLACK:
+            problems.append(TraceProblem(
+                "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
+    problems += repeats
+    first = closes[0] if closes else -1
+    if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
+        problems.append(TraceProblem(
+            "cycles", None, None, f"records close {len(closes)} cycles, the first in "
+            f"pass {first}, and leave {len(current)} tasks after the last; the trace "
+            f"claims {trace.cycles_completed}, the first in pass {trace.completion_pass}"))
+    return problems
 
 
 def _equivalence_scenario(n, fov, seed, resources, dead, dt):

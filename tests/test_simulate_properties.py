@@ -25,7 +25,11 @@ from sectorsched import (  # noqa: E402
 )
 from conftest import INVALID_FIELDS, mutated  # noqa: E402
 from test_equalize_properties import gen_params, generated  # noqa: E402
-from test_simulate import reference_revisit_stats, reference_simulate  # noqa: E402
+from test_simulate import (  # noqa: E402
+    reference_check_trace,
+    reference_revisit_stats,
+    reference_simulate,
+)
 
 # dt 2 s puts every sector's resources (5-20 s) beyond the pass, so record
 # timestamps interleave across passes; a dead or starved hotspot under a
@@ -44,6 +48,29 @@ def _runs(s):
     except InfeasibleScenarioError:
         pass  # a task whose whole field of view is dead sectors
     return runs
+
+
+def _corrupted(records, kind, i, j, foreign_id, shift):
+    """``records`` with one corruption: record i swapped with record j,
+    moved to j, given a task id the scenario lacks, copied to j, its
+    timestamp shifted, or dropped."""
+    records = list(records)
+    if not records:
+        return records
+    i, j = i % len(records), j % len(records)
+    if kind == "swap":
+        records[i], records[j] = records[j], records[i]
+    elif kind == "move":
+        records.insert(j, records.pop(i))
+    elif kind == "foreign":
+        records[i] = records[i]._replace(task_id=foreign_id)
+    elif kind == "duplicate":
+        records.insert(j, records[i])
+    elif kind == "shift":
+        records[i] = records[i]._replace(timestamp=records[i].timestamp + shift)
+    else:
+        del records[i]
+    return records
 
 
 class TestSimulateProperties:
@@ -73,6 +100,22 @@ class TestSimulateProperties:
             assert trace == reference_simulate(s, policy, partition, cycles)
             if cycles >= 2:
                 assert revisit_stats(trace, s) == reference_revisit_stats(trace, s)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(gen_params(), st.sampled_from(("swap", "move", "foreign", "duplicate", "shift", "drop")),
+           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+           st.sampled_from((1e-9, -0.5, 50.0)), st.integers(1, 3))
+    def test_check_trace_matches_the_per_record_reference(self, params, kind, i, j, shift,
+                                                          cycles):
+        s = generated(params)
+        if s is None:
+            return
+        foreign_id = max((t.id for t in s.tasks), default=0) + 1
+        for policy, partition in _runs(s):
+            trace = simulate(s, policy, partition, cycles=cycles)
+            bad = dataclasses.replace(
+                trace, records=tuple(_corrupted(trace.records, kind, i, j, foreign_id, shift)))
+            assert check_trace(s, bad) == reference_check_trace(s, bad)
 
     @pytest.mark.parametrize("case, reached", [
         (INTERLEAVED, lambda trace: [r.timestamp for r in trace.records]
