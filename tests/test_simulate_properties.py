@@ -1,4 +1,4 @@
-"""Property tests of ``simulate`` over generated scenarios.
+"""Property tests of ``simulate`` and ``check_trace`` over generated scenarios.
 
 Needs hypothesis; the module is skipped where it is not installed.
 """
