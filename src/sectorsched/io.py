@@ -31,7 +31,7 @@ from .errors import InvalidInputError, ScenarioFormatError, ScenarioValidationEr
 from .loads import LoadReport, SchedulePartition
 from .model import Scenario, SurveillanceTask, as_tuple, check_instance
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
-from .simulate import ExecutionRecord, RevisitStats, SimulationTrace
+from .simulate import ExecutionRecord, RevisitStats, SimulationTrace, _unreadable
 
 
 def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
@@ -235,6 +235,11 @@ def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) ->
     except KeyError as exc:
         raise InvalidInputError(f"trace record of task {exc.args[0]!r}, "
                                 "which is not in the scenario") from None
+    except (TypeError, ValueError):
+        reason = _unreadable(trace.records)
+        if reason is None:
+            raise
+        raise InvalidInputError(reason) from None
     _write_csv(path, ("pass", "rotation", "sector", "task_id",
                       "start_offset", "duration", "timestamp"), lines)
 

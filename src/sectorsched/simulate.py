@@ -20,8 +20,13 @@ Policies:
 A task larger than every pass it is eligible for would deadlock the cycle;
 instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation as an ``overfill`` problem in ``SimulationTrace.warnings``.
-A trace is its records: illumination histories and a record's rotation,
-``pass_index // n_sectors``, are derived from them.
+A trace is its records: illumination histories, the pass count
+``n_passes`` and a record's rotation, ``pass_index // n_sectors``, are
+derived from them.  The validator and the revisit statistics read a record
+as five fields, a hashable task id, an int sector and pass and a number
+offset and timestamp; a record they cannot read is named in a ``trace``
+problem or an :class:`InvalidInputError`, found by a second scan that runs
+only when the walk over the records failed.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -33,17 +38,19 @@ its rank, 0 the oldest; a bucket holds its ranks in order.  A pass runs a
 prefix of the merge of its reachable buckets until the first task that
 does not fit.  A window one bucket wide, as for partition, merges nothing:
 the pass runs a prefix of the sector's own bucket straight from its tail,
-in O(r) for r tasks run.  A wider window pops a heap of plain int ranks,
-the bucket heads, that lasts the whole cycle.  Bucket h is in the window
-of sector j when (h - j - lo) mod N is below the window's width, so moving
-from j to j + 1 only pushes the head of bucket (j + 1 + hi) mod N, which
-enters it.  An entry whose bucket is out of the window, or which is no
-longer its bucket's head, is stale and dropped when it reaches the top; a
-head pushed twice, as when the bucket that leaves a window of all N
-sectors re-enters it at once, is dropped the second time.  Such a pass
-costs O(log k + r log k) for k reachable buckets, a cycle adds
-O(T log T) for the ranking and the heap rebuild, and "larger than every
-pass" is one comparison against the bucket's largest reachable resources.
+in O(r) for r tasks run, and overfills only with its first task: the
+passes over the sector are the only ones that reach its bucket.  A wider
+window pops a heap of plain int ranks, the bucket heads, that lasts the
+whole cycle.  Bucket h is in the window of sector j when (h - j - lo)
+mod N is below the window's width, so moving from j to j + 1 only pushes
+the head of bucket (j + 1 + hi) mod N, which enters it.  An entry whose
+bucket is out of the window, or which is no longer its bucket's head, is
+stale and dropped when it reaches the top; a head pushed twice, as when
+the bucket that leaves a window of all N sectors re-enters it at once, is
+dropped the second time.  Such a pass costs O(log k + r log k) for k
+reachable buckets, a cycle adds O(T log T) for the ranking and the heap
+rebuild, and "larger than every pass" is one comparison against the
+bucket's largest reachable resources.
 """
 
 from __future__ import annotations
@@ -96,9 +103,13 @@ class SimulationTrace:
 
     records: tuple[ExecutionRecord, ...]
     completion_pass: int
-    n_passes: int
     cycles_completed: int
     warnings: tuple[TraceProblem, ...] = ()
+
+    @property
+    def n_passes(self) -> int:
+        """Passes swept: one past the last record's pass, 0 without records."""
+        return self.records[-1].pass_index + 1 if self.records else 0
 
     @cached_property
     def illumination(self) -> dict[int, tuple[float, ...]]:
@@ -154,8 +165,7 @@ def simulate(scenario: Scenario, policy: str,
                 for j, r in enumerate(scenario.resources) if r > dt]
     by_id = scenario.task_by_id()
     if not by_id:
-        return SimulationTrace(records=(), completion_pass=-1,
-                               n_passes=0, cycles_completed=0,
+        return SimulationTrace(records=(), completion_pass=-1, cycles_completed=0,
                                warnings=tuple(warnings))
 
     lo, hi, width = window[0], window[-1], len(window)
@@ -203,15 +213,16 @@ def simulate(scenario: Scenario, policy: str,
         used = 0.0
         ran = 0
         if width == 1:
-            # The window is the sector's own bucket (lo == 0): the pass runs
-            # a prefix of it straight from its tail.
+            # The window is the sector's own bucket (lo == hi == 0): the pass
+            # runs a prefix of it straight from its tail.  Only passes over
+            # this sector reach the bucket, so a task that overflows the empty
+            # pass is larger than every pass that reaches it and runs alone.
             bucket = buckets[sector]
-            reach = reach_max[sector] + CAP_SLACK
             while bucket:
                 rank = bucket[-1]
                 duration = rank_duration[rank]
                 oversized = used + duration > limit
-                if oversized and (ran or duration <= reach):
+                if oversized and ran:
                     break
                 bucket.pop()
                 tid = order[rank]
@@ -264,7 +275,6 @@ def simulate(scenario: Scenario, policy: str,
     trace = SimulationTrace(
         records=tuple(records),
         completion_pass=completion_pass,
-        n_passes=pass_index,
         cycles_completed=cycles_done,
         warnings=tuple(warnings),
     )
@@ -275,6 +285,28 @@ def simulate(scenario: Scenario, policy: str,
         raise RuntimeError("simulator produced an invalid trace: "
                            + "; ".join(unexplained))
     return trace
+
+
+def _unreadable(records) -> str | None:
+    """Name the first record of ``records`` that is not five fields, a
+    hashable task id, an int sector and pass and a number offset and
+    timestamp, or return ``None`` if each one is.  Only a walk over the
+    records that failed calls it, so a readable trace pays nothing."""
+    try:
+        rows = iter(records)
+    except TypeError:
+        return f"records must be iterable, not {type(records).__name__}"
+    for i, record in enumerate(rows):
+        try:
+            tid, sector, p, offset, timestamp = record
+            hash(tid)
+        except (TypeError, ValueError):
+            return f"records[{i}]={record!r} is not five fields with a hashable task id"
+        if not (isinstance(sector, int) and isinstance(p, int)
+                and isinstance(offset, (int, float)) and isinstance(timestamp, (int, float))):
+            return (f"records[{i}]={record!r} needs an int sector and pass and "
+                    "a number offset and timestamp")
+    return None
 
 
 def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem]:
@@ -293,7 +325,8 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     by pass, ``repeat`` by record, and ``cycles`` last.  A ``scenario``
     argument that is not a :class:`Scenario` is one problem of kind
     ``scenario``, and a ``trace`` argument that is not a
-    :class:`SimulationTrace` one of kind ``trace``.
+    :class:`SimulationTrace`, or whose records the walk cannot read, one of
+    kind ``trace``; it names the first unreadable record.
     """
     if not isinstance(scenario, Scenario):
         return [TraceProblem("scenario", None, None,
@@ -321,53 +354,59 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     # Once-per-cycle coverage, cycle boundaries re-derived from the records.
     current: set[int] = set()
     closes: list[int] = []
-    for tid, sector, p, offset, timestamp in trace.records:
-        # Execution order is (pass, offset); raw timestamps may interleave
-        # when a sector's resources exceed the kinematic pass duration.
-        if p != previous_p:
-            if p < previous_p:
+    try:
+        for tid, sector, p, offset, timestamp in trace.records:
+            # Execution order is (pass, offset); raw timestamps may interleave
+            # when a sector's resources exceed the kinematic pass duration.
+            if p != previous_p:
+                if p < previous_p:
+                    problems.append(TraceProblem(
+                        "order", p, tid, f"records out of execution order at pass {p}"))
+                load_by_pass[previous_p] = load
+                load = load_by_pass.get(p, 0.0)
+                start, expected = p * dt, p % n
+                previous_p = p
+            elif offset < previous_offset:
                 problems.append(TraceProblem(
                     "order", p, tid, f"records out of execution order at pass {p}"))
-            load_by_pass[previous_p] = load
-            load = load_by_pass.get(p, 0.0)
-            start, expected = p * dt, p % n
-            previous_p = p
-        elif offset < previous_offset:
-            problems.append(TraceProblem(
-                "order", p, tid, f"records out of execution order at pass {p}"))
-        previous_offset = offset
-        if timestamp != start + offset:
-            problems.append(TraceProblem(
-                "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
-                f"pass {p} start {start} plus offset {offset}"))
-        h = home.get(tid)
-        if h is None:
-            problems.append(TraceProblem(
-                "unknown-task", p, tid, f"record references unknown task {tid}"))
-            continue
-        if sector != expected:
-            problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
-                                         f"sector {sector} does not match pass {p}"))
-        d = (sector - h) % n
-        if far[d]:
-            problems.append(TraceProblem(
-                "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
-                f"home in pass {p} (fov half-width {w})"))
-        load += duration[tid]
-        if tid in current:
-            repeats.append(TraceProblem(
-                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
-            continue
-        current.add(tid)
-        if len(current) == n_tasks:
-            closes.append(p)
-            current = set()
-    load_by_pass[previous_p] = load
-    for p, used in sorted(load_by_pass.items()):
-        cap = scenario.resources[p % n]
-        if used > cap + CAP_SLACK:
-            problems.append(TraceProblem(
-                "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
+            previous_offset = offset
+            if timestamp != start + offset:
+                problems.append(TraceProblem(
+                    "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
+                    f"pass {p} start {start} plus offset {offset}"))
+            h = home.get(tid)
+            if h is None:
+                problems.append(TraceProblem(
+                    "unknown-task", p, tid, f"record references unknown task {tid}"))
+                continue
+            if sector != expected:
+                problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
+                                             f"sector {sector} does not match pass {p}"))
+            d = (sector - h) % n
+            if far[d]:
+                problems.append(TraceProblem(
+                    "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
+                    f"home in pass {p} (fov half-width {w})"))
+            load += duration[tid]
+            if tid in current:
+                repeats.append(TraceProblem(
+                    "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
+                continue
+            current.add(tid)
+            if len(current) == n_tasks:
+                closes.append(p)
+                current = set()
+        load_by_pass[previous_p] = load
+        for p, used in sorted(load_by_pass.items()):
+            cap = scenario.resources[p % n]
+            if used > cap + CAP_SLACK:
+                problems.append(TraceProblem(
+                    "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
+    except (TypeError, ValueError):
+        reason = _unreadable(trace.records)
+        if reason is None:
+            raise  # every record is readable: a fault of the validator
+        return [TraceProblem("trace", None, None, reason)]
     problems += repeats
     first = closes[0] if closes else -1
     if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
@@ -403,9 +442,9 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
 
     Needs at least two completed cycles and two illuminations of each task,
     since an interval takes two illuminations of the same direction; a
-    shorter trace, one that is not a :class:`SimulationTrace`, or a
-    scenario that is not a :class:`Scenario`, raises
-    :class:`InvalidInputError`.  The rotation-denominated metric is
+    shorter trace, one that is not a :class:`SimulationTrace` or holds a
+    record :func:`check_trace` cannot read, or a scenario that is not a
+    :class:`Scenario`, raises :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     One walk over the records keeps each task's latest timestamp and
@@ -429,18 +468,24 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     # One walk: each task's latest [timestamp, sector, worst interval so far].
     state = {tid: [None, None, None] for tid in home}
     all_intervals: list[float] = []
-    for tid, sector, _, _, timestamp in trace.records:
-        seen = state.get(tid)
-        if seen is None:
-            continue  # not a task of this scenario
-        previous, _, worst = seen
-        if previous is not None:
-            interval = timestamp - previous
-            all_intervals.append(interval)
-            if worst is None or interval > worst:  # as max() keeps the first of equals
-                seen[2] = interval
-        seen[0] = timestamp
-        seen[1] = sector
+    try:
+        for tid, sector, _, _, timestamp in trace.records:
+            seen = state.get(tid)
+            if seen is None:
+                continue  # not a task of this scenario
+            previous, _, worst = seen
+            if previous is not None:
+                interval = timestamp - previous
+                all_intervals.append(interval)
+                if worst is None or interval > worst:  # as max() keeps the first of equals
+                    seen[2] = interval
+            seen[0] = timestamp
+            seen[1] = sector
+    except (TypeError, ValueError):
+        reason = _unreadable(trace.records)
+        if reason is None:
+            raise
+        raise InvalidInputError(reason) from None
 
     per_task = []
     new_revisit = tuple.__new__  # as simulate builds its records

@@ -9,6 +9,7 @@ the float range, never a bool) and pass times another (a number, positive
 and finite).
 """
 
+import dataclasses
 import importlib
 import math
 import os
@@ -54,7 +55,23 @@ DESK_TRACE = simulate(DESK, "edf", cycles=2)
 DESK_PARTITION = broadside_baseline(DESK)
 # A record of a task the scenario does not hold.
 FOREIGN_TRACE = SimulationTrace(records=(ExecutionRecord("a", 0, 0, 0.0, 0.0),),
-                                completion_pass=0, n_passes=1, cycles_completed=1)
+                                completion_pass=0, cycles_completed=1)
+# Records the trace walks cannot read, each in place of DESK_TRACE's first.
+UNREADABLE = {
+    "records-None": None,
+    "record-int": 5,
+    "record-four-fields": (0, 0, 0, 0.0),
+    "pass-float": (0, 0, 1.5, 0.0, 0.0),
+    "sector-text": (0, "x", 0, 0.0, 0.0),
+    "sector-float": (0, 0.0, 0, 0.0, 0.0),
+    "offset-text": (0, 0, 0, "x", 0.0),
+}
+
+
+def unreadable_trace(name):
+    record = UNREADABLE[name]
+    records = None if name == "records-None" else (record,) + DESK_TRACE.records[1:]
+    return dataclasses.replace(DESK_TRACE, records=records)
 
 
 # (entry point, positional arguments, keyword arguments)
@@ -74,6 +91,7 @@ CASES = {
     "uniform_range-end-inf": (Xorshift64Star(1).uniform_range, (0.0, math.inf), {}),
     "uniform_range-reversed": (Xorshift64Star(1).uniform_range, (5.0, 1.0), {}),
     "uniform_range-too-wide": (Xorshift64Star(1).uniform_range, (-1e308, 1e308), {}),
+    "uniform_range-hi-bool": (Xorshift64Star(1).uniform_range, (0.0, True), {}),
     # A resource is a number, as dt, phi, theta and duration are.
     "Scenario-resource-text": (scenario, (("5",),), {}),
     "Scenario-resource-bool": (scenario, ((True,),), {}),
@@ -169,6 +187,18 @@ CASES = {
     "write_scenario-scenario-None": (sio.write_scenario, (None, os.devnull), {}),
     "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
     "write_trace-record-foreign-task": (sio.write_trace, (FOREIGN_TRACE, DESK, os.devnull), {}),
+    # A trace's records are records where a walk over them reads one.
+    "revisit_stats-records-None": (revisit_stats, (unreadable_trace("records-None"), DESK), {}),
+    "revisit_stats-record-int": (revisit_stats, (unreadable_trace("record-int"), DESK), {}),
+    "revisit_stats-record-four-fields": (revisit_stats,
+                                         (unreadable_trace("record-four-fields"), DESK), {}),
+    "write_trace-records-None": (sio.write_trace,
+                                 (unreadable_trace("records-None"), DESK, os.devnull), {}),
+    "write_trace-record-int": (sio.write_trace,
+                               (unreadable_trace("record-int"), DESK, os.devnull), {}),
+    "write_trace-record-four-fields": (sio.write_trace,
+                                       (unreadable_trace("record-four-fields"), DESK, os.devnull),
+                                       {}),
 }
 
 
@@ -199,6 +229,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: maximal_subset([1, 2], 3.0), "candidates[0]=1 is not a SurveillanceTask"),
     (lambda: maximal_subset(None, 3.0), "candidates must be iterable, not NoneType"),
     (lambda: Xorshift64Star(1).uniform_range("a", "b"), "lo='a' must be an int or a float"),
+    (lambda: Xorshift64Star(1).uniform_range(0.0, True), "hi=True must be an int or a float"),
     (lambda: sio.write_comparison([1], os.devnull, fields=("policy",)),
      "rows[0]=1 is not a dict"),
     (lambda: sio.write_comparison([{"a": 1}, {"b": 2, "c": 3}], os.devnull, fields=("a",)),
@@ -218,6 +249,10 @@ def test_bad_argument_is_an_invalid_input_error(name):
      "trace record of task 'a', which is not in the scenario"),
     (lambda: sio.write_comparison([{"policy": "a,b"}], os.devnull, fields=("policy",)),
      "rows[0]: 'a,b' holds a comma, quote or line break, which this CSV writer does not quote"),
+    (lambda: revisit_stats(unreadable_trace("records-None"), DESK),
+     "records must be iterable, not NoneType"),
+    (lambda: sio.write_trace(unreadable_trace("record-four-fields"), DESK, os.devnull),
+     "records[0]=(0, 0, 0, 0.0) is not five fields with a hashable task id"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -249,6 +284,35 @@ def test_check_assignment_reports_a_task_id_that_is_no_int(key):
     # A bool or float key equals task 1's id and must not stand for it.
     assert check_assignment(DESK, {0: (0, 0), key: (0, 0)}) == [
         "tasks never assigned: [1]", f"task id {key!r} is not an int"]
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_check_trace_reports_an_unreadable_record_once(name):
+    problems = check_trace(DESK, unreadable_trace(name))
+    assert [problem[:3] for problem in problems] == [("trace", None, None)]
+    if name != "records-None":
+        assert problems[0].detail.startswith(f"records[0]={UNREADABLE[name]!r} ")
+
+
+def test_check_trace_names_the_first_unreadable_record():
+    records = DESK_TRACE.records[:2] + ((0, "x", 0, 0.0, 0.0), 5)
+    assert check_trace(DESK, dataclasses.replace(DESK_TRACE, records=records)) == [(
+        "trace", None, None, "records[2]=(0, 'x', 0, 0.0, 0.0) needs an int sector and pass "
+        "and a number offset and timestamp")]
+
+
+def test_check_trace_reraises_when_every_record_reads(monkeypatch):
+    # The rescan only names records; a walk that fails on readable ones is
+    # a fault of the validator and must surface.
+    simulator = importlib.import_module("sectorsched.simulate")
+    monkeypatch.setattr(simulator, "_unreadable", lambda records: None)
+    with pytest.raises(TypeError):
+        check_trace(DESK, unreadable_trace("record-int"))
+
+
+def test_uniform_range_takes_an_int_end():
+    draws = [Xorshift64Star(seed).uniform_range(0.5, 2) for seed in range(20)]
+    assert all(type(x) is float and 0.5 <= x <= 2 for x in draws)
 
 
 def test_int_resources_become_floats():
@@ -307,9 +371,13 @@ def test_write_comparison_refuses_an_unknown_format(tmp_path):
     lambda path: sio.write_comparison([], path, fields=("a", 1)),
     lambda path: sio.write_trace(FOREIGN_TRACE, DESK, path),
     lambda path: sio.write_comparison([{"a": "x\ny"}], path, fields=("a",)),
+    lambda path: sio.write_trace(unreadable_trace("records-None"), DESK, path),
+    lambda path: sio.write_trace(unreadable_trace("record-int"), DESK, path),
+    lambda path: sio.write_trace(unreadable_trace("record-four-fields"), DESK, path),
 ], ids=["partition", "load_report", "trace", "revisit_stats", "comparison-row",
         "comparison-None", "comparison-keys", "comparison-key-order", "comparison-fields",
-        "trace-foreign-task", "comparison-csv-cell"])
+        "trace-foreign-task", "comparison-csv-cell", "trace-records-None", "trace-record-int",
+        "trace-record-four-fields"])
 def test_writer_refuses_a_wrong_argument_before_opening_the_file(write, tmp_path):
     path = tmp_path / "out"
     with pytest.raises(InvalidInputError):

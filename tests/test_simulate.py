@@ -272,8 +272,7 @@ class TestCheckTrace:
         s = scenario_from(4, 1, 1.0, (0.5,) * 4, [(1, 0.1), (1, 0.2), (1, 0.3), (1, 0.4)])
         records = tuple(ExecutionRecord(tid, 1, p, offset, p * 1.0 + offset) for tid, p, offset in (
             (0, 5, 0.0), (1, 5, 0.1), (3, 1, 0.0), (2, 5, 0.1 + 0.2)))
-        trace = SimulationTrace(records=records, completion_pass=5, n_passes=6,
-                                cycles_completed=1)
+        trace = SimulationTrace(records=records, completion_pass=5, cycles_completed=1)
         problems = check_trace(s, trace)
         assert problems == reference_check_trace(s, trace)
         assert problems == [
@@ -450,9 +449,10 @@ def reference_simulate(scenario, variant, partition, cycles):
             cycles_done += 1
             done = set()
         pass_index += 1
-    return SimulationTrace(records=tuple(records), completion_pass=completion,
-                           n_passes=pass_index, cycles_completed=cycles_done,
-                           warnings=tuple(warnings))
+    trace = SimulationTrace(records=tuple(records), completion_pass=completion,
+                            cycles_completed=cycles_done, warnings=tuple(warnings))
+    assert trace.n_passes == pass_index
+    return trace
 
 
 def reference_revisit_stats(trace, scenario):
