@@ -235,11 +235,8 @@ def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) ->
     except KeyError as exc:
         raise InvalidInputError(f"trace record of task {exc.args[0]!r}, "
                                 "which is not in the scenario") from None
-    except (TypeError, ValueError):
-        reason = _unreadable(trace.records)
-        if reason is None:
-            raise
-        raise InvalidInputError(reason) from None
+    except (TypeError, ValueError, OverflowError) as error:
+        raise InvalidInputError(_unreadable(trace.records, error)) from None
     _write_csv(path, ("pass", "rotation", "sector", "task_id",
                       "start_offset", "duration", "timestamp"), lines)
 

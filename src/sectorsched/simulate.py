@@ -22,11 +22,12 @@ instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation as an ``overfill`` problem in ``SimulationTrace.warnings``.
 A trace is its records: illumination histories, the pass count
 ``n_passes`` and a record's rotation, ``pass_index // n_sectors``, are
-derived from them.  The validator and the revisit statistics read a record
-as five fields, a hashable task id, an int sector and pass and a number
-offset and timestamp; a record they cannot read is named in a ``trace``
-problem or an :class:`InvalidInputError`, found by a second scan that runs
-only when the walk over the records failed.
+derived from them.  Each reader, these two included, reads a record by
+position as five fields: a hashable task id, an int sector and pass and a
+number offset and timestamp, each int among these within the float range.
+Only a reader whose walk failed rescans the records, to name the first that
+breaks this rule (in a ``trace`` problem of :func:`check_trace`, elsewhere
+an :class:`InvalidInputError`) or, if each one reads, raise the walk's error.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -56,6 +57,7 @@ bucket's largest reachable resources.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
@@ -109,14 +111,20 @@ class SimulationTrace:
     @property
     def n_passes(self) -> int:
         """Passes swept: one past the last record's pass, 0 without records."""
-        return self.records[-1].pass_index + 1 if self.records else 0
+        try:
+            return self.records[-1][2] + 1 if self.records else 0
+        except (TypeError, ValueError, OverflowError, LookupError) as error:
+            raise InvalidInputError(_unreadable(self.records, error)) from None
 
     @cached_property
     def illumination(self) -> dict[int, tuple[float, ...]]:
         """Each executed task's illumination timestamps, in execution order."""
         times: dict[int, list[float]] = {}
-        for tid, _, _, _, timestamp in self.records:
-            times.setdefault(tid, []).append(timestamp)
+        try:
+            for tid, _, _, _, timestamp in self.records:
+                times.setdefault(tid, []).append(timestamp)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise InvalidInputError(_unreadable(self.records, error)) from None
         return {tid: tuple(ts) for tid, ts in times.items()}
 
 
@@ -287,11 +295,11 @@ def simulate(scenario: Scenario, policy: str,
     return trace
 
 
-def _unreadable(records) -> str | None:
-    """Name the first record of ``records`` that is not five fields, a
-    hashable task id, an int sector and pass and a number offset and
-    timestamp, or return ``None`` if each one is.  Only a walk over the
-    records that failed calls it, so a readable trace pays nothing."""
+def _unreadable(records, error: Exception) -> str:
+    """Name the first record of ``records`` that breaks the record rule of
+    the module docstring, or, if every record reads, raise ``error``, the
+    failed walk's own, again.  Only a reader whose walk over the records
+    failed calls it, so a readable trace pays nothing."""
     try:
         rows = iter(records)
     except TypeError:
@@ -306,7 +314,10 @@ def _unreadable(records) -> str | None:
                 and isinstance(offset, (int, float)) and isinstance(timestamp, (int, float))):
             return (f"records[{i}]={record!r} needs an int sector and pass and "
                     "a number offset and timestamp")
-    return None
+        if any(isinstance(x, int) and abs(x) > sys.float_info.max
+               for x in (sector, p, offset, timestamp)):
+            return f"records[{i}]={record!r} holds an int beyond the float range"
+    raise error
 
 
 def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem]:
@@ -326,7 +337,7 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     argument that is not a :class:`Scenario` is one problem of kind
     ``scenario``, and a ``trace`` argument that is not a
     :class:`SimulationTrace`, or whose records the walk cannot read, one of
-    kind ``trace``; it names the first unreadable record.
+    kind ``trace``; it names the first unreadable record (module docstring).
     """
     if not isinstance(scenario, Scenario):
         return [TraceProblem("scenario", None, None,
@@ -402,11 +413,8 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
             if used > cap + CAP_SLACK:
                 problems.append(TraceProblem(
                     "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
-    except (TypeError, ValueError):
-        reason = _unreadable(trace.records)
-        if reason is None:
-            raise  # every record is readable: a fault of the validator
-        return [TraceProblem("trace", None, None, reason)]
+    except (TypeError, ValueError, OverflowError) as error:
+        return [TraceProblem("trace", None, None, _unreadable(trace.records, error))]
     problems += repeats
     first = closes[0] if closes else -1
     if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
@@ -440,11 +448,11 @@ class RevisitStats:
 def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     """Intervals between consecutive illuminations of each task.
 
-    Needs at least two completed cycles and two illuminations of each task,
-    since an interval takes two illuminations of the same direction; a
-    shorter trace, one that is not a :class:`SimulationTrace` or holds a
-    record :func:`check_trace` cannot read, or a scenario that is not a
-    :class:`Scenario`, raises :class:`InvalidInputError`.  The rotation-denominated metric is
+    Needs an int ``cycles_completed`` of at least two and two illuminations
+    of each task, since an interval takes two illuminations of the same
+    direction; a shorter trace, one that is not a :class:`SimulationTrace`
+    or holds records the walk cannot read (module docstring), or a scenario
+    that is not a :class:`Scenario`, raises :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     One walk over the records keeps each task's latest timestamp and
@@ -460,10 +468,9 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
             mean_interval_s=0.0, mean_interval_rot=0.0,
             per_sector_max_rot=(0.0,) * scenario.n_sectors)
-    if trace.cycles_completed < 2:
-        raise InvalidInputError(
-            f"revisit intervals need >= 2 completed cycles, trace has "
-            f"{trace.cycles_completed}")
+    if not (isinstance(trace.cycles_completed, int) and trace.cycles_completed >= 2):
+        raise InvalidInputError("revisit intervals need >= 2 completed cycles, "
+                                f"trace has {trace.cycles_completed!r}")
     rotation = scenario.rotation_time
     # One walk: each task's latest [timestamp, sector, worst interval so far].
     state = {tid: [None, None, None] for tid in home}
@@ -481,25 +488,21 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
                     seen[2] = interval
             seen[0] = timestamp
             seen[1] = sector
-    except (TypeError, ValueError):
-        reason = _unreadable(trace.records)
-        if reason is None:
-            raise
-        raise InvalidInputError(reason) from None
-
-    per_task = []
-    new_revisit = tuple.__new__  # as simulate builds its records
-    per_sector = [0.0] * scenario.n_sectors
-    for tid, h in sorted(home.items()):
-        _, last_sector, worst = state[tid]
-        if worst is None:
-            raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
-        worst_rot = worst / rotation
-        per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
-        if worst_rot > per_sector[h]:
-            per_sector[h] = worst_rot
-    worst = max(t.max_interval_s for t in per_task)
-    mean = math.fsum(all_intervals) / len(all_intervals)
+        per_task = []
+        new_revisit = tuple.__new__  # as simulate builds its records
+        per_sector = [0.0] * scenario.n_sectors
+        for tid, h in sorted(home.items()):
+            _, last_sector, worst = state[tid]
+            if worst is None:  # a ValueError, so the rescan runs and raises it again
+                raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
+            worst_rot = worst / rotation  # an int interval beyond floats overflows here
+            per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
+            if worst_rot > per_sector[h]:
+                per_sector[h] = worst_rot
+        worst = max(t.max_interval_s for t in per_task)
+        mean = math.fsum(all_intervals) / len(all_intervals)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise InvalidInputError(_unreadable(trace.records, error)) from None
     return RevisitStats(
         per_task=tuple(per_task),
         max_interval_s=worst,

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import math
 import os
+from operator import attrgetter
 
 import pytest
 
@@ -65,6 +66,8 @@ UNREADABLE = {
     "sector-text": (0, "x", 0, 0.0, 0.0),
     "sector-float": (0, 0.0, 0, 0.0, 0.0),
     "offset-text": (0, 0, 0, "x", 0.0),
+    "pass-huge": (0, 0, 10 ** 400, 0.0, 0.0),
+    "offset-huge": (0, 0, 0, 10 ** 400, 0.0),
 }
 
 
@@ -73,6 +76,12 @@ def unreadable_trace(name):
     records = None if name == "records-None" else (record,) + DESK_TRACE.records[1:]
     return dataclasses.replace(DESK_TRACE, records=records)
 
+
+# Task 0 illuminated at int timestamps beyond the float range: check_trace
+# compares them exactly (a ``timestamp`` problem), revisit_stats divides them.
+HUGE_STAMPS_TRACE = dataclasses.replace(DESK_TRACE, records=tuple(
+    r._replace(timestamp=10 ** 400 * (r.pass_index + 1)) if r.task_id == 0 else r
+    for r in DESK_TRACE.records))
 
 # (entry point, positional arguments, keyword arguments)
 CASES = {
@@ -188,6 +197,27 @@ CASES = {
     "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
     "write_trace-record-foreign-task": (sio.write_trace, (FOREIGN_TRACE, DESK, os.devnull), {}),
     # A trace's records are records where a walk over them reads one.
+    "revisit_stats-cycles-text": (revisit_stats,
+                                  (dataclasses.replace(DESK_TRACE, cycles_completed="2"), DESK),
+                                  {}),
+    "revisit_stats-cycles-None": (revisit_stats,
+                                  (dataclasses.replace(DESK_TRACE, cycles_completed=None), DESK),
+                                  {}),
+    "revisit_stats-cycles-float": (revisit_stats,
+                                   (dataclasses.replace(DESK_TRACE, cycles_completed=2.5), DESK),
+                                   {}),
+    "revisit_stats-cycles-nan": (revisit_stats,
+                                 (dataclasses.replace(DESK_TRACE, cycles_completed=math.nan),
+                                  DESK), {}),
+    "revisit_stats-timestamps-huge": (revisit_stats, (HUGE_STAMPS_TRACE, DESK), {}),
+    "illumination-records-None": (attrgetter("illumination"),
+                                  (unreadable_trace("records-None"),), {}),
+    "illumination-record-int": (attrgetter("illumination"),
+                                (unreadable_trace("record-int"),), {}),
+    "illumination-record-four-fields": (attrgetter("illumination"),
+                                        (unreadable_trace("record-four-fields"),), {}),
+    "n_passes-last-record-two-fields": (attrgetter("n_passes"), (dataclasses.replace(
+        DESK_TRACE, records=DESK_TRACE.records[:-1] + ((0, 0),)),), {}),
     "revisit_stats-records-None": (revisit_stats, (unreadable_trace("records-None"), DESK), {}),
     "revisit_stats-record-int": (revisit_stats, (unreadable_trace("record-int"), DESK), {}),
     "revisit_stats-record-four-fields": (revisit_stats,
@@ -253,6 +283,12 @@ def test_bad_argument_is_an_invalid_input_error(name):
      "records must be iterable, not NoneType"),
     (lambda: sio.write_trace(unreadable_trace("record-four-fields"), DESK, os.devnull),
      "records[0]=(0, 0, 0, 0.0) is not five fields with a hashable task id"),
+    (lambda: revisit_stats(dataclasses.replace(DESK_TRACE, cycles_completed="2"), DESK),
+     "revisit intervals need >= 2 completed cycles, trace has '2'"),
+    (lambda: revisit_stats(dataclasses.replace(DESK_TRACE, cycles_completed=True), DESK),
+     "revisit intervals need >= 2 completed cycles, trace has True"),
+    (lambda: revisit_stats(HUGE_STAMPS_TRACE, DESK),
+     f"records[0]={HUGE_STAMPS_TRACE.records[0]!r} holds an int beyond the float range"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -301,13 +337,30 @@ def test_check_trace_names_the_first_unreadable_record():
         "and a number offset and timestamp")]
 
 
-def test_check_trace_reraises_when_every_record_reads(monkeypatch):
+def test_n_passes_reads_plain_tuple_records():
+    trace = SimulationTrace(records=((0, 0, 0, 0.0, 0.0), (0, 0, 1, 0.0, 1.0)),
+                            completion_pass=0, cycles_completed=2)
+    assert trace.n_passes == 2
+
+
+def every_record_reads(records, error):
+    raise error
+
+
+@pytest.mark.parametrize("read", [
+    lambda trace: check_trace(DESK, trace),
+    lambda trace: revisit_stats(trace, DESK),
+    lambda trace: sio.write_trace(trace, DESK, os.devnull),
+    attrgetter("illumination"),
+], ids=["check_trace", "revisit_stats", "write_trace", "illumination"])
+def test_a_reader_reraises_when_every_record_reads(read, monkeypatch):
     # The rescan only names records; a walk that fails on readable ones is
-    # a fault of the validator and must surface.
+    # a fault of the reader and must surface.
     simulator = importlib.import_module("sectorsched.simulate")
-    monkeypatch.setattr(simulator, "_unreadable", lambda records: None)
+    for module in (simulator, sio):
+        monkeypatch.setattr(module, "_unreadable", every_record_reads)
     with pytest.raises(TypeError):
-        check_trace(DESK, unreadable_trace("record-int"))
+        read(unreadable_trace("record-int"))
 
 
 def test_uniform_range_takes_an_int_end():
