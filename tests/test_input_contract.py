@@ -196,7 +196,7 @@ CASES = {
     "write_scenario-scenario-None": (sio.write_scenario, (None, os.devnull), {}),
     "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
     "write_trace-record-foreign-task": (sio.write_trace, (FOREIGN_TRACE, DESK, os.devnull), {}),
-    # A trace's records are records where a walk over them reads one.
+    # Revisit intervals need an int count of at least two completed cycles.
     "revisit_stats-cycles-text": (revisit_stats,
                                   (dataclasses.replace(DESK_TRACE, cycles_completed="2"), DESK),
                                   {}),
@@ -209,6 +209,7 @@ CASES = {
     "revisit_stats-cycles-nan": (revisit_stats,
                                  (dataclasses.replace(DESK_TRACE, cycles_completed=math.nan),
                                   DESK), {}),
+    # A trace's records are records where a walk over them reads one.
     "revisit_stats-timestamps-huge": (revisit_stats, (HUGE_STAMPS_TRACE, DESK), {}),
     "illumination-records-None": (attrgetter("illumination"),
                                   (unreadable_trace("records-None"),), {}),
@@ -287,8 +288,6 @@ def test_bad_argument_is_an_invalid_input_error(name):
      "revisit intervals need >= 2 completed cycles, trace has '2'"),
     (lambda: revisit_stats(dataclasses.replace(DESK_TRACE, cycles_completed=True), DESK),
      "revisit intervals need >= 2 completed cycles, trace has True"),
-    (lambda: revisit_stats(HUGE_STAMPS_TRACE, DESK),
-     f"records[0]={HUGE_STAMPS_TRACE.records[0]!r} holds an int beyond the float range"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -359,7 +358,7 @@ def test_a_reader_reraises_when_every_record_reads(read, monkeypatch):
     simulator = importlib.import_module("sectorsched.simulate")
     for module in (simulator, sio):
         monkeypatch.setattr(module, "_unreadable", every_record_reads)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="cannot unpack non-iterable int"):
         read(unreadable_trace("record-int"))
 
 
