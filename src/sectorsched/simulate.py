@@ -22,12 +22,13 @@ instead the simulator runs it alone in one pass, overfilling it, and flags
 the violation as an ``overfill`` problem in ``SimulationTrace.warnings``.
 A trace is its records: illumination histories, the pass count
 ``n_passes`` and a record's rotation, ``pass_index // n_sectors``, are
-derived from them.  Each reader, these two included, reads a record by
-position as five fields: a hashable task id, an int sector and pass and a
-number offset and timestamp, each int among these within the float range.
-Only a reader whose walk failed rescans the records, to name the first that
-breaks this rule (in a ``trace`` problem of :func:`check_trace`, elsewhere
-an :class:`InvalidInputError`) or, if each one reads, raise the walk's error.
+derived from them.  A :class:`SimulationTrace` checks its fields once, when
+it is built: ``records``, any iterable, kept as a tuple, of five-field
+tuples, an int task id, sector and pass and a number offset and timestamp,
+none a bool and each within the float range; an int ``cycles_completed``
+>= 0 and an int ``completion_pass``.  A sector or pass out of range is a
+value :func:`check_trace` reports.  So every reader, these two included,
+reads a record by position and trusts it.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -101,31 +102,56 @@ class TraceProblem(NamedTuple):
 @dataclass(frozen=True)
 class SimulationTrace:
     """Time-ordered execution records and the simulator's warnings, of kinds
-    ``resources`` (resources beyond the pass duration) and ``overfill``."""
+    ``resources`` (resources beyond the pass duration) and ``overfill``.
+    Built with a field that breaks the rule of the module docstring, it
+    raises :class:`InvalidInputError` naming it, as ``records[3].sector``."""
 
     records: tuple[ExecutionRecord, ...]
     completion_pass: int
     cycles_completed: int
     warnings: tuple[TraceProblem, ...] = ()
 
+    def __post_init__(self):
+        records = as_tuple(self.records, "records")
+        object.__setattr__(self, "records", records)
+        check_count(self.cycles_completed, "cycles_completed", least=0)
+        _check_number(self.completion_pass, "completion_pass", is_int=True)
+        for i, record in enumerate(records):
+            # One test passes what the simulator makes; any other record,
+            # valid or not, meets the rule field by field.
+            if type(record) is ExecutionRecord:
+                tid, sector, p, offset, timestamp = record
+                if (type(tid) is type(sector) is type(p) is int
+                        and type(offset) is type(timestamp) is float
+                        and abs(tid) + abs(sector) + abs(p) <= _FLOAT_RANGE):
+                    continue
+            if not (isinstance(record, tuple) and len(record) == 5):
+                raise InvalidInputError(f"records[{i}] is not a tuple of five fields")
+            for k, field in enumerate(ExecutionRecord._fields):
+                _check_number(record[k], f"records[{i}].{field}", is_int=k < 3)
+
     @property
     def n_passes(self) -> int:
         """Passes swept: one past the last record's pass, 0 without records."""
-        try:
-            return self.records[-1][2] + 1 if self.records else 0
-        except (TypeError, ValueError, OverflowError, LookupError) as error:
-            raise InvalidInputError(_unreadable(self.records, error)) from None
+        return self.records[-1][2] + 1 if self.records else 0
 
     @cached_property
     def illumination(self) -> dict[int, tuple[float, ...]]:
         """Each executed task's illumination timestamps, in execution order."""
         times: dict[int, list[float]] = {}
-        try:
-            for tid, _, _, _, timestamp in self.records:
-                times.setdefault(tid, []).append(timestamp)
-        except (TypeError, ValueError, OverflowError) as error:
-            raise InvalidInputError(_unreadable(self.records, error)) from None
+        for tid, _, _, _, timestamp in self.records:
+            times.setdefault(tid, []).append(timestamp)
         return {tid: tuple(ts) for tid, ts in times.items()}
+
+
+_FLOAT_RANGE = int(sys.float_info.max)  # the largest int within the float range
+
+
+def _check_number(value, name: str, is_int: bool) -> None:
+    """:func:`check_number`, and for ``is_int`` an ``int``, not a ``bool``."""
+    if is_int and type(value) is not int:
+        raise InvalidInputError(f"{name} must be an int, not {type(value).__name__}")
+    check_number(value, name)
 
 
 def simulate(scenario: Scenario, policy: str,
@@ -295,31 +321,6 @@ def simulate(scenario: Scenario, policy: str,
     return trace
 
 
-def _unreadable(records, error: Exception) -> str:
-    """Name the first record of ``records`` that breaks the record rule of
-    the module docstring, or, if every record reads, raise ``error``, the
-    failed walk's own, again.  Only a reader whose walk over the records
-    failed calls it, so a readable trace pays nothing."""
-    try:
-        rows = iter(records)
-    except TypeError:
-        return f"records must be iterable, not {type(records).__name__}"
-    for i, record in enumerate(rows):
-        try:
-            tid, sector, p, offset, timestamp = record
-            hash(tid)
-        except (TypeError, ValueError):
-            return f"records[{i}]={record!r} is not five fields with a hashable task id"
-        if not (isinstance(sector, int) and isinstance(p, int)
-                and isinstance(offset, (int, float)) and isinstance(timestamp, (int, float))):
-            return (f"records[{i}]={record!r} needs an int sector and pass and "
-                    "a number offset and timestamp")
-        if any(isinstance(x, int) and abs(x) > sys.float_info.max
-               for x in (sector, p, offset, timestamp)):
-            return f"records[{i}]={record!r} holds an int beyond the float range"
-    raise error
-
-
 def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem]:
     """Independent trace validator.
 
@@ -336,8 +337,7 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     by pass, ``repeat`` by record, and ``cycles`` last.  A ``scenario``
     argument that is not a :class:`Scenario` is one problem of kind
     ``scenario``, and a ``trace`` argument that is not a
-    :class:`SimulationTrace`, or whose records the walk cannot read, one of
-    kind ``trace``; it names the first unreadable record (module docstring).
+    :class:`SimulationTrace` one of kind ``trace``.
     """
     if not isinstance(scenario, Scenario):
         return [TraceProblem("scenario", None, None,
@@ -365,56 +365,53 @@ def check_trace(scenario: Scenario, trace: SimulationTrace) -> list[TraceProblem
     # Once-per-cycle coverage, cycle boundaries re-derived from the records.
     current: set[int] = set()
     closes: list[int] = []
-    try:
-        for tid, sector, p, offset, timestamp in trace.records:
-            # Execution order is (pass, offset); raw timestamps may interleave
-            # when a sector's resources exceed the kinematic pass duration.
-            if p != previous_p:
-                if p < previous_p:
-                    problems.append(TraceProblem(
-                        "order", p, tid, f"records out of execution order at pass {p}"))
-                load_by_pass[previous_p] = load
-                load = load_by_pass.get(p, 0.0)
-                start, expected = p * dt, p % n
-                previous_p = p
-            elif offset < previous_offset:
+    for tid, sector, p, offset, timestamp in trace.records:
+        # Execution order is (pass, offset); raw timestamps may interleave
+        # when a sector's resources exceed the kinematic pass duration.
+        if p != previous_p:
+            if p < previous_p:
                 problems.append(TraceProblem(
                     "order", p, tid, f"records out of execution order at pass {p}"))
-            previous_offset = offset
-            if timestamp != start + offset:
-                problems.append(TraceProblem(
-                    "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
-                    f"pass {p} start {start} plus offset {offset}"))
-            h = home.get(tid)
-            if h is None:
-                problems.append(TraceProblem(
-                    "unknown-task", p, tid, f"record references unknown task {tid}"))
-                continue
-            if sector != expected:
-                problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
-                                             f"sector {sector} does not match pass {p}"))
-            d = (sector - h) % n
-            if far[d]:
-                problems.append(TraceProblem(
-                    "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
-                    f"home in pass {p} (fov half-width {w})"))
-            load += duration[tid]
-            if tid in current:
-                repeats.append(TraceProblem(
-                    "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
-                continue
-            current.add(tid)
-            if len(current) == n_tasks:
-                closes.append(p)
-                current = set()
-        load_by_pass[previous_p] = load
-        for p, used in sorted(load_by_pass.items()):
-            cap = scenario.resources[p % n]
-            if used > cap + CAP_SLACK:
-                problems.append(TraceProblem(
-                    "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
-    except (TypeError, ValueError, OverflowError) as error:
-        return [TraceProblem("trace", None, None, _unreadable(trace.records, error))]
+            load_by_pass[previous_p] = load
+            load = load_by_pass.get(p, 0.0)
+            start, expected = p * dt, p % n
+            previous_p = p
+        elif offset < previous_offset:
+            problems.append(TraceProblem(
+                "order", p, tid, f"records out of execution order at pass {p}"))
+        previous_offset = offset
+        if timestamp != start + offset:
+            problems.append(TraceProblem(
+                "timestamp", p, tid, f"record for task {tid}: timestamp {timestamp} is not "
+                f"pass {p} start {start} plus offset {offset}"))
+        h = home.get(tid)
+        if h is None:
+            problems.append(TraceProblem(
+                "unknown-task", p, tid, f"record references unknown task {tid}"))
+            continue
+        if sector != expected:
+            problems.append(TraceProblem("sector", p, tid, f"record for task {tid}: "
+                                         f"sector {sector} does not match pass {p}"))
+        d = (sector - h) % n
+        if far[d]:
+            problems.append(TraceProblem(
+                "fov", p, tid, f"task {tid} executed {min(d, n - d)} sectors from "
+                f"home in pass {p} (fov half-width {w})"))
+        load += duration[tid]
+        if tid in current:
+            repeats.append(TraceProblem(
+                "repeat", p, tid, f"task {tid} executed twice within one cycle (pass {p})"))
+            continue
+        current.add(tid)
+        if len(current) == n_tasks:
+            closes.append(p)
+            current = set()
+    load_by_pass[previous_p] = load
+    for p, used in sorted(load_by_pass.items()):
+        cap = scenario.resources[p % n]
+        if used > cap + CAP_SLACK:
+            problems.append(TraceProblem(
+                "overload", p, None, f"pass {p} uses {used}, sector resources {cap}"))
     problems += repeats
     first = closes[0] if closes else -1
     if current or (len(closes), first) != (trace.cycles_completed, trace.completion_pass):
@@ -448,11 +445,12 @@ class RevisitStats:
 def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     """Intervals between consecutive illuminations of each task.
 
-    Needs an int ``cycles_completed`` of at least two and two illuminations
-    of each task, since an interval takes two illuminations of the same
-    direction; a shorter trace, one that is not a :class:`SimulationTrace`
-    or holds records the walk cannot read (module docstring), or a scenario
-    that is not a :class:`Scenario`, raises :class:`InvalidInputError`.  The rotation-denominated metric is
+    Needs a ``cycles_completed`` of at least two and two illuminations of
+    each task, since an interval takes two illuminations of the same
+    direction; a shorter trace, intervals that hold a NaN or an infinity or
+    sum beyond the float range, a trace that is not a
+    :class:`SimulationTrace` or a scenario that is not a :class:`Scenario`
+    raises :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     One walk over the records keeps each task's latest timestamp and
@@ -468,41 +466,44 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
             per_task=(), max_interval_s=0.0, max_interval_rot=0.0,
             mean_interval_s=0.0, mean_interval_rot=0.0,
             per_sector_max_rot=(0.0,) * scenario.n_sectors)
-    if not (isinstance(trace.cycles_completed, int) and trace.cycles_completed >= 2):
+    if trace.cycles_completed < 2:
         raise InvalidInputError("revisit intervals need >= 2 completed cycles, "
-                                f"trace has {trace.cycles_completed!r}")
+                                f"trace has {trace.cycles_completed}")
     rotation = scenario.rotation_time
     # One walk: each task's latest [timestamp, sector, worst interval so far].
     state = {tid: [None, None, None] for tid in home}
     all_intervals: list[float] = []
+    for tid, sector, _, _, timestamp in trace.records:
+        seen = state.get(tid)
+        if seen is None:
+            continue  # not a task of this scenario
+        previous, _, worst = seen
+        if previous is not None:
+            interval = timestamp - previous
+            all_intervals.append(interval)
+            if worst is None or interval > worst:  # as max() keeps the first of equals
+                seen[2] = interval
+        seen[0] = timestamp
+        seen[1] = sector
     try:
-        for tid, sector, _, _, timestamp in trace.records:
-            seen = state.get(tid)
-            if seen is None:
-                continue  # not a task of this scenario
-            previous, _, worst = seen
-            if previous is not None:
-                interval = timestamp - previous
-                all_intervals.append(interval)
-                if worst is None or interval > worst:  # as max() keeps the first of equals
-                    seen[2] = interval
-            seen[0] = timestamp
-            seen[1] = sector
-        per_task = []
-        new_revisit = tuple.__new__  # as simulate builds its records
-        per_sector = [0.0] * scenario.n_sectors
-        for tid, h in sorted(home.items()):
-            _, last_sector, worst = state[tid]
-            if worst is None:  # a ValueError, so the rescan runs and raises it again
-                raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
-            worst_rot = worst / rotation  # an int interval beyond floats overflows here
-            per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
-            if worst_rot > per_sector[h]:
-                per_sector[h] = worst_rot
-        worst = max(t.max_interval_s for t in per_task)
-        mean = math.fsum(all_intervals) / len(all_intervals)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise InvalidInputError(_unreadable(trace.records, error)) from None
+        total = math.fsum(all_intervals)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):  # else every interval is a finite float
+        raise InvalidInputError("revisit intervals are not finite or sum past the float range")
+    per_task = []
+    new_revisit = tuple.__new__  # as simulate builds its records
+    per_sector = [0.0] * scenario.n_sectors
+    for tid, h in sorted(home.items()):
+        _, last_sector, worst = state[tid]
+        if worst is None:
+            raise InvalidInputError(f"task {tid} was illuminated fewer than twice")
+        worst_rot = worst / rotation
+        per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
+        if worst_rot > per_sector[h]:
+            per_sector[h] = worst_rot
+    worst = max(t.max_interval_s for t in per_task)
+    mean = total / len(all_intervals)
     return RevisitStats(
         per_task=tuple(per_task),
         max_interval_s=worst,

@@ -13,7 +13,6 @@ import dataclasses
 import importlib
 import math
 import os
-from operator import attrgetter
 
 import pytest
 
@@ -55,33 +54,45 @@ DESK = Scenario(n_sectors=1, fov_half_width=0, dt=1.0, resources=(5.0,), tasks=t
 DESK_TRACE = simulate(DESK, "edf", cycles=2)
 DESK_PARTITION = broadside_baseline(DESK)
 # A record of a task the scenario does not hold.
-FOREIGN_TRACE = SimulationTrace(records=(ExecutionRecord("a", 0, 0, 0.0, 0.0),),
+FOREIGN_TRACE = SimulationTrace(records=(ExecutionRecord(7, 0, 0, 0.0, 0.0),),
                                 completion_pass=0, cycles_completed=1)
-# Records the trace walks cannot read, each in place of DESK_TRACE's first.
+# Records a trace refuses when it is built, each in place of DESK_TRACE's first.
 UNREADABLE = {
     "records-None": None,
     "record-int": 5,
     "record-four-fields": (0, 0, 0, 0.0),
+    "record-list": [0, 0, 0, 0.0, 0.0],
+    "id-text": ("a", 0, 0, 0.0, 0.0),
+    "id-bool": (True, 0, 0, 0.0, 0.0),
     "pass-float": (0, 0, 1.5, 0.0, 0.0),
     "sector-text": (0, "x", 0, 0.0, 0.0),
     "sector-float": (0, 0.0, 0, 0.0, 0.0),
     "offset-text": (0, 0, 0, "x", 0.0),
+    "timestamp-None": (0, 0, 0, 0.0, None),
     "pass-huge": (0, 0, 10 ** 400, 0.0, 0.0),
     "offset-huge": (0, 0, 0, 10 ** 400, 0.0),
+    "timestamp-huge": (0, 0, 0, 0.0, 10 ** 400),
 }
+
+
+def with_records(records):
+    return dataclasses.replace(DESK_TRACE, records=records)
 
 
 def unreadable_trace(name):
     record = UNREADABLE[name]
-    records = None if name == "records-None" else (record,) + DESK_TRACE.records[1:]
-    return dataclasses.replace(DESK_TRACE, records=records)
+    return with_records(None if name == "records-None" else (record,) + DESK_TRACE.records[1:])
 
 
-# Task 0 illuminated at int timestamps beyond the float range: check_trace
-# compares them exactly (a ``timestamp`` problem), revisit_stats divides them.
-HUGE_STAMPS_TRACE = dataclasses.replace(DESK_TRACE, records=tuple(
-    r._replace(timestamp=10 ** 400 * (r.pass_index + 1)) if r.task_id == 0 else r
-    for r in DESK_TRACE.records))
+def with_stamps(stamp_of):
+    """DESK_TRACE with each record's timestamp replaced by ``stamp_of(record)``."""
+    return with_records(tuple(r._replace(timestamp=stamp_of(r)) for r in DESK_TRACE.records))
+
+
+# Timestamps 0.0, then 1.7e308, for both tasks: the intervals sum past floats.
+OVERFLOWING_TRACE = with_stamps(lambda r: 1.7e308 * r.pass_index)
+# Task 0 illuminated at inf twice: its interval is inf - inf, a NaN.
+INFINITE_TRACE = with_stamps(lambda r: math.inf if r.task_id == 0 else r.timestamp)
 
 # (entry point, positional arguments, keyword arguments)
 CASES = {
@@ -196,40 +207,56 @@ CASES = {
     "write_scenario-scenario-None": (sio.write_scenario, (None, os.devnull), {}),
     "write_trace-scenario-None": (sio.write_trace, (DESK_TRACE, None, os.devnull), {}),
     "write_trace-record-foreign-task": (sio.write_trace, (FOREIGN_TRACE, DESK, os.devnull), {}),
-    # Revisit intervals need an int count of at least two completed cycles.
-    "revisit_stats-cycles-text": (revisit_stats,
-                                  (dataclasses.replace(DESK_TRACE, cycles_completed="2"), DESK),
-                                  {}),
-    "revisit_stats-cycles-None": (revisit_stats,
-                                  (dataclasses.replace(DESK_TRACE, cycles_completed=None), DESK),
-                                  {}),
-    "revisit_stats-cycles-float": (revisit_stats,
-                                   (dataclasses.replace(DESK_TRACE, cycles_completed=2.5), DESK),
-                                   {}),
-    "revisit_stats-cycles-nan": (revisit_stats,
-                                 (dataclasses.replace(DESK_TRACE, cycles_completed=math.nan),
-                                  DESK), {}),
-    # A trace's records are records where a walk over them reads one.
-    "revisit_stats-timestamps-huge": (revisit_stats, (HUGE_STAMPS_TRACE, DESK), {}),
-    "illumination-records-None": (attrgetter("illumination"),
-                                  (unreadable_trace("records-None"),), {}),
-    "illumination-record-int": (attrgetter("illumination"),
-                                (unreadable_trace("record-int"),), {}),
-    "illumination-record-four-fields": (attrgetter("illumination"),
-                                        (unreadable_trace("record-four-fields"),), {}),
-    "n_passes-last-record-two-fields": (attrgetter("n_passes"), (dataclasses.replace(
-        DESK_TRACE, records=DESK_TRACE.records[:-1] + ((0, 0),)),), {}),
-    "revisit_stats-records-None": (revisit_stats, (unreadable_trace("records-None"), DESK), {}),
-    "revisit_stats-record-int": (revisit_stats, (unreadable_trace("record-int"), DESK), {}),
-    "revisit_stats-record-four-fields": (revisit_stats,
-                                         (unreadable_trace("record-four-fields"), DESK), {}),
-    "write_trace-records-None": (sio.write_trace,
-                                 (unreadable_trace("records-None"), DESK, os.devnull), {}),
-    "write_trace-record-int": (sio.write_trace,
-                               (unreadable_trace("record-int"), DESK, os.devnull), {}),
-    "write_trace-record-four-fields": (sio.write_trace,
-                                       (unreadable_trace("record-four-fields"), DESK, os.devnull),
-                                       {}),
+    # A trace checks its fields when it is built, so no reader is handed one
+    # it cannot read: each of these calls raises where its trace is built.
+    "revisit_stats-cycles-text": (lambda: revisit_stats(dataclasses.replace(
+        DESK_TRACE, cycles_completed="2"), DESK), (), {}),
+    "revisit_stats-cycles-None": (lambda: revisit_stats(dataclasses.replace(
+        DESK_TRACE, cycles_completed=None), DESK), (), {}),
+    "revisit_stats-cycles-float": (lambda: revisit_stats(dataclasses.replace(
+        DESK_TRACE, cycles_completed=2.5), DESK), (), {}),
+    "revisit_stats-cycles-nan": (lambda: revisit_stats(dataclasses.replace(
+        DESK_TRACE, cycles_completed=math.nan), DESK), (), {}),
+    "revisit_stats-timestamps-huge": (lambda: revisit_stats(with_stamps(
+        lambda r: 10 ** 400 * (r.pass_index + 1) if r.task_id == 0 else r.timestamp), DESK),
+        (), {}),
+    "illumination-records-None": (lambda: unreadable_trace("records-None").illumination, (), {}),
+    "illumination-record-int": (lambda: unreadable_trace("record-int").illumination, (), {}),
+    "illumination-record-four-fields": (
+        lambda: unreadable_trace("record-four-fields").illumination, (), {}),
+    "n_passes-last-record-two-fields": (
+        lambda: with_records(DESK_TRACE.records[:-1] + ((0, 0),)).n_passes, (), {}),
+    "revisit_stats-records-None": (lambda: revisit_stats(unreadable_trace("records-None"), DESK),
+                                   (), {}),
+    "revisit_stats-record-int": (lambda: revisit_stats(unreadable_trace("record-int"), DESK),
+                                 (), {}),
+    "revisit_stats-record-four-fields": (
+        lambda: revisit_stats(unreadable_trace("record-four-fields"), DESK), (), {}),
+    "write_trace-records-None": (
+        lambda: sio.write_trace(unreadable_trace("records-None"), DESK, os.devnull), (), {}),
+    "write_trace-record-int": (
+        lambda: sio.write_trace(unreadable_trace("record-int"), DESK, os.devnull), (), {}),
+    "write_trace-record-four-fields": (
+        lambda: sio.write_trace(unreadable_trace("record-four-fields"), DESK, os.devnull), (), {}),
+    # A trace's counts are ints: cycles_completed >= 0, completion_pass any.
+    "SimulationTrace-cycles-negative": (dataclasses.replace, (DESK_TRACE,),
+                                        {"cycles_completed": -1}),
+    "SimulationTrace-completion-pass-float": (dataclasses.replace, (DESK_TRACE,),
+                                              {"completion_pass": 1.0}),
+    "SimulationTrace-completion-pass-huge": (dataclasses.replace, (DESK_TRACE,),
+                                             {"completion_pass": 10 ** 400}),
+    # Records that readers once took as given or failed on.
+    "SimulationTrace-last-pass-float": (with_records, (
+        DESK_TRACE.records[:-1] + ((1, 0, 1.5, 1.0, 2.0),),), {}),
+    "SimulationTrace-sector-text": (with_records, (
+        DESK_TRACE.records[:-1] + ((1, "x", 1, 1.0, 2.0),),), {}),
+    "SimulationTrace-sector-and-offset-text": (with_records, (
+        ((0, "x", 0, "x", 0.0),) + DESK_TRACE.records[1:],), {}),
+    "SimulationTrace-pass-past-the-digit-limit": (with_records, (
+        ((0, 0, 10 ** 5000, 0.0, 0.0),) + DESK_TRACE.records[1:],), {}),
+    # Intervals are finite and sum within the float range.
+    "revisit_stats-intervals-sum-past-floats": (revisit_stats, (OVERFLOWING_TRACE, DESK), {}),
+    "revisit_stats-timestamps-inf": (revisit_stats, (INFINITE_TRACE, DESK), {}),
 }
 
 
@@ -277,17 +304,25 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: simulate(DESK, "edf", cycles=10 ** 20),
      "cycles=100000000000000000000 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
     (lambda: sio.write_trace(FOREIGN_TRACE, DESK, os.devnull),
-     "trace record of task 'a', which is not in the scenario"),
+     "trace record of task 7, which is not in the scenario"),
     (lambda: sio.write_comparison([{"policy": "a,b"}], os.devnull, fields=("policy",)),
      "rows[0]: 'a,b' holds a comma, quote or line break, which this CSV writer does not quote"),
-    (lambda: revisit_stats(unreadable_trace("records-None"), DESK),
-     "records must be iterable, not NoneType"),
-    (lambda: sio.write_trace(unreadable_trace("record-four-fields"), DESK, os.devnull),
-     "records[0]=(0, 0, 0, 0.0) is not five fields with a hashable task id"),
-    (lambda: revisit_stats(dataclasses.replace(DESK_TRACE, cycles_completed="2"), DESK),
-     "revisit intervals need >= 2 completed cycles, trace has '2'"),
-    (lambda: revisit_stats(dataclasses.replace(DESK_TRACE, cycles_completed=True), DESK),
-     "revisit intervals need >= 2 completed cycles, trace has True"),
+    (lambda: SimulationTrace(None, -1, 0), "records must be iterable, not NoneType"),
+    (lambda: unreadable_trace("record-four-fields"), "records[0] is not a tuple of five fields"),
+    (lambda: unreadable_trace("offset-text"), "records[0].start_offset='x' must be an int or a float"),
+    (lambda: unreadable_trace("id-bool"), "records[0].task_id must be an int, not bool"),
+    (lambda: with_records(((0, 0, 10 ** 5000, 0.0, 0.0),)),
+     "records[0].pass_index: an int beyond the float range"),
+    (lambda: dataclasses.replace(DESK_TRACE, cycles_completed="2"),
+     "cycles_completed='2' must be a non-negative integer"),
+    (lambda: dataclasses.replace(DESK_TRACE, cycles_completed=True),
+     "cycles_completed=True must be a non-negative integer"),
+    (lambda: dataclasses.replace(DESK_TRACE, completion_pass=None),
+     "completion_pass must be an int, not NoneType"),
+    (lambda: revisit_stats(simulate(DESK, "edf"), DESK),
+     "revisit intervals need >= 2 completed cycles, trace has 1"),
+    (lambda: revisit_stats(OVERFLOWING_TRACE, DESK),
+     "revisit intervals are not finite or sum past the float range"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -322,44 +357,22 @@ def test_check_assignment_reports_a_task_id_that_is_no_int(key):
 
 
 @pytest.mark.parametrize("name", UNREADABLE)
-def test_check_trace_reports_an_unreadable_record_once(name):
-    problems = check_trace(DESK, unreadable_trace(name))
-    assert [problem[:3] for problem in problems] == [("trace", None, None)]
-    if name != "records-None":
-        assert problems[0].detail.startswith(f"records[0]={UNREADABLE[name]!r} ")
+def test_a_trace_refuses_an_unreadable_record(name):
+    with pytest.raises(InvalidInputError) as info:
+        unreadable_trace(name)
+    assert str(info.value).startswith("records must" if name == "records-None" else "records[0]")
 
 
-def test_check_trace_names_the_first_unreadable_record():
-    records = DESK_TRACE.records[:2] + ((0, "x", 0, 0.0, 0.0), 5)
-    assert check_trace(DESK, dataclasses.replace(DESK_TRACE, records=records)) == [(
-        "trace", None, None, "records[2]=(0, 'x', 0, 0.0, 0.0) needs an int sector and pass "
-        "and a number offset and timestamp")]
+def test_a_trace_names_its_first_unreadable_record():
+    with pytest.raises(InvalidInputError) as info:
+        with_records(DESK_TRACE.records[:2] + ((0, "x", 0, 0.0, 0.0), 5))
+    assert str(info.value) == "records[2].sector must be an int, not str"
 
 
 def test_n_passes_reads_plain_tuple_records():
     trace = SimulationTrace(records=((0, 0, 0, 0.0, 0.0), (0, 0, 1, 0.0, 1.0)),
                             completion_pass=0, cycles_completed=2)
     assert trace.n_passes == 2
-
-
-def every_record_reads(records, error):
-    raise error
-
-
-@pytest.mark.parametrize("read", [
-    lambda trace: check_trace(DESK, trace),
-    lambda trace: revisit_stats(trace, DESK),
-    lambda trace: sio.write_trace(trace, DESK, os.devnull),
-    attrgetter("illumination"),
-], ids=["check_trace", "revisit_stats", "write_trace", "illumination"])
-def test_a_reader_reraises_when_every_record_reads(read, monkeypatch):
-    # The rescan only names records; a walk that fails on readable ones is
-    # a fault of the reader and must surface.
-    simulator = importlib.import_module("sectorsched.simulate")
-    for module in (simulator, sio):
-        monkeypatch.setattr(module, "_unreadable", every_record_reads)
-    with pytest.raises(TypeError, match="cannot unpack non-iterable int"):
-        read(unreadable_trace("record-int"))
 
 
 def test_uniform_range_takes_an_int_end():

@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sectorsched import (  # noqa: E402
+    ExecutionRecord,
     GenParams,
     InfeasibleScenarioError,
+    InvalidInputError,
     POLICY_EDF,
     POLICY_PARTITION,
     ScenarioValidationError,
@@ -116,6 +118,29 @@ class TestSimulateProperties:
             bad = dataclasses.replace(
                 trace, records=tuple(_corrupted(trace.records, kind, i, j, foreign_id, shift)))
             assert check_trace(s, bad) == reference_check_trace(s, bad)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(gen_params(), st.integers(1, 2), st.integers(0, 10 ** 6),
+           st.sampled_from(ExecutionRecord._fields),
+           st.sampled_from(("x", None, True, 1.5, 10 ** 400)))
+    def test_a_trace_rebuilds_and_refuses_a_field_of_the_wrong_kind(self, params, cycles, i,
+                                                                     field, value):
+        # 1.5 is a number, which an offset or a timestamp may be.
+        assume(value != 1.5 or field in ("task_id", "sector", "pass_index"))
+        s = generated(params)
+        if s is None:
+            return
+        for policy, partition in _runs(s):
+            trace = simulate(s, policy, partition, cycles=cycles)
+            assert dataclasses.replace(trace) == trace
+            assert dataclasses.replace(trace, records=iter(trace.records)) == trace
+            if not trace.records:
+                continue
+            i %= len(trace.records)
+            records = list(trace.records)
+            records[i] = records[i]._replace(**{field: value})
+            with pytest.raises(InvalidInputError, match=rf"^records\[{i}\]\.{field}\b"):
+                dataclasses.replace(trace, records=records)
 
     @pytest.mark.parametrize("case, reached", [
         (INTERLEAVED, lambda trace: [r.timestamp for r in trace.records]
