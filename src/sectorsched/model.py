@@ -192,12 +192,13 @@ def fov_offsets(fov_half_width: int, n_sectors: int) -> range:
     return range(-w, w + 1 - (2 * w == n_sectors))
 
 
-def _sum_overflows(values) -> bool:
-    """Whether the exact sum of ``values`` lies beyond the float range."""
+def finite_fsum(values) -> float:
+    """``math.fsum(values)`` where that is a finite float, else NaN."""
     try:
-        return math.isinf(math.fsum(values))
-    except OverflowError:  # "intermediate overflow in fsum"
-        return True
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
+        return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -212,6 +213,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for task in scenario.tasks:
         if type(task.id) is not int or task.id < 0:  # a bool is no id
             violations.append(f"task id {task.id!r} is not a non-negative integer")
+        elif task.id > sys.float_info.max:  # as a trace's task id, and no repr
+            violations.append("task id beyond the float range")
         elif task.id in seen_ids:
             violations.append(f"duplicate task id {task.id}")
         else:
@@ -223,9 +226,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if (scenario.tasks and all(map(math.isfinite, scenario.resources))
             and not max(scenario.resources) > 0):
         violations.append("all sector resources are zero but the task set is non-empty")
-    if _sum_overflows(filter(math.isfinite, scenario.resources)):
+    if math.isnan(finite_fsum(filter(math.isfinite, scenario.resources))):
         violations.append("sector resources sum beyond the float range")
-    if _sum_overflows(filter(math.isfinite, (t.duration for t in scenario.tasks))):
+    if math.isnan(finite_fsum(filter(math.isfinite, (t.duration for t in scenario.tasks)))):
         violations.append("task durations sum beyond the float range")
     # With all else valid, the load ratio sector_targets takes must be finite.
     if not violations and scenario.tasks and math.isinf(

@@ -23,12 +23,11 @@ the violation as an ``overfill`` problem in ``SimulationTrace.warnings``.
 A trace is its records: illumination histories, the pass count
 ``n_passes`` and a record's rotation, ``pass_index // n_sectors``, are
 derived from them.  A :class:`SimulationTrace` checks its fields once, when
-it is built: ``records``, any iterable, kept as a tuple, of five-field
-tuples, an int task id, sector and pass and a number offset and timestamp,
-none a bool and each within the float range; an int ``cycles_completed``
->= 0 and an int ``completion_pass``.  A sector or pass out of range is a
-value :func:`check_trace` reports.  So every reader, these two included,
-reads a record by position and trusts it.
+it is built: ``records`` (any iterable, kept as a tuple) are five-field
+tuples of an int task id, sector and pass and a number offset and
+timestamp, none a bool, each within the float range; ``cycles_completed``
+is an int >= 0, ``completion_pass`` an int.  A sector or pass out of range
+is a value :func:`check_trace` reports; every reader trusts the rest.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -58,7 +57,6 @@ bucket's largest reachable resources.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
@@ -67,7 +65,7 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidInputError
 from .loads import SchedulePartition, check_partition
 from .model import (CAP_SLACK, Scenario, as_tuple, check_count, check_instance, check_number,
-                    check_positive, fov_offsets)
+                    check_positive, finite_fsum, fov_offsets)
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -116,15 +114,19 @@ class SimulationTrace:
         object.__setattr__(self, "records", records)
         check_count(self.cycles_completed, "cycles_completed", least=0)
         _check_number(self.completion_pass, "completion_pass", is_int=True)
+        for record in records:
+            # One test passes what the simulator makes, ints in [0, 2**1023)
+            # among them; any other trace meets the rule field by field.
+            if type(record) is not ExecutionRecord:
+                break
+            tid, sector, p, offset, timestamp = record
+            if not (type(tid) is type(sector) is type(p) is int
+                    and type(offset) is type(timestamp) is float
+                    and not (tid | sector | p) >> 1023):
+                break
+        else:
+            return
         for i, record in enumerate(records):
-            # One test passes what the simulator makes; any other record,
-            # valid or not, meets the rule field by field.
-            if type(record) is ExecutionRecord:
-                tid, sector, p, offset, timestamp = record
-                if (type(tid) is type(sector) is type(p) is int
-                        and type(offset) is type(timestamp) is float
-                        and abs(tid) + abs(sector) + abs(p) <= _FLOAT_RANGE):
-                    continue
             if not (isinstance(record, tuple) and len(record) == 5):
                 raise InvalidInputError(f"records[{i}] is not a tuple of five fields")
             for k, field in enumerate(ExecutionRecord._fields):
@@ -142,9 +144,6 @@ class SimulationTrace:
         for tid, _, _, _, timestamp in self.records:
             times.setdefault(tid, []).append(timestamp)
         return {tid: tuple(ts) for tid, ts in times.items()}
-
-
-_FLOAT_RANGE = int(sys.float_info.max)  # the largest int within the float range
 
 
 def _check_number(value, name: str, is_int: bool) -> None:
@@ -485,11 +484,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
                 seen[2] = interval
         seen[0] = timestamp
         seen[1] = sector
-    try:
-        total = math.fsum(all_intervals)
-    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
-        total = math.nan
-    if not math.isfinite(total):  # else every interval is a finite float
+    total = finite_fsum(all_intervals)
+    if math.isnan(total):  # else every interval is a finite float
         raise InvalidInputError("revisit intervals are not finite or sum past the float range")
     per_task = []
     new_revisit = tuple.__new__  # as simulate builds its records

@@ -245,7 +245,8 @@ CASES = {
                                               {"completion_pass": 1.0}),
     "SimulationTrace-completion-pass-huge": (dataclasses.replace, (DESK_TRACE,),
                                              {"completion_pass": 10 ** 400}),
-    # Records that readers once took as given or failed on.
+    # A record's fields are typed: no float pass, no str sector or offset,
+    # and no int past the digit limit, whose repr a message must not hold.
     "SimulationTrace-last-pass-float": (with_records, (
         DESK_TRACE.records[:-1] + ((1, 0, 1.5, 1.0, 2.0),),), {}),
     "SimulationTrace-sector-text": (with_records, (

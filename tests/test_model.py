@@ -248,6 +248,14 @@ class TestValidateScenario:
                      tasks=(SurveillanceTask(True, 0.1, 0.0, 1.0),))
         assert info.value.violations == ["task id True is not a non-negative integer"]
 
+    def test_task_id_beyond_the_float_range(self):
+        # A trace holds task ids within the float range, so simulate could
+        # not record this task; the message holds no repr of the id.
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
+                     tasks=(SurveillanceTask(10 ** 5000, 0.1, 0.0, 1.0),))
+        assert info.value.violations == ["task id beyond the float range"]
+
     def test_load_ratio_beyond_float_range(self):
         # sector_targets would divide 3.0 by 5e-324: r_opt inf and a nan target.
         with pytest.raises(ScenarioValidationError) as info:
