@@ -213,7 +213,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for task in scenario.tasks:
         if type(task.id) is not int or task.id < 0:  # a bool is no id
             violations.append(f"task id {task.id!r} is not a non-negative integer")
-        elif task.id > sys.float_info.max:  # as a trace's task id, and no repr
+        elif task.id > sys.float_info.max:  # a trace's bound on ids; no repr
             violations.append("task id beyond the float range")
         elif task.id in seen_ids:
             violations.append(f"duplicate task id {task.id}")

@@ -114,9 +114,9 @@ class SimulationTrace:
         object.__setattr__(self, "records", records)
         check_count(self.cycles_completed, "cycles_completed", least=0)
         _check_number(self.completion_pass, "completion_pass", is_int=True)
+        # One test passes what the simulator makes, ints in [0, 2**1023)
+        # among them; any other trace meets the rule field by field.
         for record in records:
-            # One test passes what the simulator makes, ints in [0, 2**1023)
-            # among them; any other trace meets the rule field by field.
             if type(record) is not ExecutionRecord:
                 break
             tid, sector, p, offset, timestamp = record
@@ -485,7 +485,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         seen[0] = timestamp
         seen[1] = sector
     total = finite_fsum(all_intervals)
-    if math.isnan(total):  # else every interval is a finite float
+    if math.isnan(total):  # else every interval converts to a finite float
         raise InvalidInputError("revisit intervals are not finite or sum past the float range")
     per_task = []
     new_revisit = tuple.__new__  # as simulate builds its records
