@@ -201,6 +201,14 @@ def finite_fsum(values) -> float:
     return total if math.isfinite(total) else math.nan
 
 
+def _id_text(tid) -> str:
+    """``repr(tid)``, but an int beyond the float range, whose digits may
+    pass the int-to-str limit, as the words that say so."""
+    if isinstance(tid, int) and abs(tid) > sys.float_info.max:
+        return "beyond the float range"
+    return repr(tid)
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; returns violations (empty list = ok)."""
     violations: list[str] = []
@@ -212,17 +220,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen_ids: set[int] = set()
     for task in scenario.tasks:
         if type(task.id) is not int or task.id < 0:  # a bool is no id
-            violations.append(f"task id {task.id!r} is not a non-negative integer")
-        elif task.id > sys.float_info.max:  # a trace's bound on ids; no repr
+            violations.append(f"task id {_id_text(task.id)} is not a non-negative integer")
+        elif task.id > sys.float_info.max:  # a trace's bound on ids
             violations.append("task id beyond the float range")
         elif task.id in seen_ids:
             violations.append(f"duplicate task id {task.id}")
         else:
             seen_ids.add(task.id)
         if not math.isfinite(task.duration):
-            violations.append(f"non-finite duration {task.duration!r}, task id {task.id}")
+            violations.append(
+                f"non-finite duration {task.duration!r}, task id {_id_text(task.id)}")
         elif not task.duration > 0:
-            violations.append(f"non-positive duration, task id {task.id}")
+            violations.append(f"non-positive duration, task id {_id_text(task.id)}")
     if (scenario.tasks and all(map(math.isfinite, scenario.resources))
             and not max(scenario.resources) > 0):
         violations.append("all sector resources are zero but the task set is non-empty")

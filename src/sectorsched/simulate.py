@@ -28,6 +28,10 @@ tuples of an int task id, sector and pass and a number offset and
 timestamp, none a bool, each within the float range; ``cycles_completed``
 is an int >= 0, ``completion_pass`` an int.  A sector or pass out of range
 is a value :func:`check_trace` reports; every reader trusts the rest.
+:func:`simulate` builds its own trace without the walk over the records:
+they hold only ints of the scenario and float sums, which meet the rule,
+:func:`check_trace` re-checks them, and a property test rebuilds every
+trace it draws through the checked constructor.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -101,8 +105,10 @@ class TraceProblem(NamedTuple):
 class SimulationTrace:
     """Time-ordered execution records and the simulator's warnings, of kinds
     ``resources`` (resources beyond the pass duration) and ``overfill``.
-    Built with a field that breaks the rule of the module docstring, it
-    raises :class:`InvalidInputError` naming it, as ``records[3].sector``."""
+    Built with a field that breaks the rule of the module docstring, as by
+    ``SimulationTrace(...)`` or ``dataclasses.replace``, it raises
+    :class:`InvalidInputError` naming it, as ``records[3].sector``;
+    :func:`simulate` alone builds its trace without that check."""
 
     records: tuple[ExecutionRecord, ...]
     completion_pass: int
@@ -114,18 +120,6 @@ class SimulationTrace:
         object.__setattr__(self, "records", records)
         check_count(self.cycles_completed, "cycles_completed", least=0)
         _check_number(self.completion_pass, "completion_pass", is_int=True)
-        # One test passes what the simulator makes, ints in [0, 2**1023)
-        # among them; any other trace meets the rule field by field.
-        for record in records:
-            if type(record) is not ExecutionRecord:
-                break
-            tid, sector, p, offset, timestamp = record
-            if not (type(tid) is type(sector) is type(p) is int
-                    and type(offset) is type(timestamp) is float
-                    and not (tid | sector | p) >> 1023):
-                break
-        else:
-            return
         for i, record in enumerate(records):
             if not (isinstance(record, tuple) and len(record) == 5):
                 raise InvalidInputError(f"records[{i}] is not a tuple of five fields")
@@ -305,12 +299,12 @@ def simulate(scenario: Scenario, policy: str,
             cycles_done += 1
         pass_index += 1
 
-    trace = SimulationTrace(
-        records=tuple(records),
-        completion_pass=completion_pass,
-        cycles_completed=cycles_done,
-        warnings=tuple(warnings),
-    )
+    # The records hold ints from the scenario and float sums, which meet the
+    # record rule, so the trace is built without its walk over them.
+    trace = object.__new__(SimulationTrace)
+    for name, value in (("records", tuple(records)), ("completion_pass", completion_pass),
+                        ("cycles_completed", cycles_done), ("warnings", tuple(warnings))):
+        object.__setattr__(trace, name, value)
     explained = {("overload", w.pass_index) for w in warnings if w.kind == "overfill"}
     unexplained = [problem.detail for problem in check_trace(scenario, trace)
                    if (problem.kind, problem.pass_index) not in explained]
@@ -447,7 +441,7 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
     Needs a ``cycles_completed`` of at least two and two illuminations of
     each task, since an interval takes two illuminations of the same
     direction; a shorter trace, intervals that hold a NaN or an infinity or
-    sum beyond the float range, a trace that is not a
+    sum beyond the float range, or in rotations pass it, a trace that is not a
     :class:`SimulationTrace` or a scenario that is not a :class:`Scenario`
     raises :class:`InvalidInputError`.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
@@ -498,8 +492,12 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
         if worst_rot > per_sector[h]:
             per_sector[h] = worst_rot
-    worst = max(t.max_interval_s for t in per_task)
-    mean = total / len(all_intervals)
+    worsts = [t.max_interval_s for t in per_task]
+    worst, mean = max(worsts), total / len(all_intervals)
+    # Finite seconds over a tiny rotation may pass the float range; every
+    # task's quotient lies between those of the least and the worst.
+    if not all(math.isfinite(s / rotation) for s in (min(worsts), worst, mean)):
+        raise InvalidInputError("revisit intervals in rotations pass the float range")
     return RevisitStats(
         per_task=tuple(per_task),
         max_interval_s=worst,
