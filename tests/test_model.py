@@ -256,6 +256,22 @@ class TestValidateScenario:
                      tasks=(SurveillanceTask(10 ** 5000, 0.1, 0.0, 1.0),))
         assert info.value.violations == ["task id beyond the float range"]
 
+    def test_negative_task_id_beyond_the_float_range(self):
+        # Its repr would pass the int-to-str digit limit and raise ValueError.
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
+                     tasks=(SurveillanceTask(-10 ** 5000, 0.1, 0.0, 1.0),))
+        assert info.value.violations == [
+            "task id beyond the float range is not a non-negative integer"]
+
+    def test_a_duration_violation_names_a_huge_id_without_its_digits(self):
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
+                     tasks=(SurveillanceTask(10 ** 400, 0.1, 0.0, math.nan),))
+        assert info.value.violations == [
+            "task id beyond the float range",
+            "non-finite duration nan, task id beyond the float range"]
+
     def test_load_ratio_beyond_float_range(self):
         # sector_targets would divide 3.0 by 5e-324: r_opt inf and a nan target.
         with pytest.raises(ScenarioValidationError) as info:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import random
@@ -17,6 +18,7 @@ from sectorsched import (
     SimulationTrace,
     TaskRevisit,
     TraceProblem,
+    bin_packing_reduce,
     broadside_baseline,
     build_partition,
     check_trace,
@@ -315,6 +317,22 @@ class TestRevisitStats:
         with pytest.raises(InvalidInputError) as info:
             revisit_stats(dataclasses.replace(trace, records=rest), tri_scenario)
         assert str(info.value) == "task 0 was illuminated fewer than twice"
+
+    @pytest.mark.parametrize("second", [
+        (1e10,),  # the worst and the mean interval
+        (-4e8, 1e8, 1e8, 1e8, 1e8),  # only one task's worst: the mean is 0
+    ], ids=["worst", "least"])
+    def test_rotations_past_the_float_range_are_refused(self, second):
+        # Finite intervals over a 1e-300 s rotation would read as infinitely
+        # many rotations.  Each task runs in pass 0, then in pass 1, where
+        # it is restamped.
+        s = scenario_from(1, 0, 1e-300, (1.0,), [(0, 0.1)] * len(second))
+        trace = simulate(s, POLICY_EDF, cycles=2)
+        assert [r.pass_index for r in trace.records] == [0] * len(second) + [1] * len(second)
+        restamped = tuple(r._replace(timestamp=second[r.task_id] if r.pass_index else 0.0)
+                          for r in trace.records)
+        with pytest.raises(InvalidInputError, match="in rotations pass the float range"):
+            revisit_stats(dataclasses.replace(trace, records=restamped), s)
 
     def test_exec_sector_recorded(self, tri_scenario):
         part = equalize(tri_scenario)
@@ -628,3 +646,27 @@ def test_equivalence_cases_reach_every_branch():
     assert overfills >= 5
     assert empty >= 1
     assert rolled >= 1
+
+
+@pytest.mark.parametrize("shape, kinds", [
+    # 1-degree sectors, fov 60, a starved hotspot and a dead sector.
+    ("fleet-compare", {"overfill"}),
+    # Bins of 4 to 6.5 s over passes of 1 s; broadside puts every item in
+    # the 4 s sector 0, which the 5 s item overfills.
+    ("planted", {"overfill", "resources"}),
+])
+def test_simulate_builds_a_trace_the_checked_constructor_rebuilds(shape, kinds):
+    # simulate builds its trace without the walk over the records, so each
+    # one must pass SimulationTrace's own check unchanged.
+    if shape == "fleet-compare":
+        s = generate(GenParams(n_sectors=360, fov_half_width=60, seed=1,
+                               hotspots=((17, 0.5, 4.0), (200, 0.0, 1.0))))
+    else:
+        s = bin_packing_reduce((1.5, 2.5, 4.0, 2.5, 5.0), (4.0, 6.5, 5.0))
+    traces = [simulate(s, POLICY_EDF, cycles=3)] + [
+        simulate(s, POLICY_PARTITION, partition, cycles=3)
+        for partition in (broadside_baseline(s), equalize(s))]
+    for trace in traces:
+        assert trace.records
+        assert dataclasses.replace(trace) == trace
+    assert {w.kind for trace in traces for w in trace.warnings} == kinds
