@@ -19,11 +19,10 @@ task count followed by (azimuth fraction, elevation, duration) per task.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .model import Scenario, SurveillanceTask, check_count, check_number, check_positive
+from .model import TIME_RANGE, Scenario, SurveillanceTask, check_count, check_number, check_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,8 +63,8 @@ class Xorshift64Star:
             check_number(lo, "lo")
         if type(hi) is not float:
             check_number(hi, "hi")
-        width = hi - lo
-        if not (lo <= hi and width <= sys.float_info.max):  # also refuses NaN and inf
+        width = float(hi) - float(lo)
+        if not (lo <= hi and math.isfinite(width)):  # also refuses NaN and inf
             raise InvalidInputError(f"range ({lo!r}, {hi!r}) must be finite, ordered "
                                     "and at most the float range wide")
         return lo + self.uniform() * width
@@ -96,10 +95,10 @@ class GenParams:
     ``hotspots`` maps chosen sectors to (resource multiplier, task-count
     multiplier) pairs to create deliberately overloaded or starved sectors;
     a resource multiplier of 0 yields a dead sector, and no sector may be
-    listed twice.  The ``duration`` and ``resources`` ranges are finite,
-    ordered, and positive (non-negative for resources).  Neither ``n_sectors`` nor ``n_sectors x tasks_per_sector[1]
-    x`` the largest hotspot task multiplier (at least 1), which sizes the
-    task count, may pass ``MAX_GENERATED``.
+    listed twice.  Each value the ordered ``duration`` and ``resources`` ranges give, times its
+    multiplier, lies in the numeric domain of :mod:`model`.  Neither ``n_sectors`` nor
+    ``n_sectors x tasks_per_sector[1] x`` the largest hotspot task multiplier (at least 1),
+    which sizes the task count, may pass ``MAX_GENERATED``.
     """
 
     n_sectors: int = 30
@@ -126,7 +125,7 @@ class GenParams:
         if most_per_sector < lo:
             raise InvalidInputError(f"bad tasks_per_sector range {self.tasks_per_sector!r}")
         lo, hi = _numbers(self.duration, 2, "duration range")
-        if not 0 < lo <= hi < math.inf:
+        if not TIME_RANGE[0] <= lo <= hi <= TIME_RANGE[1]:
             raise InvalidInputError(f"bad duration range {self.duration!r}")
         lo, hi = _numbers(self.resources, 2, "resources range")
         if not 0 <= lo <= hi < math.inf:
@@ -147,9 +146,13 @@ class GenParams:
             if not (0 <= res_mult < math.inf and 0 <= task_mult < math.inf):
                 raise InvalidInputError(
                     f"hotspot multipliers ({res_mult!r}, {task_mult!r}) must be finite and >= 0")
+        least = lo or hi * 2.0 ** -53  # the least positive draw: uniform() steps by 2**-53
+        mults = [1.0] * (len(hot_sectors) < self.n_sectors) + [m for _, m, _ in self.hotspots]
+        if hi and not all(TIME_RANGE[0] <= least * m <= hi * m <= TIME_RANGE[1] for m in mults if m):
+            raise InvalidInputError(f"resources range {self.resources!r} times a resource "
+                                    "multiplier leaves 0 and [2**-64, 2**64] s")
         most_mult = max((task_mult for _, _, task_mult in self.hotspots), default=1.0)
-        if (most_per_sector > MAX_GENERATED  # else the product may pass the float range
-                or self.n_sectors * most_per_sector * max(1.0, most_mult) > MAX_GENERATED):
+        if self.n_sectors * most_per_sector * max(1.0, most_mult) > MAX_GENERATED:
             raise InvalidInputError(
                 f"n_sectors x tasks_per_sector[1] x hotspot task multiplier "
                 f"exceeds MAX_GENERATED={MAX_GENERATED}")

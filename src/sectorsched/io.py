@@ -164,14 +164,13 @@ def read_partition(path: str | Path) -> SchedulePartition:
     assignments = _require(payload, "assignments", (list,), "partition")
     provenance = _require(payload, "provenance", (dict,), "partition")
     for key in provenance:
+        if len(key) > 19:  # longer than any id below 2**63, and not quoted
+            raise ScenarioFormatError("partition.provenance: a task id key of over 19 characters")
         # The form write_partition writes, str(int(key)): no sign, no leading zero.
         if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
             raise ScenarioFormatError(f"partition.provenance: task id {key!r} is not an "
                                       "integer without sign or leading zero")
-    try:
-        tags = {int(key): tag for key, tag in provenance.items()}
-    except ValueError as exc:  # a key beyond the int-to-str digit limit
-        raise ScenarioFormatError(f"partition.provenance: {exc}") from exc
+    tags = {int(key): tag for key, tag in provenance.items()}
     try:  # the partition checks its rows and tags
         return SchedulePartition(
             assignments=tuple(tuple(ids) if type(ids) is list else ids for ids in assignments),

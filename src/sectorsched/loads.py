@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from .errors import InvalidInputError
-from .model import Scenario, check_count, check_instance
+from .model import INT_LIMIT, Scenario, check_count, check_instance
 
 # Provenance tags: which phase of the equalizer placed a task.
 PROVENANCE_OWN = "own-sector"
@@ -43,8 +43,8 @@ class SchedulePartition:
     ``provenance`` maps a task id to the equalizer phase that placed it (one
     of ``PROVENANCE_TAGS``), if any.
     Anything else raises :class:`InvalidInputError`: assignments that are not
-    a tuple of rows, each a tuple of non-negative int ids (a bool is no id),
-    or provenance that is not a mapping to ``str`` tags.
+    a tuple of rows, each a tuple of int ids in ``[0, 2**63)`` (a bool is no
+    id), or provenance that is not a mapping of such ids to ``str`` tags.
     """
 
     assignments: tuple[tuple[int, ...], ...]
@@ -58,13 +58,12 @@ class SchedulePartition:
             raise InvalidInputError(f"provenance: expected a mapping of task id to tag, "
                                     f"not {type(self.provenance).__name__}")
         for i, ids in enumerate(self.assignments):
-            if type(ids) is not tuple or not all(type(t) is int and t >= 0 for t in ids):
+            if type(ids) is not tuple or not all(type(t) is int and 0 <= t < INT_LIMIT for t in ids):
                 raise InvalidInputError(
-                    f"assignments[{i}]: expected a row of non-negative integer task ids")
+                    f"assignments[{i}]: expected a row of int task ids in [0, 2**63)")
         for tid, tag in self.provenance.items():
-            if type(tid) is not int or tid < 0:
-                raise InvalidInputError(
-                    f"provenance: task id {tid!r} is not a non-negative integer")
+            if type(tid) is not int or not 0 <= tid < INT_LIMIT:
+                raise InvalidInputError("provenance: a task id is not an int in [0, 2**63)")
             if type(tag) is not str:
                 raise InvalidInputError(
                     f"provenance.{tid}: unexpected type {type(tag).__name__}")
@@ -78,24 +77,22 @@ def build_partition(n_sectors: int, sector_of_task: Mapping[int, int],
                     provenance: Mapping[int, str] = {}) -> SchedulePartition:
     """Canonical SchedulePartition from task id -> sector, tagging the tasks
     ``provenance`` has.  A sector that is not an int in ``[0, n_sectors)``
-    (a bool is no sector), a task id that is not a non-negative int, or an
-    argument that is not a mapping, raises :class:`InvalidInputError`."""
+    (a bool is no sector), a task id that is not an int in ``[0, 2**63)``,
+    or an argument that is not a mapping, raises :class:`InvalidInputError`."""
     check_count(n_sectors, "n_sectors")
     for value, name in ((sector_of_task, "sector_of_task"), (provenance, "provenance")):
         if not isinstance(value, Mapping):
             raise InvalidInputError(f"{name} must be a mapping, not {type(value).__name__}")
+    if not all(type(tid) is int and 0 <= tid < INT_LIMIT for tid in sector_of_task):
+        raise InvalidInputError("sector_of_task: task ids must be ints in [0, 2**63)")
     buckets: list[list[int]] = [[] for _ in range(n_sectors)]
     for tid, sector in sector_of_task.items():
         if type(sector) is not int or not 0 <= sector < n_sectors:
             raise InvalidInputError(
-                f"task {tid!r}: sector {sector!r} is not an integer in [0, {n_sectors})")
+                f"task {tid}: sector {sector!r} is not an integer in [0, {n_sectors})")
         buckets[sector].append(tid)
-    try:
-        assignments = tuple(tuple(sorted(ids)) for ids in buckets)
-        tags = {tid: provenance[tid] for tid in sorted(sector_of_task) if tid in provenance}
-    except TypeError:  # ids that do not order, such as an int and a str
-        raise InvalidInputError(
-            "sector_of_task: task ids must be non-negative integers") from None
+    assignments = tuple(tuple(sorted(ids)) for ids in buckets)
+    tags = {tid: provenance[tid] for tid in sorted(sector_of_task) if tid in provenance}
     return SchedulePartition(assignments=assignments, provenance=tags)
 
 

@@ -13,12 +13,19 @@ either side of the current main sector.
 
 Sector indices are plain ints, always reduced into ``[0, n_sectors)`` by the
 functions that produce them.
+
+The numeric domain, which every constructor enforces: ints (task ids, counts,
+a trace's task ids, sectors and passes) have magnitude below ``INT_LIMIT`` =
+2**63, ids and counts >= 0; times (``dt``, durations, positive resources) lie
+in ``TIME_RANGE`` = [2**-64, 2**64] s, and a resource may be 0; trace offsets
+and timestamps are finite, at most ``TRACE_LIMIT`` = 2**128 in magnitude.  So
+no sum, difference or quotient overflows (2**63 durations of 2**64 s over
+2**-64 s stay below 2**191), and no message prints an out-of-domain int.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -31,6 +38,11 @@ CAP_SLACK = 1e-9
 # Tolerance on the floor in Scenario.home: an azimuth sitting within 1e-9
 # (in sector units) below a sector boundary resolves to the next sector.
 _FLOOR_EPS = 1e-9
+
+# The numeric domain of the module docstring.
+INT_LIMIT = 2 ** 63
+TIME_RANGE = (2.0 ** -64, 2.0 ** 64)
+TRACE_LIMIT = 2.0 ** 128
 
 
 def check_number(value, name: str) -> None:
@@ -47,11 +59,11 @@ def check_number(value, name: str) -> None:
 
 def check_count(value, name: str, least: int = 1) -> None:
     """Raise :class:`InvalidInputError` unless ``value`` is an int from
-    ``least`` (1 or 0) up to the float range; a bool is no count."""
-    if type(value) is int and least <= value <= sys.float_info.max:
+    ``least`` (1 or 0) to below ``INT_LIMIT``; a bool is no count."""
+    if type(value) is int and least <= value < INT_LIMIT:
         return
-    if type(value) is int and abs(value) > sys.float_info.max:  # its repr may be too long
-        raise InvalidInputError(f"{name}: an int beyond the float range")
+    if type(value) is int and abs(value) >= INT_LIMIT:
+        raise InvalidInputError(f"{name}: an int of magnitude 2**63 or more")
     kind = "positive" if least == 1 else "non-negative"
     raise InvalidInputError(f"{name}={value!r} must be a {kind} integer")
 
@@ -79,11 +91,13 @@ def as_tasks(value, name: str) -> tuple:
 
 def check_positive(value, name: str) -> None:
     """Raise :class:`InvalidInputError` unless ``value`` passes
-    :func:`check_number` and is positive and finite, as a pass time must be."""
+    :func:`check_number` and is a time in ``TIME_RANGE``, as a pass time is."""
     if type(value) is not float:
         check_number(value, name)
     if not (value > 0 and math.isfinite(value)):
         raise InvalidInputError(f"{name}={value!r} must be positive and finite")
+    if not TIME_RANGE[0] <= value <= TIME_RANGE[1]:
+        raise InvalidInputError(f"{name}={float(value)!r} outside [2**-64, 2**64] s")
 
 
 @dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
@@ -117,13 +131,12 @@ class Scenario:
     """A full problem instance.
 
     An invalid scenario cannot be built.  Structural problems (bad sector
-    count, bad dt, a resource that is no number, resource vector of the
-    wrong length, ``resources`` or ``tasks`` not iterable, a task that is no
-    :class:`SurveillanceTask`) raise
-    :class:`InvalidInputError` at once.  Then :func:`validate_scenario`
-    checks the data (non-finite or non-positive durations, non-finite or
-    negative resources, ids that are not non-negative ints, duplicate ids,
-    zero total resources, sums or a load ratio beyond the float range), and
+    count, a dt outside the numeric domain of the module docstring, a
+    resource that is no number, resource vector of the wrong length,
+    ``resources`` or ``tasks`` not iterable, a task that is no
+    :class:`SurveillanceTask`) raise :class:`InvalidInputError` at once.
+    Then :func:`validate_scenario` checks the data (ids, durations and
+    resources outside the domain, duplicate ids, zero total resources), and
     any violation raises :class:`ScenarioValidationError` listing them all.
     Every function that takes a scenario relies on this and does not check
     its data again; it checks only that the argument is a scenario
@@ -192,55 +205,32 @@ def fov_offsets(fov_half_width: int, n_sectors: int) -> range:
     return range(-w, w + 1 - (2 * w == n_sectors))
 
 
-def finite_fsum(values) -> float:
-    """``math.fsum(values)`` where that is a finite float, else NaN."""
-    try:
-        total = math.fsum(values)
-    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
-        return math.nan
-    return total if math.isfinite(total) else math.nan
-
-
-def _id_text(tid) -> str:
-    """``repr(tid)``, but an int beyond the float range, whose digits may
-    pass the int-to-str limit, as the words that say so."""
-    if isinstance(tid, int) and abs(tid) > sys.float_info.max:
-        return "beyond the float range"
-    return repr(tid)
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; returns violations (empty list = ok)."""
     violations: list[str] = []
+    shortest, longest = TIME_RANGE
     for i, r in enumerate(scenario.resources):
-        if not math.isfinite(r):
-            violations.append(f"non-finite resources {r!r} in sector {i}")
-        elif r < 0:
-            violations.append(f"negative resources {r!r} in sector {i}")
-    seen_ids: set[int] = set()
-    for task in scenario.tasks:
-        if type(task.id) is not int or task.id < 0:  # a bool is no id
-            violations.append(f"task id {_id_text(task.id)} is not a non-negative integer")
-        elif task.id > sys.float_info.max:  # a trace's bound on ids
-            violations.append("task id beyond the float range")
-        elif task.id in seen_ids:
-            violations.append(f"duplicate task id {task.id}")
-        else:
-            seen_ids.add(task.id)
-        if not math.isfinite(task.duration):
+        if r and not shortest <= r <= longest:  # 0 is a dead sector's resources
             violations.append(
-                f"non-finite duration {task.duration!r}, task id {_id_text(task.id)}")
-        elif not task.duration > 0:
-            violations.append(f"non-positive duration, task id {_id_text(task.id)}")
-    if (scenario.tasks and all(map(math.isfinite, scenario.resources))
-            and not max(scenario.resources) > 0):
+                f"non-finite resources {r!r} in sector {i}" if not math.isfinite(r) else
+                f"negative resources {r!r} in sector {i}" if r < 0 else
+                f"resources {r!r} in sector {i} neither 0 nor in [2**-64, 2**64] s")
+    seen_ids: set[int] = set()
+    for k, task in enumerate(scenario.tasks):
+        tid, duration = task.id, task.duration
+        valid_id = type(tid) is int and 0 <= tid < INT_LIMIT  # a bool is no id
+        if not valid_id:
+            violations.append(f"tasks[{k}]: task id is not an int in [0, 2**63)")
+        elif tid in seen_ids:
+            violations.append(f"duplicate task id {tid}")
+        else:
+            seen_ids.add(tid)
+        if not shortest <= duration <= longest:
+            task_name = f"task id {tid}" if valid_id else f"tasks[{k}]"
+            violations.append(
+                f"non-finite duration {duration!r}, {task_name}" if not math.isfinite(duration)
+                else f"non-positive duration, {task_name}" if not duration > 0
+                else f"duration {float(duration)!r} outside [2**-64, 2**64] s, {task_name}")
+    if scenario.tasks and not any(scenario.resources):
         violations.append("all sector resources are zero but the task set is non-empty")
-    if math.isnan(finite_fsum(filter(math.isfinite, scenario.resources))):
-        violations.append("sector resources sum beyond the float range")
-    if math.isnan(finite_fsum(filter(math.isfinite, (t.duration for t in scenario.tasks)))):
-        violations.append("task durations sum beyond the float range")
-    # With all else valid, the load ratio sector_targets takes must be finite.
-    if not violations and scenario.tasks and math.isinf(
-            math.fsum(t.duration for t in scenario.tasks) / math.fsum(scenario.resources)):
-        violations.append("task durations over sector resources beyond the float range")
     return violations

@@ -25,13 +25,12 @@ A trace is its records: illumination histories, the pass count
 derived from them.  A :class:`SimulationTrace` checks its fields once, when
 it is built: ``records`` (any iterable, kept as a tuple) are five-field
 tuples of an int task id, sector and pass and a number offset and
-timestamp, none a bool, each within the float range; ``cycles_completed``
-is an int >= 0, ``completion_pass`` an int.  A sector or pass out of range
-is a value :func:`check_trace` reports; every reader trusts the rest.
-:func:`simulate` builds its own trace without the walk over the records:
-they hold only ints of the scenario and float sums, which meet the rule,
-:func:`check_trace` re-checks them, and a property test rebuilds every
-trace it draws through the checked constructor.
+timestamp, none a bool, each in the numeric domain of :mod:`model`;
+``cycles_completed`` is an int >= 0, ``completion_pass`` an int.  A sector or
+pass out of range is a value :func:`check_trace` reports; readers trust the rest.
+:func:`simulate` builds its own trace without that walk: its records hold
+ints of the scenario and sums inside the domain, :func:`check_trace`
+re-checks them, and a property test rebuilds every trace it draws.
 
 Mechanism: tasks sit in buckets, a sector's assigned tasks for partition,
 the tasks homed in a sector for edf.  A pass over sector j reaches the
@@ -68,8 +67,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
 from .loads import SchedulePartition, check_partition
-from .model import (CAP_SLACK, Scenario, as_tuple, check_count, check_instance, check_number,
-                    check_positive, finite_fsum, fov_offsets)
+from .model import (CAP_SLACK, INT_LIMIT, TRACE_LIMIT, Scenario, as_tuple, check_count,
+                    check_instance, check_number, check_positive, fov_offsets)
 
 POLICY_PARTITION = "partition"
 POLICY_EDF = "edf"
@@ -141,10 +140,15 @@ class SimulationTrace:
 
 
 def _check_number(value, name: str, is_int: bool) -> None:
-    """:func:`check_number`, and for ``is_int`` an ``int``, not a ``bool``."""
+    """:func:`check_number`, for ``is_int`` an ``int``, not a ``bool``, and
+    within the trace's numeric domain (see :mod:`model`)."""
     if is_int and type(value) is not int:
         raise InvalidInputError(f"{name} must be an int, not {type(value).__name__}")
     check_number(value, name)
+    if is_int and not -INT_LIMIT < value < INT_LIMIT:
+        raise InvalidInputError(f"{name}: an int of magnitude 2**63 or more")
+    if not (is_int or -TRACE_LIMIT <= value <= TRACE_LIMIT):  # also refuses NaN
+        raise InvalidInputError(f"{name}={float(value)!r} must be finite, at most 2**128")
 
 
 def simulate(scenario: Scenario, policy: str,
@@ -299,8 +303,7 @@ def simulate(scenario: Scenario, policy: str,
             cycles_done += 1
         pass_index += 1
 
-    # The records hold ints from the scenario and float sums, which meet the
-    # record rule, so the trace is built without its walk over them.
+    # The records meet the record rule (module docstring): no walk over them.
     trace = object.__new__(SimulationTrace)
     for name, value in (("records", tuple(records)), ("completion_pass", completion_pass),
                         ("cycles_completed", cycles_done), ("warnings", tuple(warnings))):
@@ -440,10 +443,10 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
 
     Needs a ``cycles_completed`` of at least two and two illuminations of
     each task, since an interval takes two illuminations of the same
-    direction; a shorter trace, intervals that hold a NaN or an infinity or
-    sum beyond the float range, or in rotations pass it, a trace that is not a
-    :class:`SimulationTrace` or a scenario that is not a :class:`Scenario`
-    raises :class:`InvalidInputError`.  The rotation-denominated metric is
+    direction; a shorter trace, a trace that is not a :class:`SimulationTrace`
+    or a scenario that is not a :class:`Scenario` raises
+    :class:`InvalidInputError`.  Both hold numbers of the domain of
+    :mod:`model`, so every figure is finite.  The rotation-denominated metric is
     interval over ``n_sectors * dt``.  A scenario without tasks has nothing
     to revisit: its stats are empty and every interval figure is 0.
     One walk over the records keeps each task's latest timestamp and
@@ -478,9 +481,6 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
                 seen[2] = interval
         seen[0] = timestamp
         seen[1] = sector
-    total = finite_fsum(all_intervals)
-    if math.isnan(total):  # else every interval converts to a finite float
-        raise InvalidInputError("revisit intervals are not finite or sum past the float range")
     per_task = []
     new_revisit = tuple.__new__  # as simulate builds its records
     per_sector = [0.0] * scenario.n_sectors
@@ -492,12 +492,8 @@ def revisit_stats(trace: SimulationTrace, scenario: Scenario) -> RevisitStats:
         per_task.append(new_revisit(TaskRevisit, (tid, h, last_sector, worst, worst_rot)))
         if worst_rot > per_sector[h]:
             per_sector[h] = worst_rot
-    worsts = [t.max_interval_s for t in per_task]
-    worst, mean = max(worsts), total / len(all_intervals)
-    # Finite seconds over a tiny rotation may pass the float range; every
-    # task's quotient lies between those of the least and the worst.
-    if not all(math.isfinite(s / rotation) for s in (min(worsts), worst, mean)):
-        raise InvalidInputError("revisit intervals in rotations pass the float range")
+    worst = max(t.max_interval_s for t in per_task)
+    mean = math.fsum(all_intervals) / len(all_intervals)
     return RevisitStats(
         per_task=tuple(per_task),
         max_interval_s=worst,

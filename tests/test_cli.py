@@ -268,10 +268,10 @@ class TestCompare:
         assert run("gen", "--seed", "1", "--out", str(scenario)) == 0
         out = tmp_path / "out.csv"
         source = ("--runs", "1") if command == "report" else ("--scenario", str(scenario))
-        assert run(command, *source, "--cycles", "99999999999999999999",
+        assert run(command, *source, "--cycles", "9223372036854775807",  # 2**63 - 1
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cycles=99999999999999999999 x ")
+        assert err.startswith("error: cycles=9223372036854775807 x ")
         assert "exceeds MAX_RECORDS=2000000 records" in err
         assert not out.exists()
 
@@ -417,10 +417,12 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "p.json").exists()
 
+    # Sums and a load ratio once past the float range: each value now lies
+    # outside the numeric domain, [2**-64, 2**64] s.
     @pytest.mark.parametrize("resources, durations, violation", [
-        ([1e308, 1e308], [1.0], "sum beyond the float range"),
-        ([1.0, 1.0], [1e308, 1e308], "sum beyond the float range"),
-        ([5e-324, 0.0], [1.0, 2.0], "over sector resources beyond the float range")],
+        ([1e308, 1e308], [1.0], "resources 1e+308 in sector 0 neither 0 nor in [2**-64, 2**64] s"),
+        ([1.0, 1.0], [1e308, 1e308], "duration 1e+308 outside [2**-64, 2**64] s, task id 1"),
+        ([5e-324, 0.0], [1.0, 2.0], "resources 5e-324 in sector 0 neither 0 nor in")],
         ids=["resources", "durations", "load-ratio"])
     def test_sum_beyond_float_range(self, tmp_path, capsys, resources, durations,
                                     violation):

@@ -17,7 +17,7 @@ from sectorsched import (
     load_report,
 )
 from sectorsched import io as sio
-from sectorsched.model import fov_offsets
+from sectorsched.model import fov_offsets, validate_scenario
 from sectorsched.simulate import POLICY_PARTITION, revisit_stats, simulate
 from conftest import home_sector
 
@@ -150,6 +150,30 @@ class TestGenerate:
     def test_non_finite_hotspot_multiplier(self, mults):
         with pytest.raises(InvalidInputError, match="must be finite"):
             GenParams(hotspots=((1, *mults),))
+
+    @pytest.mark.parametrize("knobs", [
+        {"duration": (2.0 ** -65, 1.0)}, {"duration": (1.0, 2.0 ** 65)},
+        {"resources": (2.0 ** -65, 1.0)}, {"resources": (1.0, 2.0 ** 65)},
+        {"resources": (0.0, 2.0 ** -12)},
+        {"resources": (1.0, 2.0), "hotspots": ((0, 2.0 ** 64, 1.0),)},
+        {"resources": (1.0, 2.0), "hotspots": ((0, 2.0 ** -65, 1.0),)}],
+        ids=["d-lo", "d-hi", "r-lo", "r-hi", "r-least-draw", "mult-hi", "mult-lo"])
+    def test_out_of_domain_range_is_refused(self, knobs):
+        # From (0, 2**-12) the least positive draw is 2**-12 * 2**-53 = 2**-65.
+        with pytest.raises(InvalidInputError, match="range"):
+            GenParams(**knobs)
+
+    @pytest.mark.parametrize("knobs", [
+        {"duration": (2.0 ** -64, 2.0 ** 64), "resources": (2.0 ** -64, 2.0 ** 64)},
+        {"resources": (0.0, 2.0 ** -11)},
+        {"resources": (1.0, 2.0), "hotspots": ((0, 0.0, 1.0), (1, 2.0 ** 63, 1.0))},
+        {"n_sectors": 1, "resources": (2.0 ** 6, 2.0 ** 7), "hotspots": ((0, 2.0 ** -70, 1.0),)}],
+        ids=["widest", "r-least-draw", "dead-and-hi", "all-hot"])
+    def test_domain_edge_range_generates(self, knobs):
+        # generate builds only scenarios that Scenario accepts.
+        knobs = {"n_sectors": 4, "tasks_per_sector": (1, 3), **knobs}
+        for seed in range(20):
+            assert validate_scenario(generate(GenParams(seed=seed, **knobs))) == []
 
 
 class TestScenarioRoundTrip:

@@ -4,15 +4,17 @@ Every row is a call with one malformed argument: text, a bool, ``None``,
 NaN, inf or an int beyond the float range where a number is due, a float
 where an int is due.  Each must raise :class:`InvalidInputError`, never a
 bare ``TypeError``/``ValueError``/``OverflowError`` and never a result.
-Counts follow one rule (an ``int`` >= 1, or >= 0 for a half-width, within
-the float range, never a bool) and pass times another (a number, positive
-and finite).
+Counts follow one rule (an ``int`` >= 1, or >= 0 for a half-width, below
+2**63, never a bool) and pass times another (a number in [2**-64, 2**64]).
+The boundary table gives each constructor the first values outside the
+numeric domain of ``sectorsched.model``.
 """
 
 import dataclasses
 import importlib
 import math
 import os
+import re
 
 import pytest
 
@@ -21,6 +23,7 @@ from sectorsched import (
     GenParams,
     InvalidInputError,
     Scenario,
+    SectorSchedError,
     ScenarioFormatError,
     SchedulePartition,
     SimulationTrace,
@@ -89,10 +92,16 @@ def with_stamps(stamp_of):
     return with_records(tuple(r._replace(timestamp=stamp_of(r)) for r in DESK_TRACE.records))
 
 
-# Timestamps 0.0, then 1.7e308, for both tasks: the intervals sum past floats.
-OVERFLOWING_TRACE = with_stamps(lambda r: 1.7e308 * r.pass_index)
-# Task 0 illuminated at inf twice: its interval is inf - inf, a NaN.
-INFINITE_TRACE = with_stamps(lambda r: math.inf if r.task_id == 0 else r.timestamp)
+def overflowing_trace():
+    """Timestamps 0.0, then 1.7e308, for both tasks: intervals that would sum
+    past floats, refused since 1.7e308 is past the trace domain's 2**128."""
+    return with_stamps(lambda r: 1.7e308 * r.pass_index)
+
+
+def infinite_trace():
+    """Task 0 illuminated at inf twice, an interval inf - inf: refused when built."""
+    return with_stamps(lambda r: math.inf if r.task_id == 0 else r.timestamp)
+
 
 # (entry point, positional arguments, keyword arguments)
 CASES = {
@@ -163,7 +172,7 @@ CASES = {
     "GenParams-resources-inf": (GenParams, (), {"resources": (1.0, math.inf)}),
     # A hotspot sector is listed once: a second entry would replace the first.
     "GenParams-hotspot-twice": (GenParams, (), {"hotspots": ((1, 0.5, 2.0), (1, 0.0, 1.0))}),
-    # A count is within the float range.
+    # A count is below 2**63.
     "Scenario-n-huge": (Scenario, (10 ** 400, 0, 1.0, ()), {}),
     "measure_resources-n-huge": (measure_resources, ([1.0], 10 ** 400, 1.0, 0.5), {}),
     "measure_resources-n-past-maxsize": (measure_resources, ([1.0], 10 ** 20, 1.0, 0.5), {}),
@@ -256,8 +265,9 @@ CASES = {
     "SimulationTrace-pass-past-the-digit-limit": (with_records, (
         ((0, 0, 10 ** 5000, 0.0, 0.0),) + DESK_TRACE.records[1:],), {}),
     # Intervals are finite and sum within the float range.
-    "revisit_stats-intervals-sum-past-floats": (revisit_stats, (OVERFLOWING_TRACE, DESK), {}),
-    "revisit_stats-timestamps-inf": (revisit_stats, (INFINITE_TRACE, DESK), {}),
+    "revisit_stats-intervals-sum-past-floats": (
+        lambda: revisit_stats(overflowing_trace(), DESK), (), {}),
+    "revisit_stats-timestamps-inf": (lambda: revisit_stats(infinite_trace(), DESK), (), {}),
 }
 
 
@@ -278,8 +288,8 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: GenParams(resources=(1.0, math.inf)), "bad resources range (1.0, inf)"),
     (lambda: GenParams(resources=(5.0, 1.0)), "bad resources range (5.0, 1.0)"),
     (lambda: GenParams(hotspots=((1, 0.5, 2.0), (1, 0.0, 1.0))), "hotspot sector 1 listed twice"),
-    (lambda: measure_resources([1.0], 10 ** 20, 1.0, 0.5),
-     "n_sectors=100000000000000000000 is more sectors than a list holds"),
+    (lambda: measure_resources([1.0], 2 ** 63 - 1, 1.0, 0.5),
+     "n_sectors=9223372036854775807 is more sectors than a list holds"),
     (lambda: exact_min_passes(DESK, 5000), "limits must be a SearchLimits, not int"),
     (lambda: GenParams(n_sectors=10 ** 15),
      "n_sectors=1000000000000000 exceeds MAX_GENERATED=1000000"),
@@ -294,7 +304,7 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: sio.write_comparison([{"a": 1}, {"b": 2, "c": 3}], os.devnull, fields=("a",)),
      "rows[1] has the keys ('b', 'c'), not the fields ('a',)"),
     (lambda: build_partition(2, {"a": 0, 1: 0}),
-     "sector_of_task: task ids must be non-negative integers"),
+     "sector_of_task: task ids must be ints in [0, 2**63)"),
     (lambda: Xorshift64Star(1).uniform_range(5.0, 1.0),
      "range (5.0, 1.0) must be finite, ordered and at most the float range wide"),
     (lambda: bin_packing_reduce(5, [1.0]), "item sizes must be iterable, not int"),
@@ -302,8 +312,8 @@ def test_bad_argument_is_an_invalid_input_error(name):
     (lambda: revisit_stats(None, DESK), "expected a SimulationTrace, not NoneType"),
     (lambda: exact_min_passes(None), "expected a Scenario, not NoneType"),
     (lambda: simulate(DESK.tasks, "edf"), "expected a Scenario, not tuple"),
-    (lambda: simulate(DESK, "edf", cycles=10 ** 20),
-     "cycles=100000000000000000000 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
+    (lambda: simulate(DESK, "edf", cycles=2 ** 63 - 1),
+     "cycles=9223372036854775807 x 2 tasks exceeds MAX_RECORDS=2000000 records"),
     (lambda: sio.write_trace(FOREIGN_TRACE, DESK, os.devnull),
      "trace record of task 7, which is not in the scenario"),
     (lambda: sio.write_comparison([{"policy": "a,b"}], os.devnull, fields=("policy",)),
@@ -322,8 +332,6 @@ def test_bad_argument_is_an_invalid_input_error(name):
      "completion_pass must be an int, not NoneType"),
     (lambda: revisit_stats(simulate(DESK, "edf"), DESK),
      "revisit intervals need >= 2 completed cycles, trace has 1"),
-    (lambda: revisit_stats(OVERFLOWING_TRACE, DESK),
-     "revisit intervals are not finite or sum past the float range"),
 ])
 def test_messages_name_the_argument(call, message):
     with pytest.raises(InvalidInputError) as info:
@@ -449,3 +457,160 @@ def test_writer_refuses_a_wrong_argument_before_opening_the_file(write, tmp_path
     with pytest.raises(InvalidInputError):
         write(path)
     assert not path.exists()
+
+
+def task_scenario(tid=0, duration=1.0, dt=1.0, resources=(1.0, 1.0)):
+    """A scenario of one task, ``tid`` of ``duration`` s, over ``resources``
+    at fov 1."""
+    return Scenario(n_sectors=len(resources), fov_half_width=1, dt=dt, resources=resources,
+                    tasks=(SurveillanceTask(tid, 0.1, 0.0, duration),))
+
+
+def first_record(**fields):
+    """DESK_TRACE with its first record's ``fields`` replaced."""
+    return with_records((DESK_TRACE.records[0]._replace(**fields),) + DESK_TRACE.records[1:])
+
+
+def read_scenario_text(path, **fields):
+    """``read_scenario`` of a one-task file whose JSON values ``fields``
+    replace, each given as JSON text."""
+    values = {"n_sectors": "1", "dt": "1.0", "resource": "5.0", "id": "0", "duration": "1.0",
+              **fields}
+    path = path / "s.json"
+    path.write_text(
+        f'{{"n_sectors": {values["n_sectors"]}, "fov_half_width": 0, "dt": {values["dt"]}, '
+        f'"resources": [{values["resource"]}], "tasks": [{{"id": {values["id"]}, "phi": 0.1, '
+        f'"theta": 0.0, "duration": {values["duration"]}}}]}}', encoding="utf-8")
+    return sio.read_scenario(path)
+
+
+def read_partition_text(path, row_id="0", key="0"):
+    path = path / "p.json"
+    path.write_text(f'{{"assignments": [[{row_id}]], "provenance": {{"{key}": "own-sector"}}}}',
+                    encoding="utf-8")
+    return sio.read_partition(path)
+
+
+NEG_HUGE = -10 ** 5000  # an int past the int-to-str digit limit
+NEG_HUGE_TEXT = "-1" + "0" * 5000
+INTS, TIMES, TRACE = "2**63", "[2**-64, 2**64]", "2**128"  # the domain, as messages name it
+# The first values outside the numeric domain of sectorsched.model, for each
+# constructor: a call, which takes a scratch directory, and the part of the
+# domain (or the number rule) its refusal names.
+BOUNDARY = {
+    # SurveillanceTask and Scenario: ids and counts below 2**63, times in
+    # [2**-64, 2**64] s, a resource also 0.
+    "Scenario-id-2**63": (lambda tmp: task_scenario(tid=2 ** 63), INTS),
+    "Scenario-id-neg-huge": (lambda tmp: task_scenario(tid=NEG_HUGE), INTS),
+    "Scenario-n_sectors-2**63": (lambda tmp: Scenario(2 ** 63, 0, 1.0, ()), INTS),
+    "Scenario-fov-2**63": (lambda tmp: Scenario(1, 2 ** 63, 1.0, (1.0,)), INTS),
+    "Scenario-dt-2**-65": (lambda tmp: task_scenario(dt=2.0 ** -65), TIMES),
+    "Scenario-dt-2**65": (lambda tmp: task_scenario(dt=2.0 ** 65), TIMES),
+    "Scenario-dt-inf": (lambda tmp: task_scenario(dt=math.inf), "finite"),
+    "Scenario-dt-neg-huge": (lambda tmp: task_scenario(dt=NEG_HUGE), "float range"),
+    "Scenario-duration-2**-65": (lambda tmp: task_scenario(duration=2.0 ** -65), TIMES),
+    "Scenario-duration-2**65": (lambda tmp: task_scenario(duration=2.0 ** 65), TIMES),
+    "Scenario-duration-2**129": (lambda tmp: task_scenario(duration=2.0 ** 129), TIMES),
+    "Scenario-duration-inf": (lambda tmp: task_scenario(duration=math.inf), "non-finite"),
+    "SurveillanceTask-duration-neg-huge": (
+        lambda tmp: task_scenario(duration=NEG_HUGE), "float range"),
+    "Scenario-resource-2**-65": (lambda tmp: task_scenario(resources=(2.0 ** -65, 1.0)), TIMES),
+    "Scenario-resource-2**65": (lambda tmp: task_scenario(resources=(2.0 ** 65, 1.0)), TIMES),
+    "Scenario-resource-2**129": (lambda tmp: task_scenario(resources=(2.0 ** 129, 1.0)), TIMES),
+    "Scenario-resource-inf": (lambda tmp: task_scenario(resources=(math.inf, 1.0)), "non-finite"),
+    "Scenario-resource-neg-huge": (
+        lambda tmp: task_scenario(resources=(NEG_HUGE, 1.0)), "float range"),
+    # Once sums and quotients past the float range, now values outside the
+    # domain: a load ratio 3.0 / 5e-324, resources or durations summing past
+    # 1.8e308, and finite intervals over a 1e-300 s rotation.
+    "Scenario-resource-5e-324": (lambda tmp: Scenario(
+        2, 1, 1.0, (5e-324, 0.0), (SurveillanceTask(0, 0.1, 0.0, 1.0),
+                                   SurveillanceTask(1, 4.0, 0.0, 2.0))), TIMES),
+    "Scenario-resources-sum-past-floats": (
+        lambda tmp: task_scenario(resources=(1e308, 1e308)), TIMES),
+    "Scenario-durations-sum-past-floats": (lambda tmp: Scenario(
+        2, 1, 1.0, (1.0, 1.0), (SurveillanceTask(0, 0.1, 0.0, 1e308),
+                                SurveillanceTask(1, 4.0, 0.0, 1e308))), TIMES),
+    "Scenario-dt-1e-300": (lambda tmp: task_scenario(dt=1e-300), TIMES),
+    # SchedulePartition: row ids and provenance ids below 2**63.
+    "SchedulePartition-row-id-2**63": (lambda tmp: SchedulePartition(((2 ** 63,),), {}), INTS),
+    "SchedulePartition-row-id-neg-huge": (
+        lambda tmp: SchedulePartition(((NEG_HUGE,),), {}), INTS),
+    "SchedulePartition-provenance-id-2**63": (
+        lambda tmp: SchedulePartition(((0,),), {2 ** 63: "own-sector"}), INTS),
+    "SchedulePartition-provenance-id-neg-huge": (
+        lambda tmp: SchedulePartition(((0,),), {NEG_HUGE: "own-sector"}), INTS),
+    # SimulationTrace: ints below 2**63 in magnitude, offsets and timestamps
+    # finite and at most 2**128 in magnitude.
+    "SimulationTrace-task_id-2**63": (lambda tmp: first_record(task_id=2 ** 63), INTS),
+    "SimulationTrace-sector-2**63": (lambda tmp: first_record(sector=2 ** 63), INTS),
+    "SimulationTrace-pass-neg-huge": (
+        lambda tmp: first_record(pass_index=NEG_HUGE), "float range"),
+    "SimulationTrace-completion_pass-2**63": (
+        lambda tmp: dataclasses.replace(DESK_TRACE, completion_pass=2 ** 63), INTS),
+    "SimulationTrace-cycles_completed-2**63": (
+        lambda tmp: dataclasses.replace(DESK_TRACE, cycles_completed=2 ** 63), INTS),
+    "SimulationTrace-offset-2**129": (lambda tmp: first_record(start_offset=2.0 ** 129), TRACE),
+    "SimulationTrace-timestamp-2**129": (lambda tmp: first_record(timestamp=2.0 ** 129), TRACE),
+    "SimulationTrace-timestamp-neg-2**129": (
+        lambda tmp: first_record(timestamp=-2.0 ** 129), TRACE),
+    "SimulationTrace-timestamp-inf": (lambda tmp: first_record(timestamp=math.inf), TRACE),
+    "SimulationTrace-timestamp-nan": (lambda tmp: first_record(timestamp=math.nan), TRACE),
+    "SimulationTrace-timestamp-neg-huge": (
+        lambda tmp: first_record(timestamp=NEG_HUGE), "float range"),
+    # Once intervals past the float range in revisit_stats, now refused when built.
+    "SimulationTrace-timestamps-1.7e308": (lambda tmp: overflowing_trace(), TRACE),
+    "SimulationTrace-timestamps-inf-twice": (lambda tmp: infinite_trace(), TRACE),
+    # read_scenario: the same rules, from a file.
+    "read_scenario-id-2**63": (lambda tmp: read_scenario_text(tmp, id=str(2 ** 63)), INTS),
+    "read_scenario-id-neg-huge": (
+        lambda tmp: read_scenario_text(tmp, id=NEG_HUGE_TEXT), "4300 digits"),
+    "read_scenario-n_sectors-2**63": (
+        lambda tmp: read_scenario_text(tmp, n_sectors=str(2 ** 63)), INTS),
+    "read_scenario-dt-2**-65": (lambda tmp: read_scenario_text(tmp, dt=repr(2.0 ** -65)), TIMES),
+    "read_scenario-resource-2**65": (
+        lambda tmp: read_scenario_text(tmp, resource=repr(2.0 ** 65)), TIMES),
+    "read_scenario-duration-2**129": (
+        lambda tmp: read_scenario_text(tmp, duration=repr(2.0 ** 129)), TIMES),
+    "read_scenario-duration-inf": (
+        lambda tmp: read_scenario_text(tmp, duration="Infinity"), "non-finite"),
+    # read_partition: ids below 2**63 in rows and provenance keys.
+    "read_partition-row-id-2**63": (
+        lambda tmp: read_partition_text(tmp, row_id=str(2 ** 63)), INTS),
+    "read_partition-row-id-neg-huge": (
+        lambda tmp: read_partition_text(tmp, row_id=NEG_HUGE_TEXT), "4300 digits"),
+    "read_partition-key-2**63": (lambda tmp: read_partition_text(tmp, key=str(2 ** 63)), INTS),
+    "read_partition-key-10**5000": (
+        lambda tmp: read_partition_text(tmp, key="1" + "0" * 5000), "19 characters"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_out_of_domain_is_refused(name, tmp_path):
+    call, names = BOUNDARY[name]
+    with pytest.raises(SectorSchedError) as info:
+        call(tmp_path)
+    assert names in str(info.value)
+    assert not re.search(r"\d{21}", str(info.value)), "a message prints an out-of-domain int"
+
+
+def test_the_last_values_inside_the_domain_are_accepted(tmp_path):
+    # tests/test_domain_corners.py builds scenarios at the domain's corners.
+    most = 2 ** 63 - 1
+    trace = first_record(task_id=most, sector=-most, pass_index=most,
+                         start_offset=-2.0 ** 128, timestamp=2.0 ** 128)
+    assert trace.records[0][:3] == (most, -most, most)
+    assert SchedulePartition(((most,),), {most: "leftover"}).sector_index() == {most: 0}
+    assert read_partition_text(tmp_path, row_id=str(most), key=str(most)).provenance == {
+        most: "own-sector"}
+
+
+def test_a_partition_of_an_out_of_domain_id_is_refused_without_its_digits():
+    # check_partition once formatted this id and raised a bare ValueError at
+    # the int-to-str digit limit; no partition can hold it now.
+    with pytest.raises(InvalidInputError) as info:
+        build_partition(2, {0: 0, 10 ** 5000: 1})
+    assert str(info.value) == "sector_of_task: task ids must be ints in [0, 2**63)"
+    with pytest.raises(InvalidInputError) as info:
+        SchedulePartition(((0,), (10 ** 5000,)), {})
+    assert str(info.value) == "assignments[1]: expected a row of int task ids in [0, 2**63)"

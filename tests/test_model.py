@@ -246,46 +246,38 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
                      tasks=(SurveillanceTask(True, 0.1, 0.0, 1.0),))
-        assert info.value.violations == ["task id True is not a non-negative integer"]
+        assert info.value.violations == ["tasks[0]: task id is not an int in [0, 2**63)"]
 
     def test_task_id_beyond_the_float_range(self):
-        # A trace holds task ids within the float range, so simulate could
-        # not record this task; the message holds no repr of the id.
+        # Ids lie below 2**63, as a trace's do; the message names the task
+        # by its place, never by the id's digits.
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
                      tasks=(SurveillanceTask(10 ** 5000, 0.1, 0.0, 1.0),))
-        assert info.value.violations == ["task id beyond the float range"]
+        assert info.value.violations == ["tasks[0]: task id is not an int in [0, 2**63)"]
 
     def test_negative_task_id_beyond_the_float_range(self):
         # Its repr would pass the int-to-str digit limit and raise ValueError.
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
                      tasks=(SurveillanceTask(-10 ** 5000, 0.1, 0.0, 1.0),))
-        assert info.value.violations == [
-            "task id beyond the float range is not a non-negative integer"]
+        assert info.value.violations == ["tasks[0]: task id is not an int in [0, 2**63)"]
 
     def test_a_duration_violation_names_a_huge_id_without_its_digits(self):
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(n_sectors=2, fov_half_width=1, dt=1.0, resources=(1.0, 1.0),
                      tasks=(SurveillanceTask(10 ** 400, 0.1, 0.0, math.nan),))
         assert info.value.violations == [
-            "task id beyond the float range",
-            "non-finite duration nan, task id beyond the float range"]
+            "tasks[0]: task id is not an int in [0, 2**63)",
+            "non-finite duration nan, tasks[0]"]
 
     def test_load_ratio_beyond_float_range(self):
-        # sector_targets would divide 3.0 by 5e-324: r_opt inf and a nan target.
+        # sector_targets would divide 3.0 by 5e-324, but 5e-324 is below the
+        # shortest resource of the domain, 2**-64.
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from(2, 1, 1.0, (5e-324, 0.0), [(0, 1.0), (1, 2.0)])
         assert info.value.violations == [
-            "task durations over sector resources beyond the float range"]
-
-    @pytest.mark.parametrize("resources, durations, violation", [
-        ((1e308, 1e308), (1.0,), "sector resources sum beyond the float range"),
-        ((1.0, 1.0), (1e308, 1e308), "task durations sum beyond the float range")])
-    def test_sum_beyond_float_range(self, resources, durations, violation):
-        with pytest.raises(ScenarioValidationError) as info:
-            scenario_from(2, 1, 1.0, resources, [(0, d) for d in durations])
-        assert info.value.violations == [violation]
+            "resources 5e-324 in sector 0 neither 0 nor in [2**-64, 2**64] s"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,6 +23,7 @@ from sectorsched import (  # noqa: E402
     InfeasibleScenarioError,
     Scenario,
     ScenarioFormatError,
+    ScenarioValidationError,
     SurveillanceTask,
     broadside_baseline,
     equalize,
@@ -42,7 +43,9 @@ def _numbers(lo, hi, **kw):
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(1, 12))
-    resources = draw(st.lists(_numbers(0.0, 50.0), min_size=n, max_size=n))
+    # A resource is 0 or a time of the domain, [2**-64, 2**64] s.
+    resources = draw(st.lists(st.one_of(st.just(0.0), _numbers(2.0 ** -64, 50.0)),
+                              min_size=n, max_size=n))
     ids = draw(st.lists(st.integers(0, 10 ** 6), unique=True,
                         max_size=8 if any(resources) else 0))
     tasks = tuple(
@@ -154,8 +157,10 @@ class TestMalformedFields:
     def test_task_field(self, tmp_path_factory, case):
         payload, k, huge_id = case
         if huge_id:
-            # An id is any non-negative integer, however long.
-            assert _read(tmp_path_factory, payload).tasks[k].id == HUGE
+            # An id lies below 2**63; the violation names the task by its place.
+            with pytest.raises(ScenarioValidationError) as info:
+                _read(tmp_path_factory, payload)
+            assert info.value.violations == [f"tasks[{k}]: task id is not an int in [0, 2**63)"]
             return
         with pytest.raises(ScenarioFormatError) as info:
             _read(tmp_path_factory, payload)

@@ -324,15 +324,20 @@ class TestRevisitStats:
     ], ids=["worst", "least"])
     def test_rotations_past_the_float_range_are_refused(self, second):
         # Finite intervals over a 1e-300 s rotation would read as infinitely
-        # many rotations.  Each task runs in pass 0, then in pass 1, where
-        # it is restamped.
-        s = scenario_from(1, 0, 1e-300, (1.0,), [(0, 0.1)] * len(second))
+        # many rotations, so a dt below 2**-64 is refused when the scenario is
+        # built; over the shortest rotation the domain admits they are finite.
+        # Each task runs in pass 0, then in pass 1, where it is restamped.
+        with pytest.raises(InvalidInputError, match=r"dt=1e-300 outside \[2\*\*-64"):
+            scenario_from(1, 0, 1e-300, (1.0,), [(0, 0.1)] * len(second))
+        s = scenario_from(1, 0, 2.0 ** -64, (1.0,), [(0, 0.1)] * len(second))
         trace = simulate(s, POLICY_EDF, cycles=2)
         assert [r.pass_index for r in trace.records] == [0] * len(second) + [1] * len(second)
         restamped = tuple(r._replace(timestamp=second[r.task_id] if r.pass_index else 0.0)
                           for r in trace.records)
-        with pytest.raises(InvalidInputError, match="in rotations pass the float range"):
-            revisit_stats(dataclasses.replace(trace, records=restamped), s)
+        stats = revisit_stats(dataclasses.replace(trace, records=restamped), s)
+        assert stats.max_interval_rot == max(second) * 2.0 ** 64
+        assert all(map(math.isfinite, (stats.max_interval_rot, stats.mean_interval_rot,
+                                       *stats.per_sector_max_rot)))
 
     def test_exec_sector_recorded(self, tri_scenario):
         part = equalize(tri_scenario)
