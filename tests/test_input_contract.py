@@ -587,10 +587,10 @@ BOUNDARY = {
 
 @pytest.mark.parametrize("name", BOUNDARY)
 def test_out_of_domain_is_refused(name, tmp_path):
-    call, names = BOUNDARY[name]
+    call, domain_part = BOUNDARY[name]
     with pytest.raises(SectorSchedError) as info:
         call(tmp_path)
-    assert names in str(info.value)
+    assert domain_part in str(info.value)
     assert not re.search(r"\d{21}", str(info.value)), "a message prints an out-of-domain int"
 
 
