@@ -155,17 +155,20 @@ def equalize(scenario: Scenario) -> SchedulePartition:
                        for d, tid, h in entries if tid not in sector_of_task)
     for neg_d, tid, home in leftovers:
         d = -neg_d
-        best = None
+        # The least ratio (finite in the numeric domain), ties to the nearer
+        # sector, then the lower index; best_j < 0 while no sector qualifies.
+        best, near, best_j = math.inf, n, -1
         for c in offsets:
             j = (home + c) % n
-            if targets[j] > 0.0:
-                key = ((loads[j] + d) / targets[j], abs(c), j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+            target = targets[j]
+            if target > 0.0:
+                ratio = (loads[j] + d) / target
+                if ratio < best or ratio == best and (abs(c), j) < (near, best_j):
+                    best, near, best_j = ratio, abs(c), j
+        if best_j < 0:
             raise InfeasibleScenarioError(
                 f"task {tid}: every sector in its field of view has zero target")
-        j = best[2]
+        j = best_j
         sector_of_task[tid] = j
         provenance[tid] = PROVENANCE_LEFTOVER
         loads[j] += d

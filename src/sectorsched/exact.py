@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InfeasibleScenarioError, InvalidInputError, LimitsExceededError
-from .model import (CAP_SLACK, Scenario, SurveillanceTask, as_tuple, check_count,
+from .model import (CAP_SLACK, INT_LIMIT, Scenario, SurveillanceTask, as_tuple, check_count,
                     check_instance, check_number, fov_offsets)
 from .model import validate_scenario  # noqa: F401  perfbench's tracer patches it here
 
@@ -262,7 +262,9 @@ def check_assignment(scenario: Scenario,
     """Independent validity check of a (sector, rotation) assignment.
 
     Verifies coverage (every task exactly once, under its ``int`` id), that
-    each entry is a (sector, rotation) pair of ints, field of view at the
+    each entry is a (sector, rotation) pair of ints, the ids and the pairs'
+    ints of magnitude below 2**63 (a problem names a larger one without its
+    digits, as :mod:`model`'s domain does), field of view at the
     executing sector, and per-pass resource limits, each pass's load summed
     exactly so the verdict does not depend on the mapping's order.  Kept
     separate from the search so solver bugs cannot vouch for themselves.  A
@@ -288,14 +290,23 @@ def check_assignment(scenario: Scenario,
         if type(tid) is not int:
             problems.append(f"task id {tid!r} is not an int")
             continue
+        if not -INT_LIMIT < tid < INT_LIMIT:  # before any message prints it
+            problems.append("task id: an int of magnitude 2**63 or more")
+            continue
         if tid not in duration_of:
             problems.append(f"task {tid} not part of the scenario")
             continue
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2
                 and type(entry[0]) is int and type(entry[1]) is int):  # a bool is no index
-            problems.append(f"task {tid}: pass {entry!r} is not a (sector, rotation) pair of ints")
+            huge = isinstance(entry, (tuple, list)) and any(
+                isinstance(x, int) and not -INT_LIMIT < x < INT_LIMIT for x in entry)
+            problems.append(f"task {tid}: pass: an int of magnitude 2**63 or more" if huge else
+                            f"task {tid}: pass {entry!r} is not a (sector, rotation) pair of ints")
             continue
         sector, rotation = entry
+        if not (-INT_LIMIT < sector < INT_LIMIT and -INT_LIMIT < rotation < INT_LIMIT):
+            problems.append(f"task {tid}: pass: an int of magnitude 2**63 or more")
+            continue
         if not (0 <= sector < n) or rotation < 0:
             problems.append(f"task {tid}: pass (sector={sector}, rotation={rotation}) out of range")
             continue

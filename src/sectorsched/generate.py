@@ -14,22 +14,38 @@ output modulo the range width.
 
 Draw order is fixed: first one resource value per sector, then per sector a
 task count followed by (azimuth fraction, elevation, duration) per task.
+``generate`` takes every draw from one step generator, ``_outputs``, which
+``Xorshift64Star.next_u64`` also steps, and maps it into a range that
+``GenParams`` has validated, so no draw checks its range again.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 from .model import TIME_RANGE, Scenario, SurveillanceTask, check_count, check_number, check_positive
 
 _MASK64 = (1 << 64) - 1
+_SCRAMBLE = 0x2545F4914F6CDD1D
+_UNSCRAMBLE = pow(_SCRAMBLE, -1, 1 << 64)  # _SCRAMBLE is odd: an output times this is its state
 
 # Most sectors, and most tasks, a GenParams may ask for: generate makes them
 # one by one, so a count that is finite but huge would run for as long.
 # Far above the largest benchmarked request (360 sectors x 15 x 4 = 21,600).
 MAX_GENERATED = 1_000_000
+
+
+def _outputs(state: int) -> Iterator[int]:
+    """The xorshift64* outputs that follow the nonzero 64-bit ``state``, without end."""
+    x = state
+    while True:
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        yield x * _SCRAMBLE & _MASK64
 
 
 class Xorshift64Star:
@@ -45,12 +61,9 @@ class Xorshift64Star:
         self._state = z or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        out = next(_outputs(self._state))
+        self._state = out * _UNSCRAMBLE & _MASK64  # a plain int: copies and pickles work
+        return out
 
     def uniform(self) -> float:
         """Double in [0, 1) from the top 53 bits."""
@@ -165,30 +178,39 @@ def generate(params: GenParams) -> Scenario:
     their full range, durations and resources uniform in the configured
     ranges, and hotspot multipliers applied on top.
     """
-    rng = Xorshift64Star(params.seed)
+    draw = _outputs(Xorshift64Star(params.seed)._state).__next__
     n = params.n_sectors
     hot = {sector: (rm, tm) for sector, rm, tm in params.hotspots}
 
+    # Each value is the one Xorshift64Star's uniform_range or randint gives
+    # for the same output, by the same float expression.
+    r_lo, r_hi = params.resources
+    r_width = float(r_hi) - float(r_lo)
     resources = []
     for i in range(n):
-        r = rng.uniform_range(*params.resources)
+        r = r_lo + (draw() >> 11) * 2.0 ** -53 * r_width
         if i in hot:
             r *= hot[i][0]
         resources.append(r)
 
+    least, most = params.tasks_per_sector
+    counts = most - least + 1
+    d_lo, d_hi = params.duration
+    d_width = float(d_hi) - float(d_lo)
+    theta_width = math.pi - -math.pi
     tasks: list[SurveillanceTask] = []
     task_id = 0
     width = math.tau / n
     for i in range(n):
-        count = rng.randint(*params.tasks_per_sector)
+        count = least + draw() % counts
         if i in hot:
             count = int(round(count * hot[i][1]))
         for _ in range(count):
-            phi = (i + rng.uniform()) * width
+            phi = (i + (draw() >> 11) * 2.0 ** -53) * width
             if phi >= math.tau:
                 phi = math.nextafter(math.tau, 0.0)
-            theta = rng.uniform_range(-math.pi, math.pi)
-            duration = rng.uniform_range(*params.duration)
+            theta = -math.pi + (draw() >> 11) * 2.0 ** -53 * theta_width
+            duration = d_lo + (draw() >> 11) * 2.0 ** -53 * d_width
             tasks.append(SurveillanceTask(task_id, phi, theta, duration))
             task_id += 1
 

@@ -100,12 +100,19 @@ def check_positive(value, name: str) -> None:
         raise InvalidInputError(f"{name}={float(value)!r} outside [2**-64, 2**64] s")
 
 
-@dataclass(frozen=True, slots=True)  # slots: no per-task dict, thousands per scenario
+@dataclass(frozen=True, slots=True, init=False)  # slots: no per-task dict, thousands per scenario
 class SurveillanceTask:
     """One beam pointing direction (radians) to refresh every update cycle.
 
     ``phi``, ``theta`` and ``duration`` are ints or floats (a bool or another
     number type raises :class:`InvalidInputError`), so a scenario file holds them.
+
+    The ``__init__`` is written out, not generated: it checks its arguments
+    first and then stores them through the slots' own setters, which skip
+    the frozen ``__setattr__`` that a generated ``__init__`` calls once per
+    field.  That halves the cost of a task, and a scenario builds thousands.
+    Nothing else calls the setters, so a task that exists passed the checks;
+    ``dataclasses.replace`` builds through this ``__init__`` and checks again.
     """
 
     id: int
@@ -113,17 +120,27 @@ class SurveillanceTask:
     theta: float
     duration: float
 
-    def __post_init__(self):
-        if type(self.phi) is not float:
-            check_number(self.phi, "phi")
-        if type(self.theta) is not float:
-            check_number(self.theta, "theta")
-        if type(self.duration) is not float:
-            check_number(self.duration, "duration")
-        if not 0.0 <= self.phi < math.tau:
-            raise InvalidInputError(f"phi={self.phi!r} outside [0, 2*pi)")
-        if not -math.pi <= self.theta <= math.pi:
-            raise InvalidInputError(f"theta={self.theta!r} outside [-pi, pi]")
+    def __init__(self, id: int, phi: float, theta: float, duration: float) -> None:
+        if type(phi) is not float:
+            check_number(phi, "phi")
+        if type(theta) is not float:
+            check_number(theta, "theta")
+        if type(duration) is not float:
+            check_number(duration, "duration")
+        if not 0.0 <= phi < math.tau:
+            raise InvalidInputError(f"phi={phi!r} outside [0, 2*pi)")
+        if not -math.pi <= theta <= math.pi:
+            raise InvalidInputError(f"theta={theta!r} outside [-pi, pi]")
+        _set_id(self, id)
+        _set_phi(self, phi)
+        _set_theta(self, theta)
+        _set_duration(self, duration)
+
+
+# The slots' own setters, for SurveillanceTask.__init__ alone, after its checks
+# (tests/test_unchecked_builds.py refuses any other caller).
+_set_id, _set_phi, _set_theta, _set_duration = (
+    getattr(SurveillanceTask, name).__set__ for name in ("id", "phi", "theta", "duration"))
 
 
 @dataclass(frozen=True)

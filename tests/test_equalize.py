@@ -351,6 +351,20 @@ class TestReferenceEquivalence:
         assert part.provenance == {0: PROVENANCE_FOV, 1: PROVENANCE_FOV}
         assert_matches_reference(s)
 
+    @pytest.mark.parametrize("n, fov, resources, home, sector", [
+        (5, 2, (0.0, 1.0, 0.0, 0.0, 1.0), 3, 4),  # 2 sectors and 1 sector away
+        (3, 1, (1.0, 0.0, 1.0), 1, 0),  # 1 sector away on either side
+    ], ids=["nearer", "lower-index"])
+    def test_a_leftover_tie_goes_to_the_nearer_then_the_lower_sector(
+            self, n, fov, resources, home, sector):
+        # A 3-s task over targets of 1.5 s fits nowhere in the sweep; both
+        # live sectors would reach a load ratio of exactly 2.
+        s = scenario_from(n, fov, 1.0, resources, [(home, 3.0)])
+        part = equalize(s)
+        assert part.provenance == {0: PROVENANCE_LEFTOVER}
+        assert part.sector_index() == {0: sector}
+        assert_matches_reference(s)
+
     def test_half_circle_fov_counts_each_sector_once(self):
         # At N = 2w the offsets -w and +w name one sector; it must enter the
         # merge once, or its tasks would be taken twice.

@@ -1,5 +1,9 @@
+import copy
+import hashlib
+import importlib
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -11,6 +15,7 @@ from sectorsched import (
     ScenarioFormatError,
     ScenarioValidationError,
     Xorshift64Star,
+    bin_packing_reduce,
     broadside_baseline,
     equalize,
     generate,
@@ -37,6 +42,16 @@ class TestXorshift:
         assert [r.next_u64() for _ in range(3)] == [
             548566541892062739, 1551473827710520191, 3571582152962876467]
 
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_half_used_generator_duplicates_with_its_state(self, duplicate):
+        r = Xorshift64Star(42)
+        r.next_u64()
+        twin = duplicate(r)
+        assert [twin.next_u64() for _ in range(2)] == [10378725325292465923, 8967075514996744559]
+        assert [r.next_u64() for _ in range(2)] == [10378725325292465923, 8967075514996744559]
+
     def test_uniform_in_unit_interval(self):
         r = Xorshift64Star(123)
         for _ in range(1000):
@@ -58,9 +73,15 @@ class TestXorshift:
 
 class TestGenerate:
     def test_azimuth_at_the_top_of_the_last_sector_stays_below_two_pi(self, monkeypatch):
-        # The largest draw, 1 - 2**-53, puts (N - 1 + u) * 2*pi/N at 2*pi
-        # after rounding for N = 4; the generator clamps it into sector N - 1.
-        monkeypatch.setattr(Xorshift64Star, "uniform", lambda self: 1.0 - 2.0 ** -53)
+        # The largest draw, 1 - 2**-53 (the top 53 bits of the output
+        # 2**64 - 1), puts (N - 1 + u) * 2*pi/N at 2*pi after rounding for
+        # N = 4; the generator clamps it into sector N - 1.
+        def largest_outputs(state):
+            while True:
+                yield 2 ** 64 - 1
+
+        module = importlib.import_module("sectorsched.generate")  # the package's name is the function
+        monkeypatch.setattr(module, "_outputs", largest_outputs)
         s = generate(GenParams(n_sectors=4, fov_half_width=1, tasks_per_sector=(1, 1)))
         last = s.tasks[-1]
         assert last.phi == math.nextafter(math.tau, 0.0) < math.tau
@@ -174,6 +195,60 @@ class TestGenerate:
         knobs = {"n_sectors": 4, "tasks_per_sector": (1, 3), **knobs}
         for seed in range(20):
             assert validate_scenario(generate(GenParams(seed=seed, **knobs))) == []
+
+
+# write_scenario bytes of generated scenarios, pinned so that a faster
+# generator must draw every number exactly as before.  The corpus covers one
+# sector and 360, a dead hotspot and a task multiplier of 2.5 (the round),
+# int-valued ranges, no tasks at all, and negative and 64-bit seeds.
+GENERATED_SHA256 = {
+    "n1": (dict(n_sectors=1, fov_half_width=0, tasks_per_sector=(1, 1)),
+           "792587685ca16fe80d8d900521b95faf258c4705d8adbdc9302f75c683ba823a"),
+    "n360": (dict(n_sectors=360, fov_half_width=60, seed=1,
+                  hotspots=((7, 0.5, 4.0), (200, 0.0, 1.0))),
+             "f95e878d4e5cb7c5ab8b7f689c8cfcbe5f68d907ec592d9a8f1f30fae3a7a683"),
+    "hot-dead-2.5": (dict(n_sectors=12, fov_half_width=2, seed=7,
+                          hotspots=((3, 0.0, 2.5), (8, 1.5, 2.5))),
+                     "e8118be7b413250b1bef713b47555a40aa21fccb0732b0f17ecd236f5813baed"),
+    "int-ranges": (dict(n_sectors=8, fov_half_width=1, dt=25, seed=11,
+                        resources=(4, 4), duration=(1, 3)),
+                   "bb9e3086b11545a5369aac9b7aa1907325889e840232fb5f93da6553ffe4d231"),
+    "no-tasks": (dict(n_sectors=5, fov_half_width=1, seed=3, tasks_per_sector=(0, 0)),
+                 "8caee5fdc5187d1ad44fb230ebb6de0c2ccd27a20c41b656fa5ea789fad91797"),
+    "seed-negative": (dict(seed=-12345),
+                      "40d491c8392c068624803bdfe92c5f4dc353daa6ef041266ebb678f3a8972d9a"),
+    "seed-2**64-1": (dict(seed=2 ** 64 - 1),
+                     "69ca2f5fd39f2729876a38443036056319989161a5c06d5cb38057136283c6b7"),
+    "seed--2**64": (dict(n_sectors=6, fov_half_width=1, seed=-2 ** 64),
+                    "56670084a4ea5a24957530e6f57210bbfb0473958ce87452360bc45667a5f913"),
+    "default": (dict(), "cf21965764496e7db498709e58f73b7507c8a473356d46329e3430245c9e660e"),
+}
+REDUCED_SHA256 = {
+    "floats": (([1.5, 2.5, 3.0], [4.0, 3.0]),
+               "388f0ffcef2dc8976d2104d44035e36880db94f108ae5aa06618528482f9baba"),
+    "ints": (([1, 2, 3, 4, 5], [5, 5, 5]),
+             "2a8a18a7ebf9062d3e5192bdf51eaa974e01b2f07c3a870f71e736229c8a8ac2"),
+    "twelve": (([0.5 + k / 4 for k in range(12)], [4.0, 5.5, 6.0, 7.0, 4.5, 6.5]),
+               "ca27a71154610cbb96297d22072598d233a255e0471563d9885f72e1ce153ab7"),
+}
+
+
+def written_sha256(scenario, tmp_path) -> str:
+    path = tmp_path / "s.json"
+    sio.write_scenario(scenario, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", GENERATED_SHA256)
+def test_generated_scenario_bytes_are_pinned(name, tmp_path):
+    knobs, digest = GENERATED_SHA256[name]
+    assert written_sha256(generate(GenParams(**knobs)), tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", REDUCED_SHA256)
+def test_reduced_scenario_bytes_are_pinned(name, tmp_path):
+    (sizes, capacities), digest = REDUCED_SHA256[name]
+    assert written_sha256(bin_packing_reduce(sizes, capacities), tmp_path) == digest
 
 
 class TestScenarioRoundTrip:

@@ -365,6 +365,17 @@ def test_check_assignment_reports_a_task_id_that_is_no_int(key):
         "tasks never assigned: [1]", f"task id {key!r} is not an int"]
 
 
+@pytest.mark.parametrize("assignments, problem", [
+    ({0: (-2 ** 63, 0)}, "task 0: pass: an int of magnitude 2**63 or more"),
+    ({0: (10 ** 5000, 0.5)}, "task 0: pass: an int of magnitude 2**63 or more"),
+    ({0: (0, 0), 2 ** 63: (0, 0)}, "task id: an int of magnitude 2**63 or more"),
+    ({0: (0, 2 ** 63 - 1)}, None),
+], ids=["sector", "no-pair", "id", "last-rotation"])
+def test_check_assignment_names_an_out_of_domain_int_without_its_digits(assignments, problem):
+    # test_out_of_domain_is_refused holds the rows past the int-to-str digit limit.
+    assert check_assignment(ONE_TASK, assignments) == ([problem] if problem else [])
+
+
 @pytest.mark.parametrize("name", UNREADABLE)
 def test_a_trace_refuses_an_unreadable_record(name):
     with pytest.raises(InvalidInputError) as info:
@@ -491,6 +502,17 @@ def read_partition_text(path, row_id="0", key="0"):
     return sio.read_partition(path)
 
 
+ONE_TASK = Scenario(1, 0, 1.0, (5.0,), (SurveillanceTask(0, 0.1, 0.0, 1.0),))
+
+
+def assignment_problems(assignments):
+    """``check_assignment`` of ``ONE_TASK``; its problems, if any, raised as
+    one :class:`SectorSchedError`."""
+    problems = check_assignment(ONE_TASK, assignments)
+    if problems:
+        raise SectorSchedError("; ".join(problems))
+
+
 NEG_HUGE = -10 ** 5000  # an int past the int-to-str digit limit
 NEG_HUGE_TEXT = "-1" + "0" * 5000
 INTS, TIMES, TRACE = "2**63", "[2**-64, 2**64]", "2**128"  # the domain, as messages name it
@@ -582,6 +604,14 @@ BOUNDARY = {
     "read_partition-key-2**63": (lambda tmp: read_partition_text(tmp, key=str(2 ** 63)), INTS),
     "read_partition-key-10**5000": (
         lambda tmp: read_partition_text(tmp, key="1" + "0" * 5000), "19 characters"),
+    # check_assignment: ids and (sector, rotation) ints below 2**63, reported
+    # as problems (here raised), once a silent pass, a 31-digit sector and a
+    # bare ValueError at the int-to-str digit limit.
+    "check_assignment-rotation-10**5000": (
+        lambda tmp: assignment_problems({0: (0, 10 ** 5000)}), INTS),
+    "check_assignment-sector-10**30": (lambda tmp: assignment_problems({0: (10 ** 30, 0)}), INTS),
+    "check_assignment-id-10**5000": (
+        lambda tmp: assignment_problems({0: (0, 0), 10 ** 5000: (0, 0)}), INTS),
 }
 
 
