@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import pickle
@@ -76,12 +77,8 @@ class TestGenerate:
         # The largest draw, 1 - 2**-53 (the top 53 bits of the output
         # 2**64 - 1), puts (N - 1 + u) * 2*pi/N at 2*pi after rounding for
         # N = 4; the generator clamps it into sector N - 1.
-        def largest_outputs(state):
-            while True:
-                yield 2 ** 64 - 1
-
         module = importlib.import_module("sectorsched.generate")  # the package's name is the function
-        monkeypatch.setattr(module, "_outputs", largest_outputs)
+        monkeypatch.setattr(module, "_outputs", lambda state: itertools.repeat(2 ** 64 - 1))
         s = generate(GenParams(n_sectors=4, fov_half_width=1, tasks_per_sector=(1, 1)))
         last = s.tasks[-1]
         assert last.phi == math.nextafter(math.tau, 0.0) < math.tau
