@@ -108,7 +108,9 @@ class GenParams:
     ``hotspots`` maps chosen sectors to (resource multiplier, task-count
     multiplier) pairs to create deliberately overloaded or starved sectors;
     a resource multiplier of 0 yields a dead sector, and no sector may be
-    listed twice.  Each value the ordered ``duration`` and ``resources`` ranges give, times its
+    listed twice.  Knobs that leave every sector 0 resources while a sector can
+    draw a task are refused, since no scenario holds tasks but no resources.
+    Each value the ordered ``duration`` and ``resources`` ranges give, times its
     multiplier, lies in the numeric domain of :mod:`model`.  Neither ``n_sectors`` nor
     ``n_sectors x tasks_per_sector[1] x`` the largest hotspot task multiplier (at least 1),
     which sizes the task count, may pass ``MAX_GENERATED``.
@@ -169,6 +171,13 @@ class GenParams:
             raise InvalidInputError(
                 f"n_sectors x tasks_per_sector[1] x hotspot task multiplier "
                 f"exceeds MAX_GENERATED={MAX_GENERATED}")
+        # Scenario refuses tasks without resources.  A sector draws a task when
+        # its most tasks times its multiplier round to 1 or more, above 0.5.
+        task_mults = [1.0] * (len(hot_sectors) < self.n_sectors) + [m for _, _, m in self.hotspots]
+        if not (hi and any(mults)) and any(most_per_sector * m > 0.5 for m in task_mults):
+            raise InvalidInputError(
+                f"resources range {self.resources!r} and the hotspots leave every sector "
+                "0 resources, but the task range allows a task")
 
 
 def generate(params: GenParams) -> Scenario:

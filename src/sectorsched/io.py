@@ -17,6 +17,20 @@ as their ``repr`` (``1e-05``, ``inf``): the bytes ``csv.writer`` writes for
 the same rows.  No value the writers format from numbers holds a comma,
 quote or line break; the comparison table, whose cells and field names the
 caller gives, refuses one whose text holds ``,``, ``"``, ``\r`` or ``\n``.
+
+A trace repeats its numbers: every record of one pass and sector shares its
+first three cells, each task its duration, and most start offsets recur from
+cycle to cycle; a revisit table holds few distinct intervals.  So
+``write_trace`` formats the ``pass,rotation,sector,`` prefix once per run of
+records of one (pass, sector) and ``,duration,`` once per task, and keeps the
+text of each distinct start offset, as ``write_revisit_stats`` keeps that of
+each distinct (seconds, rotations) pair, in a dict.  Such a dict takes only
+nonzero values of type ``float``.  A dict merges equal keys, and equal
+numbers may be spelled differently: ``0.0`` and ``-0.0``, ``3`` and ``3.0``,
+or a float subclass with its own ``repr`` and the float it equals.  So zeros,
+ints and subclasses are formatted anew each time.  ``read_scenario`` takes a
+task object holding an int ``id`` and three floats in one step; any other
+entry goes through the field checks in file order, with their messages.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,6 +108,9 @@ def _require(mapping: dict, key: str, kinds: tuple, where: str,
     return _typed(mapping[key], kinds, where, index, key)
 
 
+_task_fields = itemgetter("id", "phi", "theta", "duration")
+
+
 def _read_object(path: str | Path) -> dict:
     """The JSON object in ``path``; anything else raises :class:`ScenarioFormatError`."""
     try:
@@ -128,12 +146,19 @@ def read_scenario(path: str | Path) -> Scenario:
     raw_tasks = _require(payload, "tasks", (list,), "scenario")
     tasks = []
     for k, entry in enumerate(raw_tasks):
-        if type(entry) is not dict:
-            raise ScenarioFormatError(f"tasks[{k}]: expected an object")
-        tid = _require(entry, "id", (int,), "tasks", k)
-        phi = _require(entry, "phi", _NUMBER, "tasks", k)
-        theta = _require(entry, "theta", _NUMBER, "tasks", k)
-        duration = _require(entry, "duration", _NUMBER, "tasks", k)
+        try:  # the common task object, an int id and three floats, in one step
+            tid, phi, theta, duration = _task_fields(entry)
+        except (KeyError, TypeError):  # a missing field, or an entry that is no object
+            tid = phi = theta = duration = None
+        if not (type(entry) is dict and type(tid) is int
+                and type(phi) is type(theta) is type(duration) is float):
+            # The field checks in file order, each with its message.
+            if type(entry) is not dict:
+                raise ScenarioFormatError(f"tasks[{k}]: expected an object")
+            tid = _require(entry, "id", (int,), "tasks", k)
+            phi = _require(entry, "phi", _NUMBER, "tasks", k)
+            theta = _require(entry, "theta", _NUMBER, "tasks", k)
+            duration = _require(entry, "duration", _NUMBER, "tasks", k)
         try:
             tasks.append(SurveillanceTask(tid, phi, theta, duration))
         except ValueError as exc:
@@ -226,11 +251,21 @@ def read_load_report(path: str | Path) -> list[tuple[int, float, float, float]]:
 def write_trace(trace: SimulationTrace, scenario: Scenario, path: str | Path) -> None:
     check_instance(trace, SimulationTrace)
     check_instance(scenario, Scenario)
-    duration = {t.id: repr(t.duration) for t in scenario.tasks}
+    duration = {t.id: f",{t.duration!r}," for t in scenario.tasks}
     n = scenario.n_sectors
+    offsets: dict[float, str] = {}
+    lines = []
+    last_pass = last_sector = None
     try:
-        lines = [f"{pass_index},{pass_index // n},{sector},{tid},{offset!r},{duration[tid]},{stamp!r}"
-                 for tid, sector, pass_index, offset, stamp in trace.records]
+        for tid, sector, pass_index, offset, stamp in trace.records:
+            if pass_index != last_pass or sector != last_sector:  # a new (pass, sector) run
+                last_pass, last_sector = pass_index, sector
+                prefix = f"{pass_index},{pass_index // n},{sector},"
+            if type(offset) is not float or not offset:
+                text = repr(offset)
+            elif (text := offsets.get(offset)) is None:
+                text = offsets[offset] = repr(offset)
+            lines.append(f"{prefix}{tid},{text}{duration[tid]}{stamp!r}")
     except KeyError as exc:
         raise InvalidInputError(f"trace record of task {exc.args[0]!r}, "
                                 "which is not in the scenario") from None
@@ -248,9 +283,16 @@ def read_trace(path: str | Path) -> list[ExecutionRecord]:
 def write_revisit_stats(stats: RevisitStats, path: str | Path) -> None:
     """One row per task with its worst interval, seconds and rotations."""
     check_instance(stats, RevisitStats)
-    _write_csv(path, ("task_id", "home_sector", "exec_sector", "interval_s", "interval_rot"), [
-        f"{tid},{home},{sector},{seconds!r},{rotations!r}"
-        for tid, home, sector, seconds, rotations in stats.per_task])
+    intervals: dict[tuple[float, float], str] = {}
+    lines = []
+    for tid, home, sector, seconds, rotations in stats.per_task:
+        if not (type(seconds) is type(rotations) is float and seconds and rotations):
+            text = f"{seconds!r},{rotations!r}"
+        elif (text := intervals.get((seconds, rotations))) is None:
+            text = intervals[seconds, rotations] = f"{seconds!r},{rotations!r}"
+        lines.append(f"{tid},{home},{sector},{text}")
+    _write_csv(path, ("task_id", "home_sector", "exec_sector", "interval_s", "interval_rot"),
+               lines)
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')

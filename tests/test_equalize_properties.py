@@ -15,8 +15,8 @@ from sectorsched import (  # noqa: E402
     CAP_SLACK,
     GenParams,
     InfeasibleScenarioError,
+    InvalidInputError,
     PROVENANCE_OWN,
-    ScenarioValidationError,
     SurveillanceTask,
     check_partition,
     equalize,
@@ -27,28 +27,31 @@ from sectorsched import (  # noqa: E402
 from conftest import dedup_active_sectors, scenario_from  # noqa: E402
 from test_equalize import assert_matches_reference, reference_maximal_subset  # noqa: E402
 
-NO_RESOURCES = "all sector resources are zero but the task set is non-empty"
+NO_RESOURCES = "leave every sector 0 resources, but the task range allows a task"
 
 
 @st.composite
 def gen_params(draw):
+    """``GenParams`` knobs, as a dict: some leave every sector dead."""
     n = draw(st.integers(1, 40))
     hot = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
-    return GenParams(
+    return dict(
         n_sectors=n, fov_half_width=draw(st.integers(0, n)), tasks_per_sector=(0, 8),
         hotspots=tuple((h, draw(st.sampled_from((0.0, 0.3, 2.0))),
                         draw(st.sampled_from((0.0, 1.0, 4.0)))) for h in hot),
         seed=draw(st.integers(0, 2 ** 32)))
 
 
-def generated(params):
-    """``generate(params)``, or None for the one invalid scenario the
-    parameters can describe: tasks but no resources anywhere."""
+def generated(knobs):
+    """``generate(GenParams(**knobs))``, or None for the one set of knobs
+    ``GenParams`` refuses here: tasks but no resources anywhere.  Every
+    scenario ``generate`` builds from accepted knobs is valid."""
     try:
-        return generate(params)
-    except ScenarioValidationError as exc:
-        assert exc.violations == [NO_RESOURCES]
+        params = GenParams(**knobs)
+    except InvalidInputError as exc:
+        assert NO_RESOURCES in str(exc)
         return None
+    return generate(params)
 
 
 @st.composite

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sectorsched import (  # noqa: E402
-    GenParams,
     InfeasibleScenarioError,
     LimitsExceededError,
     POLICY_EDF,
@@ -30,10 +29,11 @@ from test_exact import exists_schedule_within  # noqa: E402
 
 @st.composite
 def desk_params(draw):
-    """N <= 6 sectors and at most 12 tasks, dead and starved sectors included."""
+    """``GenParams`` knobs, as a dict, for N <= 6 sectors and at most 12
+    tasks, dead and starved sectors included."""
     n = draw(st.integers(1, 6))
     hot = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
-    return GenParams(
+    return dict(
         n_sectors=n, fov_half_width=draw(st.integers(0, n)),
         tasks_per_sector=(0, 12 // n), duration=(0.5, 4.0), resources=(3.0, 10.0),
         hotspots=tuple((h, draw(st.sampled_from((0.0, 0.3, 2.0))), 1.0) for h in hot),

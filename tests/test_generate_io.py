@@ -15,6 +15,7 @@ from sectorsched import (
     InvalidInputError,
     ScenarioFormatError,
     ScenarioValidationError,
+    SurveillanceTask,
     Xorshift64Star,
     bin_packing_reduce,
     broadside_baseline,
@@ -193,6 +194,30 @@ class TestGenerate:
         for seed in range(20):
             assert validate_scenario(generate(GenParams(seed=seed, **knobs))) == []
 
+    @pytest.mark.parametrize("knobs", [
+        {"resources": (0.0, 0.0)},
+        {"resources": (0, 0), "tasks_per_sector": (0, 1)},
+        {"n_sectors": 1, "hotspots": ((0, 0.0, 1.0),)},
+        {"n_sectors": 2, "hotspots": ((0, 0.0, 1.0), (1, 0.0, 0.0))},
+        {"n_sectors": 1, "tasks_per_sector": (0, 6), "hotspots": ((0, 0.0, 0.1),)}],
+        ids=["zero-range", "int-zero-range", "one-dead-sector", "all-dead", "six-tenths"])
+    def test_tasks_without_resources_are_refused(self, knobs):
+        # generate would draw a task into a scenario with no resources, which
+        # Scenario refuses; 6 x 0.1 rounds to one task.
+        with pytest.raises(InvalidInputError, match="leave every sector 0 resources"):
+            GenParams(**knobs)
+
+    @pytest.mark.parametrize("knobs", [
+        {"resources": (0.0, 0.0), "tasks_per_sector": (0, 0)},
+        {"n_sectors": 1, "hotspots": ((0, 0.0, 0.0),)},
+        {"n_sectors": 1, "tasks_per_sector": (0, 5), "hotspots": ((0, 0.0, 0.1),)},
+        {"n_sectors": 2, "hotspots": ((0, 0.0, 1.0),)}],
+        ids=["no-tasks", "dead-hotspot-without-tasks", "half-rounds-down", "one-live-sector"])
+    def test_no_resources_without_tasks_generates(self, knobs):
+        # 5 x 0.1 is 0.5, which round() takes to 0 tasks.
+        for seed in range(5):
+            assert validate_scenario(generate(GenParams(seed=seed, **knobs))) == []
+
 
 # write_scenario bytes of generated scenarios, pinned so that a faster
 # generator must draw every number exactly as before.  The corpus covers one
@@ -355,6 +380,80 @@ class TestScenarioRoundTrip:
             "non-finite resources inf in sector 0",
             "non-finite duration nan, task id 0",
         ]
+
+
+# read_scenario's refusal of each malformed task entry, type and message as
+# recorded before task objects of an int id and three floats took a one-step
+# path: any other entry must still meet the field checks in order.
+GOOD_TASKS = ({"id": 0, "phi": 0.1, "theta": 0.0, "duration": 1.0},
+              {"id": 1, "phi": 2.5, "theta": -1.0, "duration": 2.0},
+              {"id": 2, "phi": 4.0, "theta": 1.0, "duration": 0.5})
+
+
+def _without(position, key):
+    tasks = [dict(t) for t in GOOD_TASKS]
+    del tasks[position][key]
+    return tasks
+
+
+def _with_entry(entry):
+    return [GOOD_TASKS[0], entry, GOOD_TASKS[2]]
+
+
+TASK_PARITY = {
+    **{f"missing-{key}-at-{pos}": (_without(pos, key), f"tasks[{pos}]: missing field {key!r}")
+       for pos in range(3) for key in ("id", "phi", "theta", "duration")},
+    "bool-id": (_with_entry({"id": True, "phi": 0.1, "theta": 0.0, "duration": 1.0}),
+                "tasks[1].id: unexpected type bool"),
+    "float-id": (_with_entry({"id": 1.0, "phi": 0.1, "theta": 0.0, "duration": 1.0}),
+                 "tasks[1].id: unexpected type float"),
+    "str-phi": (_with_entry({"id": 1, "phi": "0.1", "theta": 0.0, "duration": 1.0}),
+                "tasks[1].phi: unexpected type str"),
+    "null-phi": (_with_entry({"id": 1, "phi": None, "theta": 0.0, "duration": 1.0}),
+                 "tasks[1].phi: unexpected type NoneType"),
+    "bool-theta": (_with_entry({"id": 1, "phi": 0.1, "theta": False, "duration": 1.0}),
+                   "tasks[1].theta: unexpected type bool"),
+    "missing-id-before-str-phi": (_with_entry({"phi": "x", "theta": 0.0, "duration": 1.0}),
+                                  "tasks[1]: missing field 'id'"),
+    "str-phi-before-missing-duration": (_with_entry({"id": 1, "phi": "x", "theta": 0.0}),
+                                        "tasks[1].phi: unexpected type str"),
+    "huge-int-theta": (_with_entry({"id": 1, "phi": 0.1, "theta": 10 ** 400, "duration": 1.0}),
+                       "tasks[1].theta: int too large to convert to float"),
+    "list-entry": (_with_entry([1, 0.1, 0.0, 1.0]), "tasks[1]: expected an object"),
+    "string-entry": (_with_entry("id"), "tasks[1]: expected an object"),
+    "null-entry": (_with_entry(None), "tasks[1]: expected an object"),
+    "phi-out-of-range": (_with_entry({"id": 1, "phi": 7.0, "theta": 0.0, "duration": 1.0}),
+                         "tasks[1]: phi=7.0 outside [0, 2*pi)"),
+    "int-phi-out-of-range": (_with_entry({"id": 1, "phi": 7, "theta": 0.0, "duration": 1.0}),
+                             "tasks[1]: phi=7.0 outside [0, 2*pi)"),
+}
+
+
+def _scenario_file(tmp_path, tasks):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n_sectors": 3, "fov_half_width": 1, "dt": 5.0,
+                                "resources": [1.0, 2.0, 3.0], "tasks": tasks}),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", TASK_PARITY)
+def test_read_scenario_refuses_a_task_entry_as_before(tmp_path, name):
+    tasks, message = TASK_PARITY[name]
+    with pytest.raises(ScenarioFormatError) as info:
+        sio.read_scenario(_scenario_file(tmp_path, tasks))
+    assert type(info.value) is ScenarioFormatError and str(info.value) == message
+
+
+def test_read_scenario_reads_int_numbers_as_floats(tmp_path):
+    # An int phi, theta or duration reads back as a float; keys in any order
+    # and keys beyond the four are accepted, as before.
+    tasks = [{"duration": 2, "theta": -1, "phi": 1, "id": 0, "note": "x"},
+             {"id": 1, "phi": 2.5, "theta": 0.25, "duration": 1.5}]
+    scenario = sio.read_scenario(_scenario_file(tmp_path, tasks))
+    assert scenario.tasks == (SurveillanceTask(0, 1.0, -1.0, 2.0),
+                              SurveillanceTask(1, 2.5, 0.25, 1.5))
+    assert all(type(x) is float for t in scenario.tasks for x in (t.phi, t.theta, t.duration))
 
 
 class TestReadPartitionFormat:

@@ -34,6 +34,7 @@ from sectorsched import (
     simulate,
 )
 from sectorsched import io as sio
+from sectorsched.simulate import ExecutionRecord, RevisitStats, SimulationTrace, TaskRevisit
 from conftest import partition_payload, reference_json, scenario_from, scenario_payload
 
 
@@ -206,6 +207,90 @@ def test_cases_reach_what_they_claim(tmp_path):
     assert math.inf in report.relative_load
     text = _same_bytes(tmp_path, sio.write_load_report, reference_write_load_report, report)
     assert ",inf\r\n" in text
+
+
+# Hand-built traces and revisit tables whose numbers the writers' repr
+# caches must keep apart: 0.0 and -0.0, 3 and 3.0, a float subclass and its
+# value, and passes whose records run in more than one sector.  Ids 0-2 have
+# an int, a float and an OddFloat duration.
+HAND = Scenario(n_sectors=4, fov_half_width=1, dt=10.0, resources=(5.0, 5.0, 5.0, 0.0),
+                tasks=(SurveillanceTask(0, 0.5, 0.0, 3), SurveillanceTask(1, 2.0, 0.5, 3.0),
+                       SurveillanceTask(2, 4.0, -0.5, OddFloat(1.5))))
+
+HAND_TRACES = {
+    "int-offsets": [(0, 0, 0, 0, 0), (1, 0, 0, 3, 3), (2, 0, 0, 3.0, 3.0), (0, 1, 1, 3, 13)],
+    "signed-zeros": [(0, 0, 0, 0.0, 0.0), (1, 1, 1, -0.0, 10.0), (2, 1, 1, 0.0, -0.0),
+                     (0, 2, 2, -0.0, 20.0), (1, 2, 2, 0, 20)],
+    "odd-floats": [(0, 0, 0, 1.5, 1.5), (1, 0, 0, OddFloat(1.5), OddFloat(1.5)),
+                   (2, 0, 0, 1.5, 4.5), (0, 1, 5, OddFloat(2.5), 52.5), (1, 1, 5, 2.5, 52.5)],
+    "repeated-offsets": [(tid, p % 4, p, off, p * 10.0 + off)
+                         for p in range(8) for tid, off in ((0, 0.0), (1, 3.0), (2, 6.25))],
+    "one-pass-two-sectors": [(0, 0, 3, 0.0, 30.0), (1, 1, 3, 3.0, 33.0), (2, 0, 3, 6.0, 36.0),
+                             (0, 0, 4, 0.0, 40.0), (1, 3, 4, 1e-05, 40.00001)],
+}
+
+HAND_REVISITS = {
+    "int-intervals": [(0, 0, 0, 3, 3), (1, 1, 1, 3.0, 3.0), (2, 2, 2, 3, 3.0)],
+    "signed-zeros": [(0, 0, 0, 0.0, 0.0), (1, 1, 1, -0.0, -0.0), (2, 2, 2, 0.0, -0.0),
+                     (3, 3, 3, 2.5, 0.0), (4, 0, 0, 2.5, -0.0)],
+    "odd-floats": [(0, 0, 0, 2.5, 0.25), (1, 1, 1, OddFloat(2.5), 0.25),
+                   (2, 2, 2, 2.5, OddFloat(0.25))],
+    "repeated": [(tid, tid % 4, (tid + 1) % 4, 40.0, 1.0) for tid in range(6)],
+    "inf-nan": [(0, 0, 0, math.inf, math.inf), (1, 1, 1, math.nan, math.nan),
+                (2, 2, 2, -math.inf, math.nan), (3, 3, 3, math.inf, math.inf)],
+}
+
+
+def hand_trace(records):
+    """A trace of ``records``, five-field tuples, checked as it is built."""
+    return SimulationTrace(records=[ExecutionRecord(*r) for r in records],
+                           completion_pass=0, cycles_completed=1)
+
+
+def hand_revisits(rows):
+    """Revisit stats of ``rows``, five-field tuples; the summary figures are 0."""
+    return RevisitStats(per_task=tuple(TaskRevisit(*row) for row in rows),
+                        max_interval_s=0.0, max_interval_rot=0.0, mean_interval_s=0.0,
+                        mean_interval_rot=0.0, per_sector_max_rot=())
+
+
+@pytest.mark.parametrize("name", HAND_TRACES)
+def test_trace_writer_matches_csv_writer_on_hand_built_records(tmp_path, name):
+    trace = hand_trace(HAND_TRACES[name])
+    _same_bytes(tmp_path, sio.write_trace, reference_write_trace, trace, HAND)
+
+
+@pytest.mark.parametrize("name", HAND_REVISITS)
+def test_revisit_writer_matches_csv_writer_on_hand_built_rows(tmp_path, name):
+    stats = hand_revisits(HAND_REVISITS[name])
+    _same_bytes(tmp_path, sio.write_revisit_stats, reference_write_revisit_stats, stats)
+
+
+def test_trace_writer_refuses_a_foreign_task_before_opening_the_file(tmp_path):
+    # The last record's task is not in the scenario; nothing is written.
+    path = tmp_path / "t.csv"
+    records = HAND_TRACES["repeated-offsets"] + [(7, 0, 8, 0.0, 80.0)]
+    with pytest.raises(InvalidInputError, match="trace record of task 7, which is not in"):
+        sio.write_trace(hand_trace(records), HAND, path)
+    assert not path.exists()
+
+
+def test_hand_built_cases_reach_what_they_claim(tmp_path):
+    def trace_text(name):
+        return _same_bytes(tmp_path, sio.write_trace, reference_write_trace,
+                           hand_trace(HAND_TRACES[name]), HAND)
+
+    assert trace_text("int-offsets").splitlines()[2:4] == ["0,0,0,1,3,3.0,3", "0,0,0,2,3.0,odd,3.0"]
+    assert trace_text("signed-zeros").splitlines()[2:4] == ["1,0,1,1,-0.0,3.0,10.0",
+                                                           "1,0,1,2,0.0,odd,-0.0"]
+    assert trace_text("odd-floats").splitlines()[1:3] == ["0,0,0,0,1.5,3,1.5",
+                                                         "0,0,0,1,odd,3.0,odd"]
+    assert trace_text("one-pass-two-sectors").splitlines()[1:4] == [
+        "3,0,0,0,0.0,3,30.0", "3,0,1,1,3.0,3.0,33.0", "3,0,0,2,6.0,odd,36.0"]
+    text = _same_bytes(tmp_path, sio.write_revisit_stats, reference_write_revisit_stats,
+                       hand_revisits(HAND_REVISITS["inf-nan"]))
+    assert text.splitlines()[1:] == ["0,0,0,inf,inf", "1,1,1,nan,nan", "2,2,2,-inf,nan",
+                                     "3,3,3,inf,inf"]
 
 
 @pytest.mark.parametrize("rows", [

@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sectorsched import (  # noqa: E402
     ExecutionRecord,
-    GenParams,
     InfeasibleScenarioError,
     InvalidInputError,
     POLICY_EDF,
@@ -36,9 +35,9 @@ from test_simulate import (  # noqa: E402
 # dt 2 s puts every sector's resources (5-20 s) beyond the pass, so record
 # timestamps interleave across passes; a dead or starved hotspot under a
 # narrow field of view holds tasks larger than every pass that reaches them.
-INTERLEAVED = (GenParams(n_sectors=7, fov_half_width=1, seed=3), 2.0)
-OVERSIZED = (GenParams(n_sectors=6, fov_half_width=0, hotspots=((2, 0.0, 1.0), (4, 0.3, 4.0)),
-                       seed=5), 25.0)
+INTERLEAVED = (dict(n_sectors=7, fov_half_width=1, seed=3), 2.0)
+OVERSIZED = (dict(n_sectors=6, fov_half_width=0, hotspots=((2, 0.0, 1.0), (4, 0.3, 4.0)),
+                  seed=5), 25.0)
 
 
 def _runs(s):
@@ -94,7 +93,7 @@ class TestSimulateProperties:
     @example(*INTERLEAVED, 3)
     @example(*OVERSIZED, 2)
     def test_matches_the_reference_simulator(self, params, dt, cycles):
-        s = generated(dataclasses.replace(params, dt=dt))
+        s = generated({**params, "dt": dt})
         if s is None:
             return
         for policy, partition in _runs(s):
@@ -149,7 +148,7 @@ class TestSimulateProperties:
     ], ids=["interleaved", "oversized"])
     def test_reference_examples_reach_their_branches(self, case, reached):
         params, dt = case
-        s = generated(dataclasses.replace(params, dt=dt))
+        s = generated({**params, "dt": dt})
         for policy, partition in _runs(s):
             assert reached(simulate(s, policy, partition, cycles=2))
 
